@@ -300,6 +300,10 @@ class FiniteSumSpherical:
         return GTildeStats(0.5 * f.m, f.b + f.m, self._grad_at_zero + wr + w1, w1)
 
     def delta(self, r: float):
+        """Coefficients at the oracle's radius, for ``equal_split`` sums only: the
+        variance counts the smoothing draws, not the picking of distinct components."""
+        if self.fsum.base is None:
+            raise ValueError("component-sampling variance is only bounded for equal_split sums")
         if not math.isclose(r, self.r, rel_tol=1e-12, abs_tol=0.0):
             raise ValueError(
                 "bias/variance coefficients are only available at the oracle's "
@@ -315,12 +319,10 @@ class FiniteSumSpherical:
 
     def grad_at(self, x, block, j):
         zeta, lam = block
-        pts = x[None, :] + zeta[j]
-        grads = self.fsum.grads
-        acc = np.zeros(self.dim)
-        for jj in range(self.n_batch):
-            acc += np.asarray(grads[int(lam[j, jj])](pts[jj]), dtype=float)
-        return acc * (self.fsum.n_components / self.n_batch)
+        g = self.fsum.component_grad(lam[j], x + zeta[j])
+        # sequential sum over the batch: sum(axis=0) adds pairwise when that
+        # axis is contiguous (d = 1), which changes the bits of the trace
+        return g.cumsum(axis=0)[-1] * (self.fsum.n_components / self.n_batch)
 
 
 class CustomOracle:
@@ -524,7 +526,9 @@ def write_trace_csv(trace: Trace, path, provenance: dict | None = None) -> None:
         for key, val in (provenance or {}).items():
             fh.write(f"# {key}={val}\n")
         fh.write("step," + ",".join(f"x{j}" for j in range(d)) + "\n")
-        for s, row in zip(trace.steps, trace.iterates):
-            fh.write(str(int(s)) + "," + ",".join(format(v, ".17g") for v in row) + "\n")
+        # "%.17g" gives the same text as format(v, ".17g"), at one call per row
+        row_fmt = "%d" + ",%.17g" * d + "\n"
+        for s, row in zip(trace.steps.tolist(), trace.iterates.tolist()):
+            fh.write(row_fmt % (s, *row))
         if trace.diverged_at is not None:
             fh.write(f"# diverged_at_step={trace.diverged_at}\n")

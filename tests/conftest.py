@@ -11,6 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from mollmc.continuity import ModulusSpec
+from mollmc.potentials import FiniteSumPotential
+
 
 def gl_tensor(f, d, n_nodes):
     """Integral of f over [-1,1]^d, tensor Gauss-Legendre; f maps (N,d)->(N,)."""
@@ -51,6 +54,25 @@ def w2_brute(x, y):
         float(cost[np.arange(n), perm].sum()) for perm in itertools.permutations(range(n))
     )
     return math.sqrt(best / n)
+
+
+def scaled_quadratic_sum(scales, d=2):
+    """Finite sum with distinct components ``U_i(x) = c_i |x|^2 / 2``.
+
+    Not an equal split (``base`` is None), so a batched evaluation that
+    ignores or misroutes the component index gives a wrong result.
+    """
+    c = np.asarray(scales, dtype=float)
+    return FiniteSumPotential(
+        name="scaled_quadratics",
+        dim=d,
+        n_components=len(c),
+        component_value=lambda idx, pts: 0.5 * c[idx] * np.sum(np.square(pts), axis=-1),
+        component_grad=lambda idx, pts: c[idx][:, None] * pts,
+        m=float(c.sum()),
+        b=0.0,
+        omega_hat=ModulusSpec.lipschitz(len(c) * float(c.max())),
+    )
 
 
 @pytest.fixture

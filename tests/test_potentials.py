@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mollmc.continuity import ModulusSpec
 from mollmc.potentials import (
     FiniteSumPotential,
     PotentialSpec,
@@ -11,6 +13,8 @@ from mollmc.potentials import (
     check_finite_sum,
 )
 from mollmc.samplers import SphericalSmoothed, ss_gradient_batch
+
+from conftest import scaled_quadratic_sum
 
 
 class TestQuadratic:
@@ -178,6 +182,22 @@ class TestFiniteSum:
         f = FiniteSumPotential.equal_split(builtin("hoelder_mix", 1, alpha=0.5), 8)
         rep = check_finite_sum(f, rng=np.random.default_rng(2))
         assert rep.passed
+
+    def test_distinct_components_totals(self, rng):
+        f = scaled_quadratic_sum([0.5, 1.0, 2.5])
+        pts = rng.standard_normal((20, 2))
+        assert np.allclose(f.total_grad(pts), 4.0 * pts, rtol=1e-14)
+        assert np.allclose(f.total_value(pts), 2.0 * np.sum(pts**2, axis=1), rtol=1e-14)
+        assert np.allclose(f.total_grad(pts[0]), 4.0 * pts[0], rtol=1e-14)
+
+    def test_component_modulus_checked_per_component(self):
+        # omega_hat / n must cover the steepest component, not the average one
+        f = scaled_quadratic_sum([0.5, 1.0, 2.5])
+        assert check_finite_sum(f, rng=np.random.default_rng(3)).passed
+        loose = dataclasses.replace(f, omega_hat=ModulusSpec.lipschitz(4.0))
+        rep = check_finite_sum(loose, rng=np.random.default_rng(3))
+        (item,) = [it for it in rep.items if it.name == "component_gradient_modulus"]
+        assert not item.passed
 
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):

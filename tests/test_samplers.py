@@ -13,6 +13,7 @@ from mollmc.samplers import (
     FiniteSumSpherical,
     InitLaw,
     SphericalSmoothed,
+    Trace,
     run,
     run_ensemble,
     run_replicas,
@@ -22,7 +23,7 @@ from mollmc.samplers import (
     write_trace_csv,
 )
 
-from conftest import gl_interval
+from conftest import gl_interval, scaled_quadratic_sum
 
 
 class _ZeroNoise:
@@ -224,6 +225,70 @@ class TestSmoothedGradient:
         assert (db2, dv0, dv2) == (0.0, 0.0, 0.0)
 
 
+class _LoopFiniteSum(FiniteSumSpherical):
+    """Reference: the per-component loop ``grad_at`` ran before batching.
+
+    One closure per component of the equal split, each called at one point,
+    accumulated in batch order.
+    """
+
+    def __init__(self, fsum, r, n_batch):
+        super().__init__(fsum, r, n_batch)
+        p, w = fsum.base, 1.0 / fsum.n_components
+        self._grads = tuple((lambda x: w * p.weak_grad(x)) for _ in range(fsum.n_components))
+
+    def grad_at(self, x, block, j):
+        zeta, lam = block
+        pts = x[None, :] + zeta[j]
+        acc = np.zeros(self.dim)
+        for jj in range(self.n_batch):
+            acc += np.asarray(self._grads[int(lam[j, jj])](pts[jj]), dtype=float)
+        return acc * (self.fsum.n_components / self.n_batch)
+
+
+class TestBatchedFiniteSum:
+    @pytest.mark.parametrize("n_batch", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "name,d,params",
+        [
+            ("hoelder_mix", 1, {"alpha": 0.5}),
+            ("hoelder_mix", 10, {"alpha": 0.5}),
+            ("elastic_net_logistic", 10, {}),
+        ],
+        ids=["hoelder_mix-d1", "hoelder_mix-d10", "elastic_net_logistic-d10"],
+    )
+    def test_bit_identical_to_component_loop(self, name, d, params, n_batch):
+        fs = FiniteSumPotential.equal_split(builtin(name, d, **params), 100)
+        new = FiniteSumSpherical(fs, r=0.1, n_batch=n_batch)
+        ref = _LoopFiniteSum(fs, r=0.1, n_batch=n_batch)
+        rng = np.random.default_rng(10 * d + n_batch)
+        block = new.prep_block(64, rng, rng)
+        xs = 2.0 * rng.standard_normal((64, d))
+        for j in range(64):
+            assert np.array_equal(new.grad_at(xs[j], block, j), ref.grad_at(xs[j], block, j))
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=1000, seed=7)
+        assert np.array_equal(run(new, cfg).iterates, run(ref, cfg).iterates)
+
+    def test_rows_use_their_own_component(self):
+        c = np.array([0.5, 1.0, 2.5, 4.0])
+        orc = FiniteSumSpherical(scaled_quadratic_sum(c), r=0.5, n_batch=5)
+        rng = np.random.default_rng(4)
+        zeta, lam = block = orc.prep_block(20, rng, rng)
+        x = np.array([0.3, -1.2])
+        for j in range(20):
+            expect = (4 / 5) * np.sum(c[lam[j]][:, None] * (x + zeta[j]), axis=0)
+            assert np.allclose(orc.grad_at(x, block, j), expect, rtol=1e-13, atol=1e-13)
+
+    def test_delta_only_for_equal_split(self):
+        split = FiniteSumPotential.equal_split(builtin("quadratic", 1), 4)
+        assert FiniteSumSpherical(split, r=0.5, n_batch=2).delta(0.5) == (
+            0.0, 0.0, 0.5 * 0.25 / 2, 0.0,
+        )
+        distinct = FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0]), r=0.5, n_batch=2)
+        with pytest.raises(ValueError, match="equal_split"):
+            distinct.delta(0.5)
+
+
 class TestStreamsAndReplicas:
     def test_ensemble_rows_match_single_runs(self):
         p = builtin("quadratic", 2)
@@ -268,7 +333,42 @@ class TestStreamsAndReplicas:
             run_ensemble(orc, ChainConfig(beta=1.0, eta=0.1, k=10, seed=0), 2)
 
 
+def _per_value_csv(trace, path, provenance=None):
+    """Reference: the writer that formatted each value with ``format(v, ".17g")``."""
+    d = trace.dim
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, val in (provenance or {}).items():
+            fh.write(f"# {key}={val}\n")
+        fh.write("step," + ",".join(f"x{j}" for j in range(d)) + "\n")
+        for s, row in zip(trace.steps, trace.iterates):
+            fh.write(str(int(s)) + "," + ",".join(format(v, ".17g") for v in row) + "\n")
+        if trace.diverged_at is not None:
+            fh.write(f"# diverged_at_step={trace.diverged_at}\n")
+
+
 class TestTraceCsv:
+    @pytest.mark.parametrize("diverged_at", [None, 9])
+    @pytest.mark.parametrize("provenance", [None, {"config": "abc", "seed": 2**64 - 1}])
+    def test_bytes_match_per_value_formatter(self, tmp_path, provenance, diverged_at):
+        extremes = np.array(
+            [
+                [0.0, -0.0, 5e-324, -5e-324],
+                [1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, 0.1],
+                [1.0 / 3.0, -2.5e-310, 1e22, 123456789.0],
+            ]
+        )
+        chain = run(ExactGradient(builtin("quadratic", 4)), ChainConfig(1.0, 0.1, 200, seed=3))
+        trace = Trace(
+            steps=np.concatenate([chain.steps, [201, 202, 2**40]]),
+            iterates=np.vstack([chain.iterates, extremes]),
+            config=chain.config,
+            elapsed=0.0,
+            diverged_at=diverged_at,
+        )
+        write_trace_csv(trace, tmp_path / "new.csv", provenance=provenance)
+        _per_value_csv(trace, tmp_path / "ref.csv", provenance=provenance)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_round_trip_exact(self, tmp_path):
         from mollmc.metrics import SampleSet
 
