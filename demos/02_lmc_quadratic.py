@@ -10,7 +10,8 @@ import numpy as np
 
 from mollmc.metrics import moment_report
 from mollmc.potentials import builtin
-from mollmc.samplers import ChainConfig, ExactGradient, run, run_ensemble
+from mollmc.rng import replica_seed
+from mollmc.samplers import ChainConfig, ExactGradient, run
 
 beta, eta = 1.0, 0.05
 p = builtin("quadratic", 1)
@@ -25,7 +26,9 @@ print(f"  post-burn-in second moment = {rep['second_moment']:.5f} +- {rep['secon
 print(f"  discretised stationary value = {exact:.5f},  continuum value = {1.0 / beta:.5f}")
 print(f"  max |Y| over the run = {rep['max_norm']:.3f}")
 
-steps, paths = run_ensemble(oracle, ChainConfig(beta=beta, eta=eta, k=2000, seed=3), 800)
+seeds = [replica_seed(3, i) for i in range(800)]
+ensemble = run(oracle, ChainConfig(beta=beta, eta=eta, k=2000, seed=3), seeds)
+steps, paths = ensemble[0].steps, np.stack([t.iterates for t in ensemble])
 v_end = paths[:, -1, :].var(axis=0, ddof=1)[0]
 print("\nensemble of 800 chains, k = 2000:")
 print(f"  cross-chain variance at the last step = {v_end:.5f} (target {exact:.5f})")

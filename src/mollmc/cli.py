@@ -16,6 +16,13 @@ was produced from.  Replica ``i`` runs under the seed derived from the root
 seed by the splitmix64 scheme in :mod:`mollmc.rng`, so re-running any
 experiment with the same config and seed reproduces the trace files byte for
 byte regardless of worker scheduling.
+
+``sample`` splits the replicas into one contiguous shard per worker
+(``MOLLMC_WORKERS``, default one per core).  Each worker steps its shard in
+lockstep through :func:`mollmc.samplers.run`, writes the shard's CSVs and
+returns only its summary entries; a replica's ``elapsed_s`` is the wall time
+of its whole shard.  The trace files and the rest of the summary do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -24,13 +31,11 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 
 from . import bounds as _bounds
 from . import rng as _rng
@@ -46,7 +51,6 @@ from .planner import (
 from .potentials import BUILTIN_NAMES, FiniteSumPotential, builtin
 from .samplers import (
     ChainConfig,
-    ChainDivergenceError,
     ExactGradient,
     FiniteSumSpherical,
     InitLaw,
@@ -193,28 +197,6 @@ def build_chain_config(cfg: dict, seed: int) -> ChainConfig:
     )
 
 
-def _replica_worker(cfg: dict, root_seed: int, index: int) -> dict:
-    """Run one replica; module-level so process pools can pickle it."""
-    oracle = build_oracle(cfg)
-    seed_i = _rng.replica_seed(root_seed, index)
-    chain_cfg = build_chain_config(cfg, seed_i)
-    try:
-        trace = run(oracle, chain_cfg)
-        diverged_at = None
-    except ChainDivergenceError as err:
-        trace = err.trace
-        diverged_at = err.step_index
-    return {
-        "index": index,
-        "seed": seed_i,
-        "steps": trace.steps,
-        "iterates": trace.iterates,
-        "elapsed": trace.elapsed,
-        "diverged_at": diverged_at,
-        "config": chain_cfg,
-    }
-
-
 def _n_workers(replicas: int) -> int:
     env = os.environ.get("MOLLMC_WORKERS", "")
     if env:
@@ -222,59 +204,60 @@ def _n_workers(replicas: int) -> int:
     return max(1, min(replicas, os.cpu_count() or 1))
 
 
-def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
-    """Run all replicas of a validated config and write traces + summary."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    replicas = int(cfg.get("replicas", 1))
+def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> list[dict]:
+    """Run replicas ``lo .. hi - 1`` in lockstep, write their CSVs and return
+    their summary entries; module-level so process pools can pickle it."""
     digest = config_hash(cfg)
-    workers = _n_workers(replicas)
-
-    if workers > 1 and replicas > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_replica_worker, [cfg] * replicas, [root_seed] * replicas, range(replicas))
-            )
-    else:
-        results = [_replica_worker(cfg, root_seed, i) for i in range(replicas)]
-
-    potential = build_potential(cfg)
-    summary_replicas = []
-    any_diverged = False
-    for res in sorted(results, key=lambda r: r["index"]):
-        fname = f"chain_{res['index']:04d}.csv"
-        from .samplers import Trace as _Trace
-
-        trace = _Trace(
-            steps=res["steps"],
-            iterates=res["iterates"],
-            config=res["config"],
-            elapsed=res["elapsed"],
-            diverged_at=res["diverged_at"],
-        )
+    m = build_potential(cfg).m
+    seeds = [_rng.replica_seed(root_seed, i) for i in range(lo, hi)]
+    # run() steps one chain per entry of `seeds`; the config's own seed is unused
+    traces = run(build_oracle(cfg), build_chain_config(cfg, seeds[0]), seeds)
+    entries = []
+    for index, seed, trace in zip(range(lo, hi), seeds, traces):
+        fname = f"chain_{index:04d}.csv"
         write_trace_csv(
-            trace,
-            out_dir / fname,
-            provenance={"config": digest, "seed": res["seed"], "replica": res["index"]},
+            trace, out_dir / fname, provenance={"config": digest, "seed": seed, "replica": index}
         )
         entry = {
-            "replica": res["index"],
-            "seed": int(res["seed"]),
+            "replica": index,
+            "seed": seed,
             "file": fname,
-            "elapsed_s": res["elapsed"],
+            "elapsed_s": trace.elapsed,
             "n_recorded": int(trace.n_recorded),
-            "diverged_at": res["diverged_at"],
+            "diverged_at": trace.diverged_at,
         }
-        if res["diverged_at"] is None and trace.n_recorded > 1:
-            entry["moments"] = moment_report(trace, m=potential.m)
-        any_diverged = any_diverged or res["diverged_at"] is not None
-        summary_replicas.append(entry)
+        if trace.diverged_at is None and trace.n_recorded > 1:
+            entry["moments"] = moment_report(trace, m=m)
+        entries.append(entry)
+    return entries
+
+
+def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
+    """Run all replicas of a validated config and write traces + summary.
+
+    The replicas are split into one contiguous shard per worker; each worker
+    steps its shard in lockstep and writes that shard's traces itself.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    replicas = int(cfg.get("replicas", 1))
+    workers = min(_n_workers(replicas), replicas)
+    cuts = [replicas * w // workers for w in range(workers + 1)]
+    shards = list(zip(cuts[:-1], cuts[1:]))
+
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_shard, cfg, root_seed, lo, hi, out_dir)
+                       for lo, hi in shards]
+            entries = [entry for fut in futures for entry in fut.result()]
+    else:
+        entries = _run_shard(cfg, root_seed, 0, replicas, out_dir)
 
     summary = {
         "config": cfg,
-        "config_sha256": digest,
+        "config_sha256": config_hash(cfg),
         "root_seed": int(root_seed),
-        "replicas": summary_replicas,
-        "diverged": any_diverged,
+        "replicas": entries,
+        "diverged": any(e["diverged_at"] is not None for e in entries),
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

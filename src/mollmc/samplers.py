@@ -16,20 +16,31 @@ where ``G`` is supplied by a gradient oracle:
 * :class:`CustomOracle` accepts a user gradient with declared bias/variance
   coefficients.
 
+:func:`run` is the one chain engine.  It steps ``C`` chains in lockstep over
+a state array of shape ``(C, d)``, with one oracle call per step for all of
+them; a single chain is the case ``C = 1``.
+
 Randomness is organised for reproducibility: a chain seed derives four
 sub-streams (Brownian increments, smoothing draws, component picks, initial
 value), so identical ``(oracle, config, seed)`` always reproduce the trace
-bit for bit, and parallel replicas never share a stream.  Noise is pre-drawn
-in fixed blocks of :data:`NOISE_BLOCK` steps; the block size is part of the
-reproducibility contract.
+bit for bit, whichever other chains step beside it, and parallel replicas
+never share a stream.  Noise is pre-drawn in fixed blocks of
+:data:`NOISE_BLOCK` steps, each chain's block from its own streams; the block
+size is part of the reproducibility contract.  A block holds
+``C * NOISE_BLOCK * n_batch * d`` smoothing draws (``C * NOISE_BLOCK * d``
+Gaussians for the exact oracle).
+
+Oracles share one batched protocol: ``prep_block(n_steps, zeta_rngs,
+lam_rngs)`` draws one block from the per-chain generators and stacks it on a
+chain axis, and ``grad_at(x, block, j)`` returns the gradients of shape
+``(C, d)`` at the points ``x`` (shape ``(C, d)``) for step ``j`` of the block.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,11 +59,7 @@ __all__ = [
     "SphericalSmoothed",
     "FiniteSumSpherical",
     "CustomOracle",
-    "step",
     "run",
-    "run_ensemble",
-    "run_replicas",
-    "ss_gradient",
     "ss_gradient_batch",
     "write_trace_csv",
 ]
@@ -72,7 +79,6 @@ class InitLaw:
 
     kind: str = "gaussian"
     x0: tuple = ()
-    sampler: Callable | None = None
 
     @classmethod
     def gaussian(cls) -> "InitLaw":
@@ -82,10 +88,6 @@ class InitLaw:
     def point(cls, x0) -> "InitLaw":
         return cls(kind="point", x0=tuple(float(v) for v in np.atleast_1d(x0)))
 
-    @classmethod
-    def custom(cls, sampler: Callable) -> "InitLaw":
-        return cls(kind="custom", sampler=sampler)
-
     def draw(self, rng: np.random.Generator, d: int) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(d)
@@ -94,11 +96,6 @@ class InitLaw:
             if x0.shape != (d,):
                 raise ValueError(f"point init has dim {x0.shape}, chain has dim {d}")
             return x0.copy()
-        if self.kind == "custom":
-            x = np.asarray(self.sampler(rng, d), dtype=float)
-            if x.shape != (d,):
-                raise ValueError("custom init sampler returned wrong shape")
-            return x
         raise ValueError(f"unknown init kind {self.kind!r}")
 
 
@@ -182,17 +179,12 @@ class GTildeStats:
 class ExactGradient:
     """Deterministic oracle ``G = grad U`` (plain LMC)."""
 
-    stochastic = False
-
     def __init__(self, potential: PotentialSpec):
         self.potential = potential
 
     @property
     def dim(self) -> int:
         return self.potential.dim
-
-    def grad(self, x):
-        return np.asarray(self.potential.weak_grad(x), dtype=float)
 
     def mean_stats(self) -> GTildeStats:
         p = self.potential
@@ -209,8 +201,8 @@ class ExactGradient:
         w = self.potential.modulus.eval(r)
         return (0.5 * w * w, 0.0, 0.0, 0.0)
 
-    # block protocol used by run(); the exact oracle needs no noise
-    def prep_block(self, n_steps, zeta_rng, lam_rng):
+    # the exact oracle needs no noise
+    def prep_block(self, n_steps, zeta_rngs, lam_rngs):
         return None
 
     def grad_at(self, x, block, j):
@@ -224,8 +216,6 @@ class SphericalSmoothed:
     the gradient of ``U`` convolved with the kernel at radius ``r``; variance
     shrinks like ``1 / n_batch``.
     """
-
-    stochastic = True
 
     def __init__(self, potential: PotentialSpec, r: float, n_batch: int = 1):
         if not (0.0 < r <= 1.0):
@@ -258,13 +248,15 @@ class SphericalSmoothed:
         w = self.potential.modulus.eval(self.r)
         return (0.0, 0.0, 0.5 * w * w / self.n_batch, 0.0)
 
-    def prep_block(self, n_steps, zeta_rng, lam_rng):
-        z = _kernel_sample(self._unit, zeta_rng, size=n_steps * self.n_batch)
-        return self.r * z.reshape(n_steps, self.n_batch, self.dim)
+    def prep_block(self, n_steps, zeta_rngs, lam_rngs):
+        return _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
 
     def grad_at(self, x, block, j):
-        pts = x[None, :] + block[j]
-        return np.asarray(self.potential.weak_grad(pts), dtype=float).mean(axis=0)
+        pts = (x[:, None, :] + block[j]).reshape(-1, self.dim)
+        g = np.asarray(self.potential.weak_grad(pts), dtype=float)
+        # the mean over axis 1 of (C, n_batch, d) has the bits of one chain's
+        # mean over axis 0 of (n_batch, d); a test pins this
+        return g.reshape(len(x), self.n_batch, self.dim).mean(axis=1)
 
 
 class FiniteSumSpherical:
@@ -274,8 +266,6 @@ class FiniteSumSpherical:
     gradient at an independently smoothed point; the ``n / n_batch`` factor
     keeps the estimator unbiased for the smoothed full gradient.
     """
-
-    stochastic = True
 
     def __init__(self, fsum: FiniteSumPotential, r: float, n_batch: int = 1):
         if not (0.0 < r <= 1.0):
@@ -312,17 +302,20 @@ class FiniteSumSpherical:
         w = self.fsum.omega_hat.eval(self.r)
         return (0.0, 0.0, 0.5 * w * w / self.n_batch, 0.0)
 
-    def prep_block(self, n_steps, zeta_rng, lam_rng):
-        z = _kernel_sample(self._unit, zeta_rng, size=n_steps * self.n_batch)
-        lam = lam_rng.integers(0, self.fsum.n_components, size=(n_steps, self.n_batch))
-        return self.r * z.reshape(n_steps, self.n_batch, self.dim), lam
+    def prep_block(self, n_steps, zeta_rngs, lam_rngs):
+        zeta = _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
+        size, n = (n_steps, self.n_batch), self.fsum.n_components
+        lam = np.stack([g.integers(0, n, size=size) for g in lam_rngs], axis=1)
+        return zeta, lam
 
     def grad_at(self, x, block, j):
         zeta, lam = block
-        g = self.fsum.component_grad(lam[j], x + zeta[j])
-        # sequential sum over the batch: sum(axis=0) adds pairwise when that
+        pts = (x[:, None, :] + zeta[j]).reshape(-1, self.dim)
+        g = self.fsum.component_grad(lam[j].reshape(-1), pts)
+        # sequential sum over the batch: sum(axis=1) adds pairwise when that
         # axis is contiguous (d = 1), which changes the bits of the trace
-        return g.cumsum(axis=0)[-1] * (self.fsum.n_components / self.n_batch)
+        g = g.reshape(len(x), self.n_batch, self.dim).cumsum(axis=1)[:, -1]
+        return g * (self.fsum.n_components / self.n_batch)
 
 
 class CustomOracle:
@@ -331,9 +324,9 @@ class CustomOracle:
     The library runs it but validates the declaration only through the same
     sampled spot checks available for any oracle; correctness of the declared
     ``delta`` and mean-gradient constants is the caller's responsibility.
+    ``gradient(x, rng)`` takes one point of shape ``(d,)`` and the chain's
+    smoothing generator.
     """
-
-    stochastic = True
 
     def __init__(self, dim, gradient, stats: GTildeStats, delta, name="custom"):
         self.dim = int(dim)
@@ -348,24 +341,25 @@ class CustomOracle:
     def delta(self, r: float):
         return self._delta
 
-    def prep_block(self, n_steps, zeta_rng, lam_rng):
-        return zeta_rng
+    def prep_block(self, n_steps, zeta_rngs, lam_rngs):
+        return zeta_rngs
 
     def grad_at(self, x, block, j):
-        return np.asarray(self._gradient(x, block), dtype=float)
+        # the user gradient takes one point, so the chains are visited in turn
+        return np.stack([np.asarray(self._gradient(xc, g), dtype=float) for xc, g in zip(x, block)])
 
 
-def step(y, g, cfg: ChainConfig, rng: np.random.Generator):
-    """One chain update ``y - eta g + sqrt(2 eta / beta) z``."""
-    y = np.asarray(y, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(g))):
-        raise ValueError("step inputs must be finite")
-    z = rng.standard_normal(y.shape)
-    out = y - cfg.eta * g + math.sqrt(2.0 * cfg.eta / cfg.beta) * z
-    if not np.all(np.isfinite(out)):
-        raise ChainDivergenceError(step_index=None)
-    return out
+def _smoothing_block(unit: Mollifier, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
+    """``r`` times kernel draws, shape ``(n_steps, C, n_batch, d)``.
+
+    Chain ``c`` takes its ``n_steps * n_batch`` draws from ``rngs[c]`` in one
+    call, as a lone chain would.
+    """
+    block = np.empty((n_steps, len(rngs), n_batch, unit.dim))
+    for c, g in enumerate(rngs):
+        z = _kernel_sample(unit, g, size=n_steps * n_batch)
+        np.multiply(r, z.reshape(n_steps, n_batch, unit.dim), out=block[:, c])
+    return block
 
 
 def _recorded_steps(k: int, stride: int) -> np.ndarray:
@@ -375,143 +369,97 @@ def _recorded_steps(k: int, stride: int) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def run(oracle, cfg: ChainConfig) -> Trace:
-    """Run one chain and record its (possibly thinned) iterates.
+def run(oracle, cfg: ChainConfig, seeds=None):
+    """Run chains in lockstep and record their (possibly thinned) iterates.
 
-    Raises :class:`ChainDivergenceError` with the partial trace if an iterate
-    becomes non-finite or its norm exceeds ``1e8``.
+    With ``seeds=None`` one chain runs under ``cfg.seed`` and its
+    :class:`Trace` is returned; if an iterate becomes non-finite or its norm
+    exceeds ``1e8``, :class:`ChainDivergenceError` is raised with the partial
+    trace.
+
+    Otherwise chain ``c`` runs under ``seeds[c]``, reproducing bit for bit the
+    single chain at that seed, and one trace per seed is returned.  A chain
+    that diverges stops recording: its trace is the partial one, with
+    ``diverged_at`` set, and the other chains step on.  Every trace's
+    ``elapsed`` is the wall time of the whole call.
     """
     t0 = time.perf_counter()
     d = oracle.dim
-    bm, zrng, lrng, irng = _rng.chain_streams(cfg.seed)
-    x = np.asarray(cfg.init.draw(irng, d), dtype=float)
+    chain_seeds = [cfg.seed] if seeds is None else [int(s) for s in seeds]
+    if not chain_seeds:
+        raise ValueError("need at least one chain")
+    bm, zrng, lrng, irng = zip(*(_rng.chain_streams(s) for s in chain_seeds))
+    x = np.stack([np.asarray(cfg.init.draw(g, d), dtype=float) for g in irng])
+    n_chains = len(chain_seeds)
 
     record = _recorded_steps(cfg.k, cfg.record_stride)
-    out = np.empty((len(record), d))
-    rec_pos = 0
-    out[rec_pos] = x
-    rec_pos += 1
-    next_record = record[rec_pos] if rec_pos < len(record) else -1
+    out = np.empty((n_chains, len(record), d))
+    out[:, 0] = x
+    rec_pos = 1
+    next_record = record[rec_pos]
 
     eta = cfg.eta
     noise_scale = math.sqrt(2.0 * eta / cfg.beta)
     limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+    # |x|^2 summed over all chains: below half the limit, rounding cannot take
+    # any one chain's |x|^2 over it, and NaN or inf never passes
+    screen = 0.5 * limit2
+    diverged_at = [None] * n_chains
+    n_recorded = [len(record)] * n_chains
 
     i = 0
-    while i < cfg.k:
+    while i < cfg.k and None in diverged_at:
         n_steps = min(NOISE_BLOCK, cfg.k - i)
-        z_block = bm.standard_normal((n_steps, d))
+        z_block = np.empty((n_steps, n_chains, d))
+        for c, g in enumerate(bm):
+            z_block[:, c] = g.standard_normal((n_steps, d))
         o_block = oracle.prep_block(n_steps, zrng, lrng)
         for j in range(n_steps):
             g = oracle.grad_at(x, o_block, j)
             x = x - eta * g + noise_scale * z_block[j]
             i += 1
-            s = float(x @ x)
-            if not math.isfinite(s) or s > limit2:
-                partial = Trace(
-                    steps=record[:rec_pos].copy(),
-                    iterates=out[:rec_pos].copy(),
-                    config=cfg,
-                    elapsed=time.perf_counter() - t0,
-                    diverged_at=i,
-                )
-                raise ChainDivergenceError(i, partial)
-            if i == next_record:
-                out[rec_pos] = x
-                rec_pos += 1
-                next_record = record[rec_pos] if rec_pos < len(record) else -1
-
-    return Trace(
-        steps=record,
-        iterates=out,
-        config=cfg,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def run_ensemble(oracle, cfg: ChainConfig, n_chains: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``n_chains`` exact-gradient chains in vectorised lockstep.
-
-    Chain ``i`` uses the replica seed derived from ``cfg.seed`` and
-    reproduces bit for bit what :func:`run` would produce with that seed.
-    Only deterministic oracles are supported here; smoothed oracles run one
-    chain at a time.
-
-    Returns ``(steps, iterates)`` with iterates of shape
-    ``(n_chains, len(steps), d)``.
-    """
-    if oracle.stochastic:
-        raise ValueError("run_ensemble supports deterministic-gradient oracles only")
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
-    d = oracle.dim
-    streams = [_rng.chain_streams(_rng.replica_seed(cfg.seed, i)) for i in range(n_chains)]
-    x = np.stack([cfg.init.draw(st[3], d) for st in streams])
-
-    record = _recorded_steps(cfg.k, cfg.record_stride)
-    out = np.empty((n_chains, len(record), d))
-    rec_pos = 0
-    out[:, rec_pos] = x
-    rec_pos += 1
-    next_record = record[rec_pos] if rec_pos < len(record) else -1
-
-    eta = cfg.eta
-    noise_scale = math.sqrt(2.0 * eta / cfg.beta)
-    limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
-
-    i = 0
-    while i < cfg.k:
-        n_steps = min(NOISE_BLOCK, cfg.k - i)
-        z_block = np.stack([st[0].standard_normal((n_steps, d)) for st in streams])
-        for j in range(n_steps):
-            g = oracle.grad(x)
-            x = x - eta * g + noise_scale * z_block[:, j]
-            i += 1
-            s = np.einsum("ij,ij->i", x, x)
-            if not np.all(np.isfinite(s)) or np.any(s > limit2):
-                raise ChainDivergenceError(i)
+            if not float(np.vdot(x, x)) <= screen:
+                for c in range(n_chains):
+                    s = float(x[c] @ x[c])
+                    if not math.isfinite(s) or s > limit2:
+                        if diverged_at[c] is None:
+                            diverged_at[c], n_recorded[c] = i, rec_pos
+                        # parked at the origin: stepped on, never recorded again
+                        x[c] = 0.0
+                if None not in diverged_at:
+                    break
             if i == next_record:
                 out[:, rec_pos] = x
                 rec_pos += 1
                 next_record = record[rec_pos] if rec_pos < len(record) else -1
 
-    return record, out
-
-
-def run_replicas(oracle, cfg: ChainConfig, n_replicas: int) -> list[Trace]:
-    """Run independent replicas sequentially with derived per-replica seeds."""
-    traces = []
-    for i in range(n_replicas):
-        seed_i = _rng.replica_seed(cfg.seed, i)
-        cfg_i = ChainConfig(
-            beta=cfg.beta,
-            eta=cfg.eta,
-            k=cfg.k,
-            seed=seed_i,
-            init=cfg.init,
-            record_stride=cfg.record_stride,
+    elapsed = time.perf_counter() - t0
+    traces = [
+        Trace(
+            steps=record[:n],
+            iterates=out[c, :n],
+            config=replace(cfg, seed=seed),
+            elapsed=elapsed,
+            diverged_at=diverged_at[c],
         )
-        traces.append(run(oracle, cfg_i))
-    return traces
-
-
-def ss_gradient(oracle, x, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the smoothed (possibly mini-batched) stochastic gradient.
-
-    Convenience single-call form drawing smoothing points and component
-    picks from one stream; inside :func:`run` the two kinds of draws come
-    from separate sub-streams instead.
-    """
-    x = np.asarray(x, dtype=float)
-    block = oracle.prep_block(1, rng, rng)
-    return oracle.grad_at(x, block, 0)
+        for c, (seed, n) in enumerate(zip(chain_seeds, n_recorded))
+    ]
+    if seeds is not None:
+        return traces
+    if diverged_at[0] is not None:
+        raise ChainDivergenceError(diverged_at[0], traces[0])
+    return traces[0]
 
 
 def ss_gradient_batch(oracle, x, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent oracle draws at a fixed point, shape ``(n, d)``."""
-    x = np.asarray(x, dtype=float)
-    block = oracle.prep_block(n, rng, rng)
-    return np.stack([oracle.grad_at(x, block, j) for j in range(n)])
+    """``n`` independent oracle draws at a fixed point, shape ``(n, d)``.
+
+    Smoothing points and component picks both come from ``rng``; inside
+    :func:`run` the two kinds of draws come from separate sub-streams instead.
+    """
+    x = np.asarray(x, dtype=float)[None, :]
+    block = oracle.prep_block(n, [rng], [rng])
+    return np.concatenate([oracle.grad_at(x, block, j) for j in range(n)])
 
 
 def write_trace_csv(trace: Trace, path, provenance: dict | None = None) -> None:

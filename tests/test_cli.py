@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 import mollmc
-from mollmc.cli import EXIT_OK, EXIT_REFUSED, VERIFY_SUITES, main
+from mollmc.cli import EXIT_DIVERGED, EXIT_OK, EXIT_REFUSED, VERIFY_SUITES, main
 
 
 @pytest.mark.parametrize(
@@ -57,23 +57,81 @@ def test_import_leaves_verify_and_scipy_stats_unloaded():
     assert out.strip() == "[]"
 
 
-def test_sample_csvs_independent_of_worker_count(tmp_path, monkeypatch, capsys):
-    cfg = {
+_SAMPLE_CONFIGS = {
+    "lmc": {
+        "potential": {"name": "double_well", "d": 2},
+        "algorithm": "lmc",
+        "chain": {"beta": 1.0, "eta": 0.05, "k": 300, "seed": 3, "record_stride": 4},
+    },
+    "ss_lmc": {
+        "potential": {"name": "hoelder_mix", "d": 1, "params": {"alpha": 0.5}},
+        "algorithm": "ss_lmc",
+        "chain": {"beta": 1.0, "eta": 0.02, "k": 300, "seed": 5},
+        "smoothing": {"r": 0.3, "n_batch": 9},
+    },
+    "ss_sg_lmc": {
         "potential": {"name": "elastic_net_logistic", "d": 3},
         "algorithm": "ss_sg_lmc",
         "chain": {"beta": 1.0, "eta": 0.01, "k": 300, "seed": 11, "record_stride": 7},
         "smoothing": {"r": 0.2, "n_batch": 3},
         "finite_sum": {"n_components": 5},
-        "replicas": 3,
-    }
-    path = tmp_path / "cfg.json"
+    },
+}
+
+
+def _sample(tmp_path, cfg, name, workers, monkeypatch):
+    """Run `sample` at a worker count; its exit code and output directory."""
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
-    files = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("MOLLMC_WORKERS", workers)
-        out = tmp_path / f"w{workers}"
-        assert main(["sample", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        files[workers] = {f.name: f.read_bytes() for f in sorted(out.glob("chain_*.csv"))}
+    monkeypatch.setenv("MOLLMC_WORKERS", workers)
+    out = tmp_path / f"{name}-w{workers}"
+    return main(["sample", "--config", str(path), "--out", str(out)]), out
+
+
+def test_sample_csvs_independent_of_worker_count(tmp_path, monkeypatch, capsys):
+    # 5 replicas make uneven shards at 2 and 3 workers
+    for algo, base in _SAMPLE_CONFIGS.items():
+        cfg = dict(base, replicas=5)
+        outputs = []
+        for workers in ("1", "2", "3"):
+            code, out = _sample(tmp_path, cfg, algo, workers, monkeypatch)
+            assert code == EXIT_OK
+            summary = json.loads((out / "summary.json").read_text())
+            for entry in summary["replicas"]:
+                del entry["elapsed_s"]
+            files = {f.name: f.read_bytes() for f in sorted(out.glob("chain_*.csv"))}
+            outputs.append((summary, files))
+        assert len(outputs[0][1]) == 5
+        assert [e["replica"] for e in outputs[0][0]["replicas"]] == list(range(5))
+        assert all(o == outputs[0] for o in outputs), algo
     capsys.readouterr()
-    assert len(files["1"]) == 3
-    assert files["1"] == files["2"]
+
+
+def test_sample_exits_3_with_partial_traces_of_diverged_replicas(tmp_path, monkeypatch, capsys):
+    # on the double well at eta = 0.3, replicas 0 and 3 of root seed 1 blow
+    # up within 200 steps and the other three stay bounded
+    cfg = {
+        "potential": {"name": "double_well", "d": 1},
+        "algorithm": "lmc",
+        "chain": {"beta": 1.0, "eta": 0.3, "k": 200, "seed": 1, "record_stride": 3},
+        "replicas": 5,
+    }
+    code, out = _sample(tmp_path, cfg, "diverging", "2", monkeypatch)
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] is True
+    diverged = {e["replica"]: e["diverged_at"] for e in summary["replicas"]}
+    assert diverged == {0: 37, 1: None, 2: None, 3: 18, 4: None}
+    for entry in summary["replicas"]:
+        lines = (out / entry["file"]).read_text().splitlines()
+        rows = [ln for ln in lines if not ln.startswith("#")][1:]
+        steps = [int(ln.split(",")[0]) for ln in rows]
+        assert len(steps) == entry["n_recorded"]
+        if entry["diverged_at"] is None:
+            assert steps[-1] == 200 and "moments" in entry
+            assert not lines[-1].startswith("#")
+        else:
+            assert steps[-1] < entry["diverged_at"] and "moments" not in entry
+            assert lines[-1] == f"# diverged_at_step={entry['diverged_at']}"
+            assert f"replica {entry['replica']} diverged at step {entry['diverged_at']}" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,56 +10,59 @@ from mollmc.rng import chain_streams, derive_seed, replica_seed
 from mollmc.samplers import (
     ChainConfig,
     ChainDivergenceError,
+    CustomOracle,
     ExactGradient,
     FiniteSumSpherical,
+    GTildeStats,
     InitLaw,
     SphericalSmoothed,
     Trace,
     run,
-    run_ensemble,
-    run_replicas,
-    ss_gradient,
     ss_gradient_batch,
-    step,
     write_trace_csv,
 )
 
 from conftest import gl_interval, scaled_quadratic_sum
 
 
-class _ZeroNoise:
-    """Stub generator: standard_normal returns zeros (deterministic part only)."""
+def _zero_gradient_oracle(d):
+    """Custom oracle with ``G = 0``: the chain is a scaled Gaussian random walk."""
+    stats = GTildeStats(1.0, 0.0, 0.0, 0.0)
+    return CustomOracle(d, lambda x, rng: np.zeros(d), stats, (0, 0, 0, 0))
 
-    def standard_normal(self, shape=None):
-        return np.zeros(shape if shape is not None else ())
+
+def _first_noise(seed, d):
+    """The Gaussian that step 1 of the chain at ``seed`` adds, before scaling."""
+    return chain_streams(seed)[0].standard_normal((1, d))[0]
 
 
 class TestStep:
+    """One update ``y - eta g + sqrt(2 eta / beta) z``: :func:`run` at ``k = 1``."""
+
     def test_deterministic_part(self):
-        cfg = ChainConfig(beta=1.0, eta=0.5, k=1, seed=0)
-        out = step(np.array([1.0]), np.array([1.0]), cfg, _ZeroNoise())
-        assert out[0] == pytest.approx(0.5)
+        cfg = ChainConfig(beta=1.0, eta=0.5, k=1, seed=0, init=InitLaw.point([1.0]))
+        out = run(ExactGradient(builtin("quadratic", 1)), cfg).iterates[-1]
+        assert out[0] == 1.0 - 0.5 * 1.0 + math.sqrt(2.0 * 0.5 / 1.0) * _first_noise(0, 1)[0]
 
     def test_zero_gradient_keeps_point(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, seed=0)
         y = np.array([2.0, -1.0])
-        out = step(y, np.zeros(2), cfg, _ZeroNoise())
-        assert np.array_equal(out, y)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, seed=0, init=InitLaw.point(y))
+        out = run(_zero_gradient_oracle(2), cfg).iterates[-1]
+        assert np.array_equal(out, y - 0.1 * np.zeros(2) + math.sqrt(0.2) * _first_noise(0, 2))
 
     def test_noise_variance(self):
-        cfg = ChainConfig(beta=2.0, eta=0.05, k=1, seed=0)
-        rng = np.random.default_rng(4)
-        y = np.zeros(2)
-        moves = np.stack([step(y, np.zeros(2), cfg, rng) for _ in range(50_000)])
+        cfg = ChainConfig(beta=2.0, eta=0.05, k=50_000, seed=4, init=InitLaw.point([0.0, 0.0]))
+        moves = np.diff(run(_zero_gradient_oracle(2), cfg).iterates, axis=0)
         target = 2 * cfg.eta / cfg.beta
         per_coord = moves.var(axis=0, ddof=1)
         se = target * math.sqrt(2.0 / (len(moves) - 1))
         assert np.all(np.abs(per_coord - target) <= 3 * se)
 
     def test_rejects_non_finite(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, seed=0)
-        with pytest.raises(ValueError):
-            step(np.array([math.nan]), np.zeros(1), cfg, _ZeroNoise())
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, seed=0, init=InitLaw.point([math.nan]))
+        with pytest.raises(ChainDivergenceError) as exc:
+            run(ExactGradient(builtin("quadratic", 1)), cfg)
+        assert exc.value.step_index == 1 and exc.value.trace.n_recorded == 1
 
 
 class TestRunBasics:
@@ -126,7 +130,9 @@ class TestQuadraticLaw:
     def test_ensemble_matches_variance_recursion(self):
         beta, eta = 1.0, 0.05
         cfg = ChainConfig(beta=beta, eta=eta, k=1000, seed=17)
-        steps, paths = run_ensemble(ExactGradient(builtin("quadratic", 1)), cfg, 1000)
+        seeds = [replica_seed(17, i) for i in range(1000)]
+        traces = run(ExactGradient(builtin("quadratic", 1)), cfg, seeds)
+        steps, paths = traces[0].steps, np.stack([t.iterates for t in traces])
         v = 1.0
         recursion = {}
         for i in range(1, 1001):
@@ -141,8 +147,9 @@ class TestQuadraticLaw:
 
     def test_mean_zero_by_symmetry(self):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=500, seed=3, init=InitLaw.point([0.0]))
-        steps, paths = run_ensemble(ExactGradient(builtin("quadratic", 1)), cfg, 1000)
-        end = paths[:, -1, 0]
+        seeds = [replica_seed(3, i) for i in range(1000)]
+        traces = run(ExactGradient(builtin("quadratic", 1)), cfg, seeds)
+        end = np.array([t.iterates[-1, 0] for t in traces])
         se = end.std(ddof=1) / math.sqrt(len(end))
         assert abs(end.mean()) <= 3 * se
 
@@ -209,8 +216,8 @@ class TestSmoothedGradient:
 
     def test_single_call_form(self):
         orc = SphericalSmoothed(builtin("quadratic", 2), r=0.5, n_batch=3)
-        g = ss_gradient(orc, np.array([1.0, 2.0]), np.random.default_rng(0))
-        assert g.shape == (2,)
+        g = ss_gradient_batch(orc, np.array([1.0, 2.0]), 1, np.random.default_rng(0))
+        assert g.shape == (1, 2)
 
     def test_delta_requires_matching_radius(self):
         orc = SphericalSmoothed(builtin("quadratic", 1), r=0.5, n_batch=2)
@@ -239,11 +246,14 @@ class _LoopFiniteSum(FiniteSumSpherical):
 
     def grad_at(self, x, block, j):
         zeta, lam = block
-        pts = x[None, :] + zeta[j]
-        acc = np.zeros(self.dim)
-        for jj in range(self.n_batch):
-            acc += np.asarray(self._grads[int(lam[j, jj])](pts[jj]), dtype=float)
-        return acc * (self.fsum.n_components / self.n_batch)
+        out = np.empty_like(x)
+        for c in range(len(x)):
+            pts = x[c][None, :] + zeta[j, c]
+            acc = np.zeros(self.dim)
+            for jj in range(self.n_batch):
+                acc += np.asarray(self._grads[int(lam[j, c, jj])](pts[jj]), dtype=float)
+            out[c] = acc * (self.fsum.n_components / self.n_batch)
+        return out
 
 
 class TestBatchedFiniteSum:
@@ -262,8 +272,8 @@ class TestBatchedFiniteSum:
         new = FiniteSumSpherical(fs, r=0.1, n_batch=n_batch)
         ref = _LoopFiniteSum(fs, r=0.1, n_batch=n_batch)
         rng = np.random.default_rng(10 * d + n_batch)
-        block = new.prep_block(64, rng, rng)
-        xs = 2.0 * rng.standard_normal((64, d))
+        block = new.prep_block(64, [rng], [rng])
+        xs = 2.0 * rng.standard_normal((64, 1, d))
         for j in range(64):
             assert np.array_equal(new.grad_at(xs[j], block, j), ref.grad_at(xs[j], block, j))
         cfg = ChainConfig(beta=1.0, eta=0.01, k=1000, seed=7)
@@ -272,11 +282,11 @@ class TestBatchedFiniteSum:
     def test_rows_use_their_own_component(self):
         c = np.array([0.5, 1.0, 2.5, 4.0])
         orc = FiniteSumSpherical(scaled_quadratic_sum(c), r=0.5, n_batch=5)
-        rng = np.random.default_rng(4)
-        zeta, lam = block = orc.prep_block(20, rng, rng)
-        x = np.array([0.3, -1.2])
+        rngs = [np.random.default_rng(4), np.random.default_rng(5)]
+        zeta, lam = block = orc.prep_block(20, rngs, rngs)
+        x = np.array([[0.3, -1.2], [-2.0, 0.7]])
         for j in range(20):
-            expect = (4 / 5) * np.sum(c[lam[j]][:, None] * (x + zeta[j]), axis=0)
+            expect = (4 / 5) * np.sum(c[lam[j]][..., None] * (x[:, None] + zeta[j]), axis=1)
             assert np.allclose(orc.grad_at(x, block, j), expect, rtol=1e-13, atol=1e-13)
 
     def test_delta_only_for_equal_split(self):
@@ -289,24 +299,95 @@ class TestBatchedFiniteSum:
             distinct.delta(0.5)
 
 
+def _solo(oracle, cfg, seed):
+    """The single chain at ``seed``, or its partial trace if it diverges."""
+    try:
+        return run(oracle, replace(cfg, seed=seed))
+    except ChainDivergenceError as err:
+        return err.trace
+
+
+def _assert_rows_match_solo_runs(oracle, cfg, n_chains):
+    seeds = [replica_seed(cfg.seed, i) for i in range(n_chains)]
+    traces = run(oracle, cfg, seeds)
+    assert len(traces) == n_chains
+    for seed, t in zip(seeds, traces):
+        solo = _solo(oracle, cfg, seed)
+        assert t.config.seed == seed
+        assert t.diverged_at == solo.diverged_at
+        assert np.array_equal(t.steps, solo.steps)
+        assert np.array_equal(t.iterates, solo.iterates)
+    return traces
+
+
+def _lockstep_oracle(kind, d, n_batch):
+    if kind == "smoothed":
+        return SphericalSmoothed(builtin("hoelder_mix", d, alpha=0.5), r=0.3, n_batch=n_batch)
+    name = "hoelder_mix" if d == 1 else "elastic_net_logistic"
+    fs = FiniteSumPotential.equal_split(builtin(name, d), 100)
+    return FiniteSumSpherical(fs, r=0.1, n_batch=n_batch)
+
+
 class TestStreamsAndReplicas:
     def test_ensemble_rows_match_single_runs(self):
         p = builtin("quadratic", 2)
         cfg = ChainConfig(beta=1.0, eta=0.05, k=500, seed=77, record_stride=5)
-        steps, paths = run_ensemble(ExactGradient(p), cfg, 4)
-        for i in range(4):
-            cfg_i = ChainConfig(
-                beta=1.0, eta=0.05, k=500, seed=replica_seed(77, i), record_stride=5
-            )
-            t = run(ExactGradient(p), cfg_i)
-            assert np.array_equal(paths[i], t.iterates)
-            assert np.array_equal(steps, t.steps)
+        for n_chains in (1, 2, 4, 5):
+            _assert_rows_match_solo_runs(ExactGradient(p), cfg, n_chains)
+
+    @pytest.mark.parametrize("n_chains", [1, 2, 5])
+    @pytest.mark.parametrize("n_batch", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "kind,d",
+        [("smoothed", 1), ("smoothed", 10), ("finite_sum", 1), ("finite_sum", 10)],
+        ids=["smoothed-d1", "smoothed-d10", "finite_sum-hoelder_mix-d1",
+             "finite_sum-elastic_net_logistic-d10"],
+    )
+    def test_lockstep_rows_match_single_runs(self, kind, d, n_batch, n_chains):
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, seed=21, record_stride=7)
+        _assert_rows_match_solo_runs(_lockstep_oracle(kind, d, n_batch), cfg, n_chains)
+
+    def test_custom_oracle_lockstep_matches_single_runs(self):
+        def noisy_gradient(x, rng):
+            return x + 0.1 * rng.standard_normal(x.shape)
+
+        orc = CustomOracle(2, noisy_gradient, GTildeStats(1.0, 0.0, 1.0, 1.0), (0, 0, 0.01, 0))
+        _assert_rows_match_solo_runs(orc, ChainConfig(beta=1.0, eta=0.05, k=200, seed=8), 2)
+
+    def test_divergent_chain_stops_and_others_step_on(self):
+        # on the double well at eta = 0.3 replicas 0 and 3 of root 1 blow up
+        # (at steps 37 and 18) within 200 steps and the others stay bounded
+        cfg = ChainConfig(beta=1.0, eta=0.3, k=200, seed=1, record_stride=3)
+        oracle = ExactGradient(builtin("double_well", 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = _assert_rows_match_solo_runs(oracle, cfg, 5)
+            for i in (0, 3):
+                with pytest.raises(ChainDivergenceError) as exc:
+                    run(oracle, replace(cfg, seed=replica_seed(1, i)))
+                assert traces[i].diverged_at == exc.value.step_index
+        assert [t.diverged_at for t in traces] == [37, None, None, 18, None]
+        assert traces[1].n_recorded == len(range(0, 201, 3)) + 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 17])
+    def test_batch_reductions_match_single_chain_order(self, d):
+        # the oracles reduce (C, n_batch, d) over axis 1; one chain's
+        # gradients used to be reduced over axis 0 of (n_batch, d)
+        rng = np.random.default_rng(d)
+        for n_batch in (1, 2, 3, 7, 8, 9, 16, 33, 130, 300):
+            for n_chains in (1, 2, 4, 32):
+                g = rng.standard_normal((n_chains * n_batch, d)).reshape(n_chains, n_batch, d)
+                means, sums = g.mean(axis=1), g.cumsum(axis=1)[:, -1]
+                for c in range(n_chains):
+                    solo = g[c].copy()
+                    assert np.array_equal(means[c], solo.mean(axis=0))
+                    assert np.array_equal(sums[c], solo.cumsum(axis=0)[-1])
 
     def test_run_replicas_distinct_and_deterministic(self):
         p = builtin("quadratic", 1)
         cfg = ChainConfig(beta=1.0, eta=0.1, k=50, seed=5)
-        a = run_replicas(ExactGradient(p), cfg, 3)
-        b = run_replicas(ExactGradient(p), cfg, 3)
+        seeds = [replica_seed(5, i) for i in range(3)]
+        a = run(ExactGradient(p), cfg, seeds)
+        b = run(ExactGradient(p), cfg, seeds)
         for x, y in zip(a, b):
             assert np.array_equal(x.iterates, y.iterates)
         assert not np.array_equal(a[0].iterates, a[1].iterates)
@@ -326,11 +407,6 @@ class TestStreamsAndReplicas:
         assert np.array_equal(a, b)
         c = s2[1].standard_normal(4)
         assert not np.array_equal(a, c)
-
-    def test_ensemble_rejects_stochastic_oracle(self):
-        orc = SphericalSmoothed(builtin("quadratic", 1), r=0.5)
-        with pytest.raises(ValueError):
-            run_ensemble(orc, ChainConfig(beta=1.0, eta=0.1, k=10, seed=0), 2)
 
 
 def _per_value_csv(trace, path, provenance=None):
