@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .continuity import ModulusSpec
 
@@ -397,6 +395,10 @@ def exp_moment_bound(
 
 def gaussian_kappa0(d: int) -> float:
     """log E exp(|x|) for a standard Gaussian in dimension d, by quadrature."""
+    # imported here so that only envelope evaluation loads scipy
+    from scipy import integrate
+    from scipy.special import gammaln
+
     if d < 1:
         raise ValueError("d must be a positive integer")
     log_c = (1.0 - 0.5 * d) * math.log(2.0) - gammaln(0.5 * d)

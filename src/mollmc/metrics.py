@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .samplers import Trace
 
@@ -95,6 +94,8 @@ def w2_exact(a: SampleSet, b: SampleSet) -> float:
 
     Cubic-time in n, so the size is capped at :data:`ASSIGNMENT_BUDGET`.
     """
+    from scipy.optimize import linear_sum_assignment  # only this solver needs scipy
+
     x, y = _paired(a, b)
     if a.n > ASSIGNMENT_BUDGET:
         raise ValueError(f"assignment solver budget is n <= {ASSIGNMENT_BUDGET}, got {a.n}")
