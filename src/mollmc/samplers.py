@@ -346,7 +346,8 @@ class CustomOracle:
 
     def grad_at(self, x, block, j):
         # the user gradient takes one point, so the chains are visited in turn
-        return np.stack([np.asarray(self._gradient(xc, g), dtype=float) for xc, g in zip(x, block)])
+        return np.stack([np.asarray(self._gradient(xc, g), dtype=float)
+                         for xc, g in zip(x, block)])
 
 
 def _smoothing_block(unit: Mollifier, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
