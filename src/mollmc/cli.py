@@ -21,8 +21,9 @@ byte regardless of worker scheduling.
 (``MOLLMC_WORKERS``, default one per core).  Each worker steps its shard in
 lockstep through :func:`mollmc.samplers.run`, writes the shard's CSVs and
 returns only its summary entries; a replica's ``elapsed_s`` is the wall time
-of its whole shard.  The trace files and the rest of the summary do not
-depend on the worker count.
+of the lockstep group it ran in, the whole shard unless the shard is large.
+The trace files and the rest of the summary do not depend on the worker
+count.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ bit for bit, whichever other chains step beside it, and parallel replicas
 never share a stream.  Noise is pre-drawn in fixed blocks of
 :data:`NOISE_BLOCK` steps, each chain's block from its own streams; the block
 size is part of the reproducibility contract.  A block holds
-``C * NOISE_BLOCK * n_batch * d`` smoothing draws (``C * NOISE_BLOCK * d``
-Gaussians for the exact oracle).
+``C * NOISE_BLOCK * d`` Gaussians and ``C * NOISE_BLOCK * n_batch * d``
+smoothing draws, so large ensembles step in groups whose blocks stay within
+:data:`LOCKSTEP_BLOCK_BYTES`.
 
 Oracles share one batched protocol: ``prep_block(n_steps, zeta_rngs,
 lam_rngs)`` draws one block from the per-chain generators and stacks it on a
@@ -50,6 +51,7 @@ from .potentials import FiniteSumPotential, PotentialSpec
 
 __all__ = [
     "NOISE_BLOCK",
+    "LOCKSTEP_BLOCK_BYTES",
     "InitLaw",
     "ChainConfig",
     "Trace",
@@ -66,6 +68,9 @@ __all__ = [
 
 NOISE_BLOCK = 4096
 DIVERGENCE_NORM = 1e8
+# bytes of pre-drawn noise that one lockstep group may hold; larger ensembles
+# step group after group
+LOCKSTEP_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -381,14 +386,31 @@ def run(oracle, cfg: ChainConfig, seeds=None):
     Otherwise chain ``c`` runs under ``seeds[c]``, reproducing bit for bit the
     single chain at that seed, and one trace per seed is returned.  A chain
     that diverges stops recording: its trace is the partial one, with
-    ``diverged_at`` set, and the other chains step on.  Every trace's
-    ``elapsed`` is the wall time of the whole call.
+    ``diverged_at`` set, and the other chains step on.  The chains step in
+    groups of as many as keep a noise block within
+    :data:`LOCKSTEP_BLOCK_BYTES`; every trace's ``elapsed`` is the wall time
+    of its group.
     """
-    t0 = time.perf_counter()
-    d = oracle.dim
     chain_seeds = [cfg.seed] if seeds is None else [int(s) for s in seeds]
     if not chain_seeds:
         raise ValueError("need at least one chain")
+    # one chain's block: d Gaussians and n_batch * d smoothing draws per step
+    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * (1 + getattr(oracle, "n_batch", 0)) * oracle.dim
+    size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
+    traces = []
+    for lo in range(0, len(chain_seeds), size):
+        traces += _lockstep(oracle, cfg, chain_seeds[lo:lo + size])
+    if seeds is not None:
+        return traces
+    if traces[0].diverged_at is not None:
+        raise ChainDivergenceError(traces[0].diverged_at, traces[0])
+    return traces[0]
+
+
+def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
+    """One trace per seed, the chains stepped together over a ``(C, d)`` array."""
+    t0 = time.perf_counter()
+    d = oracle.dim
     bm, zrng, lrng, irng = zip(*(_rng.chain_streams(s) for s in chain_seeds))
     x = np.stack([np.asarray(cfg.init.draw(g, d), dtype=float) for g in irng])
     n_chains = len(chain_seeds)
@@ -435,7 +457,7 @@ def run(oracle, cfg: ChainConfig, seeds=None):
                 next_record = record[rec_pos] if rec_pos < len(record) else -1
 
     elapsed = time.perf_counter() - t0
-    traces = [
+    return [
         Trace(
             steps=record[:n],
             iterates=out[c, :n],
@@ -445,11 +467,6 @@ def run(oracle, cfg: ChainConfig, seeds=None):
         )
         for c, (seed, n) in enumerate(zip(chain_seeds, n_recorded))
     ]
-    if seeds is not None:
-        return traces
-    if diverged_at[0] is not None:
-        raise ChainDivergenceError(diverged_at[0], traces[0])
-    return traces[0]
 
 
 def ss_gradient_batch(oracle, x, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from mollmc.mollifier import Mollifier, density
 from mollmc.potentials import FiniteSumPotential, builtin
+from mollmc import samplers
 from mollmc.rng import chain_streams, derive_seed, replica_seed
 from mollmc.samplers import (
     ChainConfig,
@@ -346,6 +347,26 @@ class TestStreamsAndReplicas:
     def test_lockstep_rows_match_single_runs(self, kind, d, n_batch, n_chains):
         cfg = ChainConfig(beta=1.0, eta=0.01, k=300, seed=21, record_stride=7)
         _assert_rows_match_solo_runs(_lockstep_oracle(kind, d, n_batch), cfg, n_chains)
+
+    def test_groups_match_single_runs(self, monkeypatch):
+        # a budget of two chains' blocks splits 5 chains into groups 2, 2, 1
+        smoothed = _lockstep_oracle("smoothed", 1, 3)
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, seed=21, record_stride=7)
+        monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_BYTES", 2 * 8 * 300 * 4 * 1)
+        groups, lockstep = [], samplers._lockstep
+
+        def counted(oracle, cfg, seeds):
+            groups.append(len(seeds))
+            return lockstep(oracle, cfg, seeds)
+
+        monkeypatch.setattr(samplers, "_lockstep", counted)
+        _assert_rows_match_solo_runs(smoothed, cfg, 5)
+        assert groups == [2, 2, 1] + [1] * 5  # the lockstep run, then the solo runs
+        monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_BYTES", 2 * 8 * 200 * 1 * 1)
+        cfg = ChainConfig(beta=1.0, eta=0.3, k=200, seed=1, record_stride=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = _assert_rows_match_solo_runs(ExactGradient(builtin("double_well", 1)), cfg, 5)
+        assert [t.diverged_at for t in traces] == [37, None, None, 18, None]
 
     def test_custom_oracle_lockstep_matches_single_runs(self):
         def noisy_gradient(x, rng):
