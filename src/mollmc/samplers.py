@@ -412,7 +412,7 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
     t0 = time.perf_counter()
     d = oracle.dim
     bm, zrng, lrng, irng = zip(*(_rng.chain_streams(s) for s in chain_seeds))
-    x = np.stack([np.asarray(cfg.init.draw(g, d), dtype=float) for g in irng])
+    x = np.stack([np.asarray(cfg.init.draw(gen, d), dtype=float) for gen in irng])
     n_chains = len(chain_seeds)
 
     record = _recorded_steps(cfg.k, cfg.record_stride)
@@ -434,8 +434,8 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
     while i < cfg.k and None in diverged_at:
         n_steps = min(NOISE_BLOCK, cfg.k - i)
         z_block = np.empty((n_steps, n_chains, d))
-        for c, g in enumerate(bm):
-            z_block[:, c] = g.standard_normal((n_steps, d))
+        for c, gen in enumerate(bm):
+            z_block[:, c] = gen.standard_normal((n_steps, d))
         o_block = oracle.prep_block(n_steps, zrng, lrng)
         for j in range(n_steps):
             g = oracle.grad_at(x, o_block, j)
