@@ -9,7 +9,6 @@ Submodules:
 * :mod:`mollmc.metrics` - transport distances and moment diagnostics,
 * :mod:`mollmc.bounds` - the explicit error-envelope arithmetic,
 * :mod:`mollmc.planner` - accuracy-driven parameter schedules,
-* :mod:`mollmc.verify` - invariant batteries behind ``mollmc verify``,
 * :mod:`mollmc.cli` - the configuration-driven experiment runner.
 """
 

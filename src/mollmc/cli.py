@@ -6,8 +6,7 @@ Subcommands:
   trace per replica plus a JSON summary,
 * ``plan`` evaluates a parameter schedule for a target accuracy and prints
   it with verification margins (optionally feeding it into ``sample``),
-* ``bound`` evaluates every envelope constant for a configured run,
-* ``verify`` runs a module's invariant battery.
+* ``bound`` evaluates every envelope constant for a configured run.
 
 The config is one JSON file with nested keys; unknown keys are errors, not
 warnings, because a silently ignored misspelling is the main failure mode of
@@ -60,9 +59,7 @@ from .samplers import (
     write_trace_csv,
 )
 
-ALGORITHMS = ("lmc", "sg_lmc", "ss_lmc", "ss_sg_lmc")
-# sorted(verify.SUITES), spelled out so that only `verify` imports scipy.stats
-VERIFY_SUITES = ("bounds", "metrics", "mollifier", "potential")
+ALGORITHMS = ("lmc", "ss_lmc", "ss_sg_lmc")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGED = 3
@@ -129,8 +126,7 @@ def validate_config(cfg: dict) -> dict:
         if init["kind"] == "point" and "x0" not in init:
             raise ValueError("point init needs x0")
 
-    needs_smoothing = algo in ("ss_lmc", "ss_sg_lmc", "sg_lmc")
-    if needs_smoothing:
+    if algo in ("ss_lmc", "ss_sg_lmc"):
         if "smoothing" not in cfg:
             raise ValueError(f"algorithm {algo!r} needs a smoothing section")
         sm = cfg["smoothing"]
@@ -138,7 +134,7 @@ def validate_config(cfg: dict) -> dict:
             raise ValueError("smoothing.r must lie in (0, 1]")
         if int(sm.get("n_batch", 0)) < 1:
             raise ValueError("smoothing.n_batch must be a positive integer")
-    if algo in ("ss_sg_lmc", "sg_lmc"):
+    if algo == "ss_sg_lmc":
         if "finite_sum" not in cfg:
             raise ValueError(f"algorithm {algo!r} needs a finite_sum section")
         if int(cfg["finite_sum"].get("n_components", 0)) < 1:
@@ -174,9 +170,6 @@ def build_oracle(cfg: dict):
     sm = cfg["smoothing"]
     if algo == "ss_lmc":
         return SphericalSmoothed(p, r=float(sm["r"]), n_batch=int(sm["n_batch"]))
-    # sg_lmc is accepted as an alias of ss_sg_lmc: the smoothed mini-batch
-    # estimator is the one stochastic gradient this package instantiates;
-    # other stochastic oracles enter through the library API only.
     fs = FiniteSumPotential.equal_split(p, int(cfg["finite_sum"]["n_components"]))
     return FiniteSumSpherical(fs, r=float(sm["r"]), n_batch=int(sm["n_batch"]))
 
@@ -326,10 +319,17 @@ def cmd_plan(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     cfg = load_config(args.config)
+    # the schedule is verified for one algorithm and dimension only
+    if cfg["algorithm"] != plan.algorithm or int(cfg["potential"]["d"]) != args.d:
+        print(
+            f"error: the plan is for algorithm {plan.algorithm!r} at d = {args.d}, but the "
+            f"config runs {cfg['algorithm']!r} at d = {cfg['potential']['d']}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     cfg["chain"]["k"] = int(plan.k)
     cfg["chain"]["eta"] = float(plan.eta)
     if plan.algorithm == "ss_sg_lmc":
-        cfg.setdefault("smoothing", {})
         cfg["smoothing"]["r"] = float(plan.r)
         cfg["smoothing"]["n_batch"] = int(plan.n_batch)
     validate_config(cfg)
@@ -375,18 +375,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    from .verify import verify_suite
-
-    report = verify_suite(args.suite)
-    print(json.dumps(report, indent=2))
-    if not report["passed"]:
-        failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mollmc",
@@ -424,10 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--a-abs", type=float, default=1.0, dest="a_abs",
                          help="absolute constant of the Poincare bound")
     p_bound.set_defaults(func=cmd_bound)
-
-    p_verify = sub.add_parser("verify", help="run a module invariant battery")
-    p_verify.add_argument("--suite", choices=VERIFY_SUITES, required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -8,7 +8,8 @@ import mpmath as mp
 import pytest
 
 import mollmc
-from mollmc.cli import EXIT_DIVERGED, EXIT_OK, EXIT_REFUSED, VERIFY_SUITES, main
+from mollmc import cli
+from mollmc.cli import ALGORITHMS, EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_REFUSED, main
 
 
 @pytest.mark.parametrize(
@@ -37,21 +38,12 @@ def test_plan_output_independent_of_ambient_precision(capsys):
     assert all(o.out == outputs[0].out and o.err == outputs[0].err for o in outputs)
 
 
-def test_verify_suite_choices_match_suites():
-    from mollmc import verify
-
-    assert VERIFY_SUITES == tuple(sorted(verify.SUITES))
-
-
-def test_import_leaves_verify_and_scipy_stats_unloaded():
+def test_import_leaves_scipy_unloaded():
     src = str(Path(mollmc.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    # scipy is loaded only by `verify`, `bound`'s Gaussian constant and w2_exact
-    probe = (
-        "import sys, mollmc.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'mollmc.verify' or m.startswith('scipy')))"
-    )
+    # scipy is loaded only by `bound`'s Gaussian constant and w2_exact
+    probe = "import sys, mollmc.cli\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -136,3 +128,112 @@ def test_sample_exits_3_with_partial_traces_of_diverged_replicas(tmp_path, monke
             assert steps[-1] < entry["diverged_at"] and "moments" not in entry
             assert lines[-1] == f"# diverged_at_step={entry['diverged_at']}"
             assert f"replica {entry['replica']} diverged at step {entry['diverged_at']}" in err
+
+
+def test_verify_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bounds"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+
+_LMC_D1 = {
+    "potential": {"name": "quadratic", "d": 1},
+    "algorithm": "lmc",
+    "chain": {"beta": 1.0, "eta": 0.1, "k": 20, "seed": 4},
+}
+
+
+def _with(cfg, path, value):
+    """A deep copy of `cfg` with the key at `path` set to `value` (None deletes it)."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path,value,named",
+    [
+        (("bogus",), 1, "'bogus'"),
+        (("chain", "bogus"), 1, "'bogus'"),
+        (("chain", "init"), {"kind": "gaussian", "bogus": 1}, "'bogus'"),
+        (("chain", "eta"), None, "'eta'"),
+    ],
+    ids=["top-level", "chain", "chain.init", "missing-chain.eta"],
+)
+def test_sample_rejects_unknown_and_missing_keys(tmp_path, capsys, path, value, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, path, value)))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rejects_sg_lmc_alias(tmp_path, capsys):
+    cfg = dict(_SAMPLE_CONFIGS["ss_sg_lmc"], algorithm="sg_lmc")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert repr(cfg["algorithm"]) in err
+    assert all(repr(algo) in err for algo in ALGORITHMS)
+
+
+def test_sample_needs_an_output_directory(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_LMC_D1))
+    assert main(["sample", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert "no output directory" in capsys.readouterr().err
+
+
+_LMC_PLAN = ["plan", "--epsilon", "1.0", "--d", "1", "--alpha", "1.0", "--execute"]
+
+
+def test_plan_execute_needs_config(capsys):
+    assert main(_LMC_PLAN) == EXIT_ERROR
+    assert "--execute needs --config" in capsys.readouterr().err
+
+
+def test_plan_execute_runs_the_plan(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_LMC_D1))
+    out = tmp_path / "out"
+    assert main(_LMC_PLAN + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    chain = json.loads((out / "summary.json").read_text())["config"]["chain"]
+    assert plan["k"] == chain["k"] == 57
+    assert chain["eta"] == float(plan["eta"])
+
+
+@pytest.mark.parametrize(
+    "argv,cfg",
+    [
+        (_LMC_PLAN, _SAMPLE_CONFIGS["ss_lmc"]),
+        (_LMC_PLAN, _with(_LMC_D1, ("potential", "d"), 4)),
+        # k is about 1.9e7, so run_experiment is stubbed below: a regression
+        # then fails at once instead of running the chain
+        (["plan", "--algorithm", "ss_sg_lmc", "--epsilon", "1.0", "--d", "1",
+          "--execute", "--cap", str(10**8)], _LMC_D1),
+    ],
+    ids=["lmc-plan-on-ss_lmc", "d1-plan-on-d4", "ss_sg_lmc-plan-on-lmc"],
+)
+def test_plan_execute_refuses_mismatched_config(tmp_path, capsys, monkeypatch, argv, cfg):
+    if "ss_sg_lmc" in argv:
+        def _must_not_run(*args):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
+    assert "error: the plan is for algorithm" in capsys.readouterr().err
+    assert not out.exists()

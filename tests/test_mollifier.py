@@ -37,9 +37,10 @@ class TestDensity:
         with pytest.raises(ValueError):
             grad_density(math.inf, m)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_normalization_quadrature(self, d):
-        m = Mollifier(d, 1.0)
+    @pytest.mark.parametrize("d,r", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 0.5)],
+                             ids=["1", "2", "3", "1-r0.5"])
+    def test_normalization_quadrature(self, d, r):
+        m = Mollifier(d, r)
         nodes = {1: 220, 2: 150, 3: 110}[d]
         val = gl_tensor(lambda p: density(p, m), d, nodes)
         assert abs(val - 1.0) < 1e-6
@@ -104,7 +105,7 @@ class TestGradL1Norm:
 class TestSampler:
     def test_support(self, rng):
         m = Mollifier(3, 0.7)
-        z = sample(m, rng, size=20_000)
+        z = sample(m, rng, size=100_000)
         assert np.all(np.linalg.norm(z, axis=1) <= m.radius)
 
     def test_deterministic_given_seed(self):

@@ -72,7 +72,7 @@ class TestHoelderMix:
         y = x + steps[:, None] * r.choice([-1.0, 1.0], size=(10_000, 1))
         fluct = np.abs(p.weak_grad(x) - p.weak_grad(y))[:, 0]
         allowed = np.array([p.modulus.eval(s) for s in steps])
-        assert np.all(fluct <= allowed + 1e-9)
+        assert np.all(fluct <= allowed)
 
     def test_quadratic_lower_bound_on_radial_grid(self):
         # the dissipativity constants (1, 0) imply U >= |x|^2 / 3
@@ -107,9 +107,9 @@ class TestElasticNet:
 
     def test_dissipativity_on_grid(self):
         p = builtin("elastic_net_logistic", 1, lam1=0.1, lam2=1.0)
-        xs = np.linspace(-50, 50, 20_001)[:, None]
+        xs = np.linspace(-50, 50, 40_001)[:, None]
         inner = np.einsum("ij,ij->i", xs, p.weak_grad(xs))
-        assert np.all(inner >= p.m * xs[:, 0] ** 2 - p.b - 1e-9)
+        assert np.all(inner >= p.m * xs[:, 0] ** 2 - p.b - 1e-12)
 
     def test_value_nonnegative_and_u0(self):
         p = builtin("elastic_net_logistic", 2)
