@@ -3,7 +3,7 @@
 Submodules:
 
 * :mod:`mollmc.mollifier` - the compact polynomial smoothing kernel,
-* :mod:`mollmc.continuity` - moduli of continuity and growth bounds,
+* :mod:`mollmc.continuity` - moduli of continuity,
 * :mod:`mollmc.potentials` - potential descriptors and built-ins,
 * :mod:`mollmc.samplers` - the chains and gradient oracles,
 * :mod:`mollmc.metrics` - transport distances and moment diagnostics,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 
 from .continuity import ModulusSpec
@@ -40,8 +41,6 @@ __all__ = [
     "log_sobolev_bound",
     "kl_discretization",
     "kl_initial",
-    "kl_gibbs",
-    "w2_from_kl",
     "theorem_bound",
     "exp_moment_bound",
     "gaussian_kappa0",
@@ -137,8 +136,8 @@ def c_zero(inputs: BoundInputs, eta: float) -> float:
     return (inputs.d + 4) * (inputs.beta / 3.0 * core + inputs.d / 2.0)
 
 
-def _poincare_pieces(inputs: BoundInputs) -> tuple[float, float, float]:
-    """(first summand, log of second summand, exp argument)."""
+def _poincare_pieces(inputs: BoundInputs) -> tuple[float, float]:
+    """(first summand, log of second summand)."""
     s = inputs.d + (inputs.b + inputs.m) * inputs.beta
     mb = inputs.m * inputs.beta
     first = 4.0 / (mb * s)
@@ -146,7 +145,7 @@ def _poincare_pieces(inputs: BoundInputs) -> tuple[float, float, float]:
         25.0 / 16.0 * inputs.grad_u_mnorm * (1.0 + 8.0 * s / mb) + inputs.u0
     )
     log_second = math.log(8.0 * inputs.a_abs * s / mb) + arg
-    return first, log_second, arg
+    return first, log_second
 
 
 def poincare_bound(inputs: BoundInputs) -> float:
@@ -155,7 +154,7 @@ def poincare_bound(inputs: BoundInputs) -> float:
     Independent of the smoothing radius; ``inf`` when the exponential factor
     leaves float range (see :func:`poincare_log_bound`).
     """
-    first, log_second, _ = _poincare_pieces(inputs)
+    first, log_second = _poincare_pieces(inputs)
     if log_second > _EXP_OVERFLOW:
         return math.inf
     return first + math.exp(log_second)
@@ -163,7 +162,7 @@ def poincare_bound(inputs: BoundInputs) -> float:
 
 def poincare_log_bound(inputs: BoundInputs) -> float:
     """log of the Poincare bound, finite even when the bound itself overflows."""
-    first, log_second, _ = _poincare_pieces(inputs)
+    first, log_second = _poincare_pieces(inputs)
     return float(np.logaddexp(math.log(first), log_second))
 
 
@@ -221,32 +220,6 @@ def kl_initial(inputs: BoundInputs) -> float:
             + 0.5 * inputs.b * math.log(3.0)
         )
     )
-
-
-def kl_gibbs(inputs: BoundInputs, r: float, pi_first_moment: float | None = None) -> float:
-    """Divergence between the target and its smoothed version at radius r.
-
-    ``beta r (|grad U(0)| + 3 omega(1)/2 + omega(1)/2 int |x| pi(dx))``; the
-    first moment defaults to its dissipativity bound ``sqrt((b + d/beta)/m)``.
-    """
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    if pi_first_moment is None:
-        pi_first_moment = math.sqrt((inputs.b + inputs.d / inputs.beta) / inputs.m)
-    if pi_first_moment < 0.0:
-        raise ValueError("first moment must be nonnegative")
-    w1 = inputs.omega_grad_u.eval(1.0)
-    grad0 = max(inputs.grad_u_mnorm - w1, 0.0)
-    return inputs.beta * r * (grad0 + 1.5 * w1 + 0.5 * w1 * pi_first_moment)
-
-
-def w2_from_kl(kl: float, c_nu: float) -> float:
-    """Transport distance from a divergence: ``c_nu (kl^{1/2} + (kl/2)^{1/4})``."""
-    if kl < 0.0:
-        raise ValueError("divergence must be nonnegative")
-    if c_nu <= 0.0:
-        raise ValueError("c_nu must be positive")
-    return c_nu * (math.sqrt(kl) + (0.5 * kl) ** 0.25)
 
 
 @dataclass(frozen=True)
@@ -394,20 +367,27 @@ def exp_moment_bound(
 
 
 def gaussian_kappa0(d: int) -> float:
-    """log E exp(|x|) for a standard Gaussian in dimension d, by quadrature."""
-    # imported here so that only envelope evaluation loads scipy
-    from scipy import integrate
-    from scipy.special import gammaln
+    """log E exp(|x|) for a standard Gaussian in dimension d, in closed form.
 
+    ``|x|`` is chi-distributed with d degrees of freedom, so
+
+        E exp(|x|) = M(d/2, 1/2, 1/2)
+                     + sqrt(2) Gamma((d+1)/2) / Gamma(d/2) M((d+1)/2, 3/2, 1/2)
+
+    with ``M`` Kummer's confluent hypergeometric function.  Both terms are
+    positive, and the sum is evaluated at 40 digits whatever precision the
+    caller has set.
+    """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    log_c = (1.0 - 0.5 * d) * math.log(2.0) - gammaln(0.5 * d)
-
-    def integrand(s):
-        return math.exp(s + log_c + (d - 1) * math.log(s) - 0.5 * s * s) if s > 0 else 0.0
-
-    val, _ = integrate.quad(integrand, 0.0, max(60.0, 10.0 + 4.0 * math.sqrt(d)), limit=200)
-    return math.log(val)
+    with mp.workdps(40):
+        a = mp.mpf(d) / 2
+        half = mp.mpf(1) / 2
+        gamma_ratio = mp.exp(mp.loggamma(a + half) - mp.loggamma(a))
+        mgf = mp.hyp1f1(a, half, half) + mp.sqrt(2) * gamma_ratio * mp.hyp1f1(
+            a + half, 3 * half, half
+        )
+        return float(mp.log(mgf))
 
 
 def gaussian_log_p0_sup(d: int) -> float:

@@ -1,10 +1,11 @@
-"""Moduli of continuity and the growth bounds they imply.
+"""Moduli of continuity.
 
 A modulus ``omega(r)`` records the largest fluctuation of a function over
 pairs of points at distance at most ``r``.  Finiteness of the modulus (rather
 than Lipschitz continuity) is the regularity currency of this package: it is
-what gradients of dissipative potentials are assumed to have, and every
-quantitative bound below is written in terms of it.
+what gradients of dissipative potentials are assumed to have, and the
+smoothing bias, the log-Sobolev bound and the envelope in
+:mod:`mollmc.bounds` are written in terms of it.
 
 Three modulus shapes are supported:
 
@@ -22,15 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ModulusSpec",
-    "MNorm",
-    "linear_growth_bound",
-    "convolved_grad_lipschitz",
-    "sup_deviation_bound",
-    "local_lipschitz_bound",
-    "quadratic_growth_bound",
-]
+__all__ = ["ModulusSpec"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +62,10 @@ class ModulusSpec:
         ws = tuple(p[1] for p in pts)
         if rs[0] < 0.0:
             raise ValueError("knot radii must be nonnegative")
+        if any(b == a for a, b in zip(rs, rs[1:])):
+            raise ValueError("knot radii must be distinct")
+        if rs[-1] == 0.0:
+            raise ValueError("table modulus needs a knot at a positive radius")
         if any(w < 0.0 for w in ws):
             raise ValueError("knot values must be nonnegative")
         if any(b < a for a, b in zip(ws, ws[1:])):
@@ -95,84 +92,3 @@ class ModulusSpec:
 
     def __call__(self, r: float) -> float:
         return self.eval(r)
-
-
-@dataclass(frozen=True)
-class MNorm:
-    """Value at the origin plus unit-scale fluctuation of a function.
-
-    ``norm = grad_at_zero + omega_one`` is the quantity every growth bound
-    below is expressed in.  Both entries must be finite and nonnegative.
-    """
-
-    grad_at_zero: float
-    omega_one: float
-
-    def __post_init__(self):
-        for name in ("grad_at_zero", "omega_one"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-
-    @property
-    def norm(self) -> float:
-        return self.grad_at_zero + self.omega_one
-
-
-def linear_growth_bound(n: MNorm, x_norm: float) -> float:
-    """Upper bound on ``|phi(x)|`` at ``|x| = x_norm``: ``|phi(0)| + omega(1)(1 + |x|)``."""
-    if x_norm < 0.0:
-        raise ValueError("x_norm must be nonnegative")
-    return n.grad_at_zero + n.omega_one + n.omega_one * float(x_norm)
-
-
-def _check_unit_radius(r: float) -> float:
-    r = float(r)
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"radius must lie in (0, 1], got {r}")
-    return r
-
-
-def convolved_grad_lipschitz(m: ModulusSpec, d: int, r: float) -> float:
-    """Spectral-norm bound ``(d + 4) * omega(r) / r`` for the gradient of a
-    kernel-smoothed function at smoothing radius ``r``.
-
-    This is the Lipschitz constant available for ``phi`` smoothed with the
-    compact polynomial kernel, valid for any ``phi`` with finite modulus.
-    """
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
-    r = _check_unit_radius(r)
-    return (d + 4) * m.eval(r) / r
-
-
-def sup_deviation_bound(m: ModulusSpec, r: float) -> float:
-    """Uniform bound ``omega(r)`` on the smoothing error ``sup_x |phi*rho_r - phi|``."""
-    r = _check_unit_radius(r)
-    return m.eval(r)
-
-
-def local_lipschitz_bound(n: MNorm, x_norm: float, y_norm: float) -> float:
-    """Factor L with ``|Phi(x) - Phi(y)| <= L |x - y|`` for ``|x|, |y|`` as given.
-
-    ``L = |grad Phi(0)| + omega(1) (1 + (|x| + |y|) / 2)``.
-    """
-    if x_norm < 0.0 or y_norm < 0.0:
-        raise ValueError("norms must be nonnegative")
-    return n.grad_at_zero + n.omega_one * (1.0 + 0.5 * (float(x_norm) + float(y_norm)))
-
-
-def quadratic_growth_bound(n: MNorm, sup_unit_ball: float, x_norm: float) -> float:
-    """Upper bound on the smoothed function ``Phi * rho_r`` at ``|x| = x_norm``.
-
-    ``omega(1)/2 |x|^2 + (|grad Phi(0)| + 5 omega(1)/2) |x| + sup_{B_1} |Phi|``,
-    valid for every smoothing radius in (0, 1].
-    """
-    if x_norm < 0.0:
-        raise ValueError("x_norm must be nonnegative")
-    x = float(x_norm)
-    return (
-        0.5 * n.omega_one * x * x
-        + (n.grad_at_zero + 2.5 * n.omega_one) * x
-        + float(sup_unit_ball)
-    )

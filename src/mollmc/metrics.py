@@ -23,7 +23,6 @@ __all__ = [
     "w2_1d",
     "w2_sliced",
     "moment_report",
-    "running_second_moment",
     "ASSIGNMENT_BUDGET",
 ]
 
@@ -94,7 +93,10 @@ def w2_exact(a: SampleSet, b: SampleSet) -> float:
 
     Cubic-time in n, so the size is capped at :data:`ASSIGNMENT_BUDGET`.
     """
-    from scipy.optimize import linear_sum_assignment  # only this solver needs scipy
+    try:
+        from scipy.optimize import linear_sum_assignment  # only this solver needs scipy
+    except ImportError as err:
+        raise ImportError("w2_exact needs scipy; install mollmc[exact]") from err
 
     x, y = _paired(a, b)
     if a.n > ASSIGNMENT_BUDGET:
@@ -128,12 +130,6 @@ def w2_sliced(a: SampleSet, b: SampleSet, n_proj: int, rng: np.random.Generator)
     px = np.sort(x @ dirs.T, axis=0)
     py = np.sort(y @ dirs.T, axis=0)
     return math.sqrt(float(np.mean((px - py) ** 2)))
-
-
-def running_second_moment(trace: Trace) -> np.ndarray:
-    """Cumulative mean of ``|Y_i|^2`` over the recorded iterates."""
-    sq = np.sum(np.square(trace.iterates), axis=1)
-    return np.cumsum(sq) / np.arange(1, len(sq) + 1)
 
 
 def moment_report(trace: Trace, burn_in: int | None = None, m: float | None = None) -> dict:

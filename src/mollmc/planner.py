@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bounds import BoundInputs, theorem_bound
-
 __all__ = [
     "PlanRequest",
     "Plan",
@@ -45,7 +43,6 @@ __all__ = [
     "plan_lmc",
     "plan_ss_sg_lmc",
     "verify_plan",
-    "derive_c_const",
     "PRECISION_DPS",
 ]
 
@@ -340,47 +337,3 @@ def verify_plan(plan: Plan, req: PlanRequest) -> PlanReport:
         items.append(PlanItem("exp_term_le_half_eps", expo, eps / 2))
         items.append(PlanItem("total_le_eps", first + expo, eps))
         return PlanReport(algorithm=plan.algorithm, items=tuple(items))
-
-
-def derive_c_const(
-    inputs: BoundInputs, r: float, eta: float, k: int, hi: float = 1e12
-) -> float:
-    """Smallest ``C >= 1`` whose concise envelope dominates the assembled
-    envelope at one concrete configuration.
-
-    The concise form hides all potential-dependent constants inside ``C``;
-    this inverts that hiding numerically at a single ``(r, eta, k)`` point,
-    which makes the result rigorous there and a heuristic anywhere else.
-    """
-    tb = theorem_bound(inputs, r, eta, k)
-    target = tb.w2_bound
-    if not mp.isfinite(mp.mpf(target)):
-        raise ValueError("assembled envelope is not finite; no finite C exists")
-    db0, db2, dv0, dv2 = inputs.delta
-    with mp.workdps(PRECISION_DPS):
-        d = mp.mpf(inputs.d)
-        w_over_r = mp.mpf(inputs.omega_grad_u.eval(r)) / mp.mpf(r)
-        g = (
-            (d * (d + dv0) * w_over_r * mp.mpf(eta) + (db2 + dv2) + (db0 + dv0))
-            * k
-            * mp.mpf(eta)
-            + mp.mpf(r) * mp.sqrt(d)
-        )
-
-        def concise(cc):
-            decay = mp.e ** (-mp.mpf(k) * mp.mpf(eta) / (cc * w_over_r * d**3 * mp.e ** (cc * d)))
-            return cc * mp.sqrt(d) * g ** mp.mpf("0.25") + cc * d * decay
-
-        lo = mp.mpf(1)
-        if concise(lo) >= target:
-            return 1.0
-        hi_v = mp.mpf(hi)
-        if concise(hi_v) < target:
-            raise ValueError("no C below the search ceiling dominates the envelope")
-        for _ in range(200):
-            mid = mp.sqrt(lo * hi_v)
-            if concise(mid) >= target:
-                hi_v = mid
-            else:
-                lo = mid
-        return float(hi_v)

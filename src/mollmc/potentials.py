@@ -21,12 +21,12 @@ raising, so a deliberately wrong declaration is visible instead of fatal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .continuity import MNorm, ModulusSpec
+from .continuity import ModulusSpec
 
 __all__ = [
     "PotentialSpec",
@@ -53,7 +53,6 @@ class PotentialSpec:
     modulus: ModulusSpec
     grad_at_zero: float
     u0: float
-    params: dict = field(default_factory=dict)
     modulus_is_global: bool = True
 
     def __post_init__(self):
@@ -61,10 +60,6 @@ class PotentialSpec:
             raise ValueError("dim must be a positive integer")
         if self.m <= 0.0 or self.b < 0.0:
             raise ValueError("dissipativity requires m > 0 and b >= 0")
-
-    def mnorm(self) -> MNorm:
-        """|grad U(0)| + omega(1) packaged for the growth bounds."""
-        return MNorm(self.grad_at_zero, self.modulus.eval(1.0))
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,6 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.lipschitz(k_local),
             grad_at_zero=0.0,
             u0=max(0.25 * c * c, 0.25 * (1.0 - c) ** 2 + 0.5),
-            params={"c": c},
             modulus_is_global=False,
         )
 
@@ -232,7 +226,6 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.hoelder(big_m, alpha),
             grad_at_zero=0.0,
             u0=0.5 + d ** (0.5 * (1.0 - alpha)) / (1.0 + alpha),
-            params={"alpha": alpha},
         )
 
     if name == "elastic_net_logistic":
@@ -276,7 +269,6 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.table([(0.0, jump), (r_hi, jump + slope * r_hi)]),
             grad_at_zero=0.25 * math.sqrt(d),
             u0=d * float(_sigmoid(1.0 / math.sqrt(d))) + lam1 * math.sqrt(d) + 0.5 * lam2,
-            params={"lam1": lam1, "lam2": lam2},
         )
 
     raise ValueError(f"unknown builtin potential {name!r}; choose from {BUILTIN_NAMES}")

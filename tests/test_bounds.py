@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -15,12 +16,10 @@ from mollmc.bounds import (
     inputs_from,
     kappa_inf,
     kl_discretization,
-    kl_gibbs,
     kl_initial,
     log_sobolev_bound,
     poincare_bound,
     theorem_bound,
-    w2_from_kl,
 )
 from mollmc.continuity import ModulusSpec
 from mollmc.potentials import builtin
@@ -115,6 +114,35 @@ class TestLogSobolev:
             log_sobolev_bound(make_inputs(omega_grad_u=flat0), 0.5)
 
 
+def _kappa0_by_quadrature(d):
+    """log E exp(|x|) as a 40-digit integral over the chi density."""
+    with mp.workdps(40):
+        log_c = (1 - mp.mpf(d) / 2) * mp.log(2) - mp.loggamma(mp.mpf(d) / 2)
+        mode = mp.sqrt(d - 1)
+        # split at the mode so the quadrature resolves the peak at large d
+        pts = sorted({0, *(max(mode + 6 * j, 0) for j in range(-3, 5)), mode + 60})
+        val = mp.quad(lambda s: mp.exp(s + log_c + (d - 1) * mp.log(s) - s * s / 2), pts)
+        return float(mp.log(val))
+
+
+class TestGaussianKappa0:
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 20, 100, 1000])
+    def test_closed_form_matches_quadrature(self, d):
+        assert gaussian_kappa0(d) == pytest.approx(_kappa0_by_quadrature(d), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 1000])
+    def test_independent_of_ambient_precision(self, d):
+        values = set()
+        for dps in (5, 15, 100):
+            with mp.workdps(dps):
+                values.add(gaussian_kappa0(d))
+        assert len(values) == 1
+
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError):
+            gaussian_kappa0(0)
+
+
 class TestKlPieces:
     def test_c_zero_pinned(self):
         assert c_zero(make_inputs(), 0.1) == pytest.approx(9.5, abs=1e-14)
@@ -171,26 +199,6 @@ class TestKlPieces:
             )
 
         assert group(2.0) == pytest.approx(2.0 * group(1.0), rel=1e-14)
-
-    def test_kl_gibbs(self):
-        inputs = make_inputs(grad_u_mnorm=1.0)
-        assert kl_gibbs(inputs, 0.0) == 0.0
-        assert kl_gibbs(inputs, 0.1, pi_first_moment=1.0) == pytest.approx(0.2, abs=1e-15)
-        assert kl_gibbs(inputs, 0.2, pi_first_moment=1.0) == pytest.approx(
-            2.0 * kl_gibbs(inputs, 0.1, pi_first_moment=1.0), rel=1e-14
-        )
-
-    def test_kl_gibbs_default_moment(self):
-        inputs = make_inputs(grad_u_mnorm=1.0, b=1.0, d=2, beta=2.0)
-        moment = math.sqrt((1.0 + 2.0 / 2.0) / 1.0)
-        expect = 2.0 * 0.1 * (0.0 + 1.5 + 0.5 * moment)
-        assert kl_gibbs(inputs, 0.1) == pytest.approx(expect, rel=1e-14)
-
-    def test_w2_from_kl(self):
-        assert w2_from_kl(0.0, 1.0) == 0.0
-        assert w2_from_kl(2.0, 1.0) == pytest.approx(math.sqrt(2.0) + 1.0, rel=1e-15)
-        vals = [w2_from_kl(k, 2.0) for k in (0.1, 0.5, 2.0, 5.0)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestTheoremBound:

@@ -38,16 +38,21 @@ def test_plan_output_independent_of_ambient_precision(capsys):
     assert all(o.out == outputs[0].out and o.err == outputs[0].err for o in outputs)
 
 
-def test_import_leaves_scipy_unloaded():
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
     src = str(Path(mollmc.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    # scipy is loaded only by `bound`'s Gaussian constant and w2_exact
-    probe = "import sys, mollmc.cli\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="1")
+    probe = code + "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is an optional extra that only w2_exact loads
+    assert _scipy_modules_after("import sys, mollmc.cli") == "[]"
 
 
 _SAMPLE_CONFIGS = {
@@ -70,6 +75,19 @@ _SAMPLE_CONFIGS = {
         "finite_sum": {"n_components": 5},
     },
 }
+
+
+@pytest.mark.parametrize("command", ["plan", "bound", "sample"])
+def test_commands_leave_scipy_unloaded(command, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_SAMPLE_CONFIGS["ss_lmc"]))
+    argv = {
+        "plan": ["plan", "--epsilon", "0.5", "--d", "2", "--alpha", "0.7"],
+        "bound": ["bound", "--config", str(path)],
+        "sample": ["sample", "--config", str(path), "--out", str(tmp_path / "out")],
+    }[command]
+    code = f"import sys, mollmc.cli\nassert mollmc.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
 
 
 def _sample(tmp_path, cfg, name, workers, monkeypatch):

@@ -2,16 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mollmc.continuity import (
-    MNorm,
-    ModulusSpec,
-    convolved_grad_lipschitz,
-    linear_growth_bound,
-    local_lipschitz_bound,
-    quadratic_growth_bound,
-    sup_deviation_bound,
-)
+from mollmc.continuity import ModulusSpec
 from mollmc.mollifier import Mollifier, density, sample
 
 from conftest import gl_interval
@@ -42,6 +36,12 @@ class TestEval:
         with pytest.raises(ValueError):
             ModulusSpec.table([(0.1, 2.0), (1.0, 1.0)])
 
+    @pytest.mark.parametrize("pairs", [[(1.0, 0.0), (1.0, 1.0)], [(0.0, 1.0)]])
+    def test_table_rejects_repeated_or_only_zero_radii(self, pairs):
+        # either would leave eval below a declared knot or dividing by zero
+        with pytest.raises(ValueError):
+            ModulusSpec.table(pairs)
+
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             ModulusSpec.hoelder(1.0, 0.0)
@@ -59,41 +59,49 @@ class TestEval:
                 assert spec.eval(t * r) <= math.ceil(t) * spec.eval(r) + 1e-12
 
 
-class TestGrowthBounds:
-    def test_linear_growth_examples(self):
-        assert linear_growth_bound(MNorm(0.0, 1.0), 0.0) == 1.0
-        assert linear_growth_bound(MNorm(1.0, 2.0), 3.0) == 9.0
-        # phi(x) = x has MNorm(0, 1); bound at 5 is 6 >= |phi(5)|
-        assert linear_growth_bound(MNorm(0.0, 1.0), 5.0) == 6.0 >= 5.0
+@st.composite
+def _tables(draw):
+    """Random nondecreasing knot sets: increasing radii, the first possibly 0,
+    and values as cumulative sums of nonnegative steps, so flat stretches occur."""
+    n = draw(st.integers(1, 8))
+    r0 = draw(st.floats(0.0 if n > 1 else 1e-3, 5.0))
+    rs = np.cumsum([r0] + [draw(st.floats(1e-3, 10.0)) for _ in range(n - 1)])
+    ws = np.cumsum([draw(st.floats(0.0, 10.0)) for _ in range(n)])
+    return ModulusSpec.table(zip(rs.tolist(), ws.tolist()))
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            linear_growth_bound(MNorm(0.0, 1.0), -1.0)
 
-    def test_convolved_grad_lipschitz_examples(self):
-        assert convolved_grad_lipschitz(ModulusSpec.lipschitz(1.0), 1, 0.5) == pytest.approx(5.0)
-        assert convolved_grad_lipschitz(ModulusSpec.hoelder(1.0, 1.0), 2, 1.0) == pytest.approx(6.0)
-        flat = ModulusSpec.table([(0.0, 1.0), (10.0, 1.0)])
-        assert convolved_grad_lipschitz(flat, 1, 0.1) == pytest.approx(50.0)
+_radii = st.floats(1e-6, 100.0)
 
-    def test_convolved_grad_radius_range(self):
-        with pytest.raises(ValueError):
-            convolved_grad_lipschitz(ModulusSpec.lipschitz(1.0), 1, 1.5)
 
-    def test_sup_deviation_examples(self):
-        assert sup_deviation_bound(ModulusSpec.hoelder(1.0, 0.5), 0.04) == pytest.approx(0.2)
-        assert sup_deviation_bound(ModulusSpec.lipschitz(2.0), 1.0) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            sup_deviation_bound(ModulusSpec.lipschitz(2.0), 0.0)
+class TestTableProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(_tables(), _radii, _radii)
+    def test_nondecreasing(self, m, r, s):
+        lo, hi = min(r, s), max(r, s)
+        assert m.eval(lo) <= m.eval(hi)
 
-    def test_linear_map_smoothing_is_exact(self):
-        # a symmetric kernel leaves linear maps unchanged: |x*rho_r - x| -> 0
-        m = Mollifier(1, 0.5)
-        draws = sample(m, np.random.default_rng(0), size=200_000)
-        est = draws.mean()
-        se = draws.std(ddof=1) / math.sqrt(len(draws))
-        assert abs(est) <= 4 * se
-        assert sup_deviation_bound(ModulusSpec.lipschitz(1.0), 0.5) == 0.5
+    @settings(derandomize=True, deadline=None)
+    @given(_tables())
+    def test_bounds_every_knot(self, m):
+        for r, w in zip(m.knots_r, m.knots_w):
+            if r > 0.0:
+                assert m.eval(r) >= w
+
+    @settings(derandomize=True, deadline=None)
+    @given(_tables(), st.floats(1.0, 1e3, exclude_min=True))
+    def test_extension_dominates_last_knot(self, m, t):
+        r = t * m.knots_r[-1]
+        if r > m.knots_r[-1]:
+            assert m.eval(r) >= m.knots_w[-1]
+
+
+def test_linear_map_smoothing_is_exact():
+    # a symmetric kernel leaves linear maps unchanged: |x*rho_r - x| -> 0
+    m = Mollifier(1, 0.5)
+    draws = sample(m, np.random.default_rng(0), size=200_000)
+    est = draws.mean()
+    se = draws.std(ddof=1) / math.sqrt(len(draws))
+    assert abs(est) <= 4 * se
 
 
 def _convolved_sin(x, r, nodes=400):
@@ -113,38 +121,16 @@ class TestAgainstSine:
         spec = ModulusSpec.lipschitz(1.0)
         grid = np.linspace(-3.0, 3.0, 61)
         worst = max(abs(_convolved_sin(x, r) - math.sin(x)) for x in grid)
-        assert worst <= sup_deviation_bound(spec, r) + 1e-9
+        # the smoothing bias ExactGradient.delta declares is omega(r) itself
+        assert worst <= spec.eval(r) + 1e-9
 
     def test_convolved_gradient_dominated(self):
-        r = 0.5
-        bound = convolved_grad_lipschitz(ModulusSpec.lipschitz(1.0), 1, r)
+        # the Lipschitz constant lambda = (d + 4) omega(r) / r of log_sobolev_bound
+        r, d = 0.5, 1
+        bound = (d + 4) * ModulusSpec.lipschitz(1.0).eval(r) / r
         grid = np.linspace(-3.0, 3.0, 31)
         h = 1e-5
         worst = max(
             abs(_convolved_sin(x + h, r) - _convolved_sin(x - h, r)) / (2 * h) for x in grid
         )
         assert worst <= bound
-
-
-class TestPotentialGrowth:
-    def test_local_lipschitz_on_grid(self):
-        # Phi = |x|^2/2 has grad modulus omega(r) = r and grad(0) = 0
-        n = MNorm(0.0, 1.0)
-        rng = np.random.default_rng(3)
-        xs = rng.uniform(-4, 4, size=(200, 2))
-        ys = rng.uniform(-4, 4, size=(200, 2))
-        for x, y in zip(xs, ys):
-            lhs = abs(0.5 * x @ x - 0.5 * y @ y)
-            bound = local_lipschitz_bound(
-                n, float(np.linalg.norm(x)), float(np.linalg.norm(y))
-            ) * float(np.linalg.norm(x - y))
-            assert lhs <= bound + 1e-12
-
-    @pytest.mark.parametrize("r", [0.2, 1.0])
-    def test_quadratic_growth_of_smoothed_value(self, r):
-        # smoothed quadratic: E |x + r z|^2 / 2 = |x|^2/2 + r^2 E|z|^2 / 2
-        n = MNorm(0.0, 1.0)
-        ez2 = 1.0 / 9.0  # d/(d+8) at d=1
-        for x in np.linspace(-3, 3, 25):
-            smoothed = 0.5 * x * x + 0.5 * r * r * ez2
-            assert smoothed <= quadratic_growth_bound(n, 0.5, abs(x)) + 1e-12

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from mollmc.metrics import (
     SampleSet,
     moment_report,
-    running_second_moment,
     w2_1d,
     w2_exact,
     w2_sliced,
@@ -22,6 +22,12 @@ def _sets(rng, n, d):
 
 
 class TestExact:
+    def test_missing_scipy_names_the_extra(self, rng, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        a = SampleSet(rng.standard_normal((4, 2)))
+        with pytest.raises(ImportError, match=r"mollmc\[exact\]"):
+            w2_exact(a, a)
+
     def test_identity(self, rng):
         a = SampleSet(rng.standard_normal((16, 3)))
         assert w2_exact(a, a) == 0.0
@@ -143,14 +149,6 @@ class TestMomentReport:
         assert abs(rep["second_moment"] - target) <= 3 * se
         assert rep["exp_moment_alpha"] == pytest.approx(0.25)
         assert math.isfinite(rep["exp_moment"])
-
-    def test_running_second_moment(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=20, seed=3)
-        t = run(ExactGradient(builtin("quadratic", 2)), cfg)
-        rsm = running_second_moment(t)
-        sq = np.sum(t.iterates**2, axis=1)
-        assert rsm[0] == pytest.approx(sq[0])
-        assert rsm[-1] == pytest.approx(sq.mean())
 
     def test_burn_in_bounds(self):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=10, seed=0)

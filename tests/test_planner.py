@@ -4,18 +4,14 @@ import math
 import mpmath as mp
 import pytest
 
-from mollmc.bounds import inputs_from, theorem_bound
 from mollmc.planner import (
     Plan,
     PlanRequest,
     UnsupportedRegimeError,
-    derive_c_const,
     plan_lmc,
     plan_ss_sg_lmc,
     verify_plan,
 )
-from mollmc.potentials import builtin
-from mollmc.samplers import ExactGradient
 
 GRID_EPS = (0.5, 1.0)
 GRID_ALPHA = (0.4, 0.7, 1.0)
@@ -244,23 +240,3 @@ class TestRequestValidation:
     def test_c_at_least_one(self):
         with pytest.raises(ValueError):
             PlanRequest(epsilon=0.5, d=1, c_const=0.5)
-
-
-class TestDeriveC:
-    def test_dominates_assembled_envelope(self):
-        q = builtin("quadratic", 1)
-        inputs = inputs_from(q, ExactGradient(q), beta=1.0, r=0.1)
-        r, eta, k = 0.1, 0.01, 10_000
-        c = derive_c_const(inputs, r, eta, k)
-        assert c >= 1.0
-        target = theorem_bound(inputs, r, eta, k).w2_bound
-        with mp.workdps(50):
-            d = mp.mpf(1)
-            w_over_r = mp.mpf(1.0)  # Lipschitz(1): omega(r)/r = 1
-            db0, db2, dv0, dv2 = inputs.delta
-            g = (d * (d + dv0) * w_over_r * eta + (db2 + dv2) + (db0 + dv0)) * k * eta + r * mp.sqrt(d)
-            cc = mp.mpf(c)
-            concise = cc * mp.sqrt(d) * g ** mp.mpf("0.25") + cc * d * mp.e ** (
-                -k * eta / (cc * w_over_r * d**3 * mp.e ** (cc * d))
-            )
-            assert concise >= target * (1 - mp.mpf("1e-12"))
