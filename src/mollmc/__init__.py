@@ -10,9 +10,12 @@ Submodules:
 * :mod:`mollmc.bounds` - the explicit error-envelope arithmetic,
 * :mod:`mollmc.planner` - accuracy-driven parameter schedules,
 * :mod:`mollmc.cli` - the configuration-driven experiment runner.
+
+A submodule loads on first access (``mollmc.samplers`` or ``from mollmc
+import samplers``), so importing the package loads neither numpy nor mpmath.
 """
 
-from . import bounds, continuity, metrics, mollifier, planner, potentials, rng, samplers
+import importlib
 
 __all__ = [
     "bounds",
@@ -26,3 +29,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,41 +23,24 @@ returns only its summary entries; a replica's ``elapsed_s`` is the wall time
 of the lockstep group it ran in, the whole shard unless the shard is large.
 The trace files and the rest of the summary do not depend on the worker
 count.
+
+This module imports only the standard library at the top.  Each subcommand
+imports what it runs inside the functions that run it, and the process pool
+is imported only when there is more than one worker.  ``plan`` loads mpmath
+and :mod:`mollmc.planner`, and numpy only when ``--execute`` runs the plan.
+``sample`` loads numpy, :mod:`mollmc.potentials`, :mod:`mollmc.samplers` and
+:mod:`mollmc.metrics`, but not mpmath.  ``bound`` loads both numpy and mpmath
+for :mod:`mollmc.bounds`.  None of them loads scipy.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
-
-import mpmath as mp
-
-from . import bounds as _bounds
-from . import rng as _rng
-from .metrics import moment_report
-from .planner import (
-    PRECISION_DPS,
-    Plan,
-    PlanRequest,
-    plan_lmc,
-    plan_ss_sg_lmc,
-    verify_plan,
-)
-from .potentials import BUILTIN_NAMES, FiniteSumPotential, builtin
-from .samplers import (
-    ChainConfig,
-    ExactGradient,
-    FiniteSumSpherical,
-    InitLaw,
-    SphericalSmoothed,
-    run,
-    write_trace_csv,
-)
 
 ALGORITHMS = ("lmc", "ss_lmc", "ss_sg_lmc")
 EXIT_OK = 0
@@ -77,8 +60,20 @@ _SCHEMA = {
 _INIT_KEYS = {"kind", "x0"}
 
 
+def _check_integer(value, name: str, positive: bool = True) -> None:
+    """Reject ``value`` unless it is an integer, and a positive one when
+    ``positive``.  JSON ``2.0`` counts as 2; ``true``, ``2.7`` and ``"2"`` do not,
+    because ``int()`` would run them as some other integer."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def validate_config(cfg: dict) -> dict:
     """Validate nested keys and ranges; returns the config unchanged."""
+    from .potentials import BUILTIN_NAMES
+
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     for key in cfg:
@@ -101,8 +96,7 @@ def validate_config(cfg: dict) -> dict:
         raise ValueError(
             f"potential name must be one of {BUILTIN_NAMES}, got {pot.get('name')!r}"
         )
-    if "d" not in pot or int(pot["d"]) < 1:
-        raise ValueError("potential.d must be a positive integer")
+    _check_integer(pot.get("d"), "potential.d")
     if "params" in pot and not isinstance(pot["params"], dict):
         raise ValueError("potential.params must be an object")
 
@@ -114,6 +108,10 @@ def validate_config(cfg: dict) -> dict:
     for key in ("beta", "eta", "k", "seed"):
         if key not in chain:
             raise ValueError(f"chain section is missing {key!r}")
+    _check_integer(chain["k"], "chain.k")
+    _check_integer(chain["seed"], "chain.seed", positive=False)
+    if "record_stride" in chain:
+        _check_integer(chain["record_stride"], "chain.record_stride")
     if "init" in chain:
         init = chain["init"]
         if not isinstance(init, dict) or "kind" not in init:
@@ -132,15 +130,13 @@ def validate_config(cfg: dict) -> dict:
         sm = cfg["smoothing"]
         if not (0.0 < float(sm.get("r", -1.0)) <= 1.0):
             raise ValueError("smoothing.r must lie in (0, 1]")
-        if int(sm.get("n_batch", 0)) < 1:
-            raise ValueError("smoothing.n_batch must be a positive integer")
+        _check_integer(sm.get("n_batch"), "smoothing.n_batch")
     if algo == "ss_sg_lmc":
         if "finite_sum" not in cfg:
             raise ValueError(f"algorithm {algo!r} needs a finite_sum section")
-        if int(cfg["finite_sum"].get("n_components", 0)) < 1:
-            raise ValueError("finite_sum.n_components must be a positive integer")
-    if "replicas" in cfg and int(cfg["replicas"]) < 1:
-        raise ValueError("replicas must be a positive integer")
+        _check_integer(cfg["finite_sum"].get("n_components"), "finite_sum.n_components")
+    if "replicas" in cfg:
+        _check_integer(cfg["replicas"], "replicas")
     return cfg
 
 
@@ -158,11 +154,16 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_potential(cfg: dict):
+    from .potentials import builtin
+
     pot = cfg["potential"]
     return builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
 
 
 def build_oracle(cfg: dict):
+    from .potentials import FiniteSumPotential
+    from .samplers import ExactGradient, FiniteSumSpherical, SphericalSmoothed
+
     algo = cfg["algorithm"]
     p = build_potential(cfg)
     if algo == "lmc":
@@ -174,7 +175,9 @@ def build_oracle(cfg: dict):
     return FiniteSumSpherical(fs, r=float(sm["r"]), n_batch=int(sm["n_batch"]))
 
 
-def build_chain_config(cfg: dict, seed: int) -> ChainConfig:
+def build_chain_config(cfg: dict, seed: int):
+    from .samplers import ChainConfig, InitLaw
+
     chain = cfg["chain"]
     init_cfg = chain.get("init", {"kind": "gaussian"})
     if init_cfg["kind"] == "gaussian":
@@ -201,9 +204,13 @@ def _n_workers(replicas: int) -> int:
 def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> list[dict]:
     """Run replicas ``lo .. hi - 1`` in lockstep, write their CSVs and return
     their summary entries; module-level so process pools can pickle it."""
+    from .metrics import moment_report
+    from .rng import replica_seed
+    from .samplers import run, write_trace_csv
+
     digest = config_hash(cfg)
     m = build_potential(cfg).m
-    seeds = [_rng.replica_seed(root_seed, i) for i in range(lo, hi)]
+    seeds = [replica_seed(root_seed, i) for i in range(lo, hi)]
     # run() steps one chain per entry of `seeds`; the config's own seed is unused
     traces = run(build_oracle(cfg), build_chain_config(cfg, seeds[0]), seeds)
     entries = []
@@ -239,6 +246,11 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
     shards = list(zip(cuts[:-1], cuts[1:]))
 
     if workers > 1:
+        import concurrent.futures
+
+        # loaded before the pool forks, so that no worker imports them again
+        from . import metrics, samplers  # noqa: F401
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_shard, cfg, root_seed, lo, hi, out_dir)
                        for lo, hi in shards]
@@ -287,6 +299,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    import mpmath as mp
+
+    from .planner import PRECISION_DPS, PlanRequest, plan_lmc, plan_ss_sg_lmc, verify_plan
+
     req = PlanRequest(
         epsilon=args.epsilon,
         d=args.d,
@@ -343,6 +359,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import inputs_from, theorem_bound
+
     cfg = load_config(args.config)
     potential = build_potential(cfg)
     oracle = build_oracle(cfg)
@@ -359,10 +377,9 @@ def cmd_bound(args) -> int:
         print("error: bound evaluation needs the gaussian initial law "
               "(a point mass has no density)", file=sys.stderr)
         return EXIT_ERROR
-    inputs = _bounds.inputs_from(potential, oracle, beta=float(chain["beta"]), r=r,
-                                 a_abs=args.a_abs)
+    inputs = inputs_from(potential, oracle, beta=float(chain["beta"]), r=r, a_abs=args.a_abs)
     try:
-        tb = _bounds.theorem_bound(inputs, r=r, eta=float(chain["eta"]), k=int(chain["k"]))
+        tb = theorem_bound(inputs, r=r, eta=float(chain["eta"]), k=int(chain["k"]))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from mollmc.bounds import (
@@ -38,6 +41,34 @@ def make_inputs(**kw):
     return BoundInputs(**base)
 
 
+@st.composite
+def _admissible(draw):
+    """Bound inputs in moderate ranges and a step size below their ``eta_max``."""
+    inputs = BoundInputs(
+        d=draw(st.integers(1, 10)),
+        beta=draw(st.floats(0.5, 2.0)),
+        m=draw(st.floats(0.5, 4.0)),
+        b=draw(st.floats(0.0, 2.0)),
+        m_tilde=draw(st.floats(0.1, 4.0)),
+        b_tilde=draw(st.floats(0.0, 2.0)),
+        kappa0=draw(st.floats(0.0, 5.0)),
+        p0_sup_log=draw(st.floats(-1.0, 2.0)),
+        grad_u_mnorm=draw(st.floats(0.0, 0.5)),
+        g_tilde_mnorm=draw(st.floats(0.1, 2.0)),
+        omega_grad_u=ModulusSpec.hoelder(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 1.0))),
+        omega_g_tilde_one=draw(st.floats(0.0, 2.0)),
+        u0=draw(st.floats(0.0, 2.0)),
+        delta=tuple(draw(st.floats(0.0, 1.0)) for _ in range(4)),
+    )
+    return inputs, draw(st.floats(1e-6, 0.99)) * eta_max(inputs)
+
+
+def _raise_delta(inputs, axis, step):
+    delta = list(inputs.delta)
+    delta[axis] += step
+    return replace(inputs, delta=tuple(delta))
+
+
 class TestKappaInf:
     def test_pinned_example(self):
         assert kappa_inf(make_inputs(), 0.1) == pytest.approx(3.2, abs=1e-14)
@@ -48,6 +79,21 @@ class TestKappaInf:
         assert kappa_inf(make_inputs(), 0.2) > base
         assert kappa_inf(make_inputs(delta=(0, 0, 0.5, 0)), 0.1) > base
         assert kappa_inf(make_inputs(d=2), 0.1) > base
+
+    @settings(derandomize=True, deadline=None)
+    @given(_admissible(), st.floats(1e-3, 0.5))
+    def test_increasing_in_each_input(self, case, step):
+        inputs, eta = case
+        base = kappa_inf(inputs, eta)
+        assert kappa_inf(replace(inputs, b_tilde=inputs.b_tilde + step), eta) > base
+        assert kappa_inf(inputs, eta + step * (eta_max(inputs) - eta)) > base
+        assert kappa_inf(replace(inputs, d=inputs.d + 1), eta) > base
+        for axis in range(4):
+            raised = _raise_delta(inputs, axis, step)
+            if eta < eta_max(raised):
+                # only delta_v0 enters the sum; the others may not lower it
+                value = kappa_inf(raised, eta)
+                assert value > base if axis == 2 else value >= base
 
     def test_lever_factor(self):
         hi = make_inputs(m_tilde=2.0)
@@ -231,10 +277,34 @@ class TestTheoremBound:
                 vals.append(theorem_bound(inputs, r=0.5, eta=0.05, k=50).w2_bound)
             assert vals[0] <= vals[1] <= vals[2]
 
+    @settings(derandomize=True, deadline=None)
+    @given(_admissible(), st.integers(0, 3), st.floats(1e-3, 1.0), st.floats(0.01, 1.0),
+           st.integers(1, 10**6))
+    def test_w2_nondecreasing_in_each_delta_axis(self, case, axis, step, r, k):
+        inputs, eta = case
+        raised = _raise_delta(inputs, axis, step)
+        assume(eta < eta_max(raised))
+        lo = theorem_bound(inputs, r, eta, k).w2_bound
+        assume(not math.isnan(lo))  # C2 undefined: the envelope is NaN whatever delta is
+        assert theorem_bound(raised, r, eta, k).w2_bound >= lo
+
     def test_exp_term_decreasing_in_k(self):
         inputs = make_inputs(grad_u_mnorm=1.0, u0=0.5)
         terms = [theorem_bound(inputs, 0.5, 0.1, k).exp_term for k in (100, 1000, 10000)]
         assert terms[0] > terms[1] > terms[2]
+
+    @settings(derandomize=True, deadline=None)
+    @given(_admissible(), st.floats(0.01, 1.0), st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_exp_term_decreasing_in_k_everywhere(self, case, r, k, dk):
+        inputs, eta = case
+        a = theorem_bound(inputs, r, eta, k)
+        b = theorem_bound(inputs, r, eta, k + dk)
+        assume(not math.isnan(a.exp_term))
+        assert b.exp_term <= a.exp_term
+        # strictly, wherever the longer run's extra decay is resolvable in floats
+        gap = dk * eta / (2.0 * inputs.beta * a.c_ls_bound)
+        if a.exp_term > 1e-300 and gap > 1e-9:
+            assert b.exp_term < a.exp_term
 
     def test_eta_precondition_named(self):
         inputs = make_inputs()

@@ -38,21 +38,24 @@ def test_plan_output_independent_of_ambient_precision(capsys):
     assert all(o.out == outputs[0].out and o.err == outputs[0].err for o in outputs)
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+def _modules_after(code: str, prefix: str) -> str:
+    """The modules of package ``prefix`` that a fresh interpreter has loaded
+    after running ``code``."""
     src = str(Path(mollmc.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="1")
-    probe = code + "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = code + f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {prefix!r}))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     return out.strip().splitlines()[-1]
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is an optional extra that only w2_exact loads
-    assert _scipy_modules_after("import sys, mollmc.cli") == "[]"
+@pytest.mark.parametrize("prefix", ["numpy", "mpmath", "scipy"])
+def test_import_leaves_heavy_modules_unloaded(prefix):
+    # each subcommand imports what it runs; scipy is an optional extra that
+    # only w2_exact loads
+    assert _modules_after("import sys, mollmc.cli", prefix) == "[]"
 
 
 _SAMPLE_CONFIGS = {
@@ -77,8 +80,12 @@ _SAMPLE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", ["plan", "bound", "sample"])
-def test_commands_leave_scipy_unloaded(command, tmp_path):
+@pytest.mark.parametrize(
+    "command,prefix",
+    [("plan", "scipy"), ("bound", "scipy"), ("sample", "scipy"),
+     ("plan", "numpy"), ("sample", "mpmath")],
+)
+def test_commands_leave_modules_unloaded(command, prefix, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_SAMPLE_CONFIGS["ss_lmc"]))
     argv = {
@@ -87,7 +94,7 @@ def test_commands_leave_scipy_unloaded(command, tmp_path):
         "sample": ["sample", "--config", str(path), "--out", str(tmp_path / "out")],
     }[command]
     code = f"import sys, mollmc.cli\nassert mollmc.cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, prefix) == "[]"
 
 
 def _sample(tmp_path, cfg, name, workers, monkeypatch):
@@ -191,6 +198,29 @@ def test_sample_rejects_unknown_and_missing_keys(tmp_path, capsys, path, value, 
     out = tmp_path / "out"
     assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+_INTEGER_KEYS = [
+    ("potential", "d"), ("chain", "k"), ("chain", "seed"), ("chain", "record_stride"),
+    ("smoothing", "n_batch"), ("finite_sum", "n_components"), ("replicas",),
+]
+
+
+@pytest.mark.parametrize("value", [2.7, True, "3"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("path", _INTEGER_KEYS, ids=[".".join(p) for p in _INTEGER_KEYS])
+def test_sample_rejects_non_integer_counts(tmp_path, capsys, path, value):
+    # int() would run d = 2.7 at d = 2 and replicas = true as one replica
+    base = dict(_SAMPLE_CONFIGS["ss_sg_lmc"], replicas=2)
+    node = base
+    for key in path:
+        node = node[key]
+    cli.validate_config(_with(base, path, float(node)))  # an integral float is an integer
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(base, path, value)))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
+    assert f"{'.'.join(path)} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

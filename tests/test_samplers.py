@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mollmc.mollifier import Mollifier, density
 from mollmc.potentials import FiniteSumPotential, builtin
@@ -397,11 +399,22 @@ class TestStreamsAndReplicas:
         for n_batch in (1, 2, 3, 7, 8, 9, 16, 33, 130, 300):
             for n_chains in (1, 2, 4, 32):
                 g = rng.standard_normal((n_chains * n_batch, d)).reshape(n_chains, n_batch, d)
-                means, sums = g.mean(axis=1), g.cumsum(axis=1)[:, -1]
+                means, sums = np.add.reduce(g, axis=1) / n_batch, g.cumsum(axis=1)[:, -1]
                 for c in range(n_chains):
                     solo = g[c].copy()
                     assert np.array_equal(means[c], solo.mean(axis=0))
                     assert np.array_equal(sums[c], solo.cumsum(axis=0)[-1])
+
+    @pytest.mark.parametrize("n_batch", [3, 7, 9, 33])
+    def test_smoothed_grad_at_has_the_bits_of_each_chains_mean(self, n_batch):
+        p = builtin("hoelder_mix", 3, alpha=0.5)
+        oracle = SphericalSmoothed(p, r=0.3, n_batch=n_batch)
+        rng = np.random.default_rng(n_batch)
+        x = rng.standard_normal((4, 3))
+        block = 0.3 * rng.uniform(-1.0, 1.0, size=(1, 4, n_batch, 3))
+        got = oracle.grad_at(x, block, 0)
+        for c in range(4):
+            assert np.array_equal(got[c], p.weak_grad(x[c] + block[0, c]).mean(axis=0))
 
     def test_run_replicas_distinct_and_deterministic(self):
         p = builtin("quadratic", 1)
@@ -419,6 +432,23 @@ class TestStreamsAndReplicas:
         assert derive_seed(0, 0) == 16294208416658607535
         assert derive_seed(42, 1) == 2949826092126892291
         assert replica_seed(7, 0) != replica_seed(7, 1)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 65),
+           st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_derived_seeds_injective_in_index(self, root, start, extra):
+        # (index + 1) * golden is a bijection mod 2^64 and so is the finalizer;
+        # the run of 64 neighbours catches a derivation that merges nearby indices
+        indices = set(range(start, start + 64)) | set(extra)
+        seeds = {derive_seed(root, i) for i in indices}
+        assert len(seeds) == len(indices)
+        assert all(0 <= s < 2**64 for s in seeds)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(max_value=-1))
+    def test_derive_seed_rejects_negative_index(self, root, index):
+        with pytest.raises(ValueError, match="nonnegative"):
+            derive_seed(root, index)
 
     def test_chain_streams_independent(self):
         s1 = chain_streams(123)
