@@ -395,14 +395,15 @@ def gaussian_log_p0_sup(d: int) -> float:
     return -0.5 * d * math.log(2.0 * math.pi)
 
 
-def inputs_from(potential, oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInputs:
-    """Assemble :class:`BoundInputs` for a potential/oracle pair at radius r.
+def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInputs:
+    """Assemble :class:`BoundInputs` for an oracle and its potential at radius r.
 
     Assumes the standard Gaussian initial law (the default of the samplers);
     other initial laws need hand-built inputs because a point mass has no
     density and a custom law has no declared moments.
     """
-    stats = oracle.mean_stats()
+    delta = oracle.delta(r)  # first: a sum without a potential raises here
+    potential, stats = oracle.potential, oracle.mean_stats()
     return BoundInputs(
         d=potential.dim,
         beta=float(beta),
@@ -417,6 +418,6 @@ def inputs_from(potential, oracle, beta: float, r: float, a_abs: float = 1.0) ->
         omega_grad_u=potential.modulus,
         omega_g_tilde_one=stats.omega_one,
         u0=potential.u0,
-        delta=oracle.delta(r),
+        delta=delta,
         a_abs=a_abs,
     )

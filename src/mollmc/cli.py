@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,6 +68,15 @@ def _check_integer(value, name: str, positive: bool = True) -> None:
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or (positive and value < 1):
         kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_positive(value, name: str, upper: float = math.inf) -> None:
+    """Reject ``value`` unless it is a finite number in ``(0, upper]``.  JSON ``1``
+    counts as 1.0; ``true`` and ``"0.1"`` do not, though ``float()`` takes them."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0.0 < value <= upper and math.isfinite(value)):
+        kind = "a positive number" if upper == math.inf else f"a number in (0, {upper:g}]"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
@@ -108,6 +118,8 @@ def validate_config(cfg: dict) -> dict:
     for key in ("beta", "eta", "k", "seed"):
         if key not in chain:
             raise ValueError(f"chain section is missing {key!r}")
+    _check_positive(chain["beta"], "chain.beta")
+    _check_positive(chain["eta"], "chain.eta")
     _check_integer(chain["k"], "chain.k")
     _check_integer(chain["seed"], "chain.seed", positive=False)
     if "record_stride" in chain:
@@ -124,13 +136,14 @@ def validate_config(cfg: dict) -> dict:
         if init["kind"] == "point" and "x0" not in init:
             raise ValueError("point init needs x0")
 
+    sm = cfg.get("smoothing", {})
     if algo in ("ss_lmc", "ss_sg_lmc"):
         if "smoothing" not in cfg:
             raise ValueError(f"algorithm {algo!r} needs a smoothing section")
-        sm = cfg["smoothing"]
-        if not (0.0 < float(sm.get("r", -1.0)) <= 1.0):
-            raise ValueError("smoothing.r must lie in (0, 1]")
+        _check_positive(sm.get("r"), "smoothing.r", upper=1.0)
         _check_integer(sm.get("n_batch"), "smoothing.n_batch")
+    elif "r" in sm:  # `bound` analyses an lmc config at this radius
+        _check_positive(sm["r"], "smoothing.r", upper=1.0)
     if algo == "ss_sg_lmc":
         if "finite_sum" not in cfg:
             raise ValueError(f"algorithm {algo!r} needs a finite_sum section")
@@ -153,19 +166,13 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
 
 
-def build_potential(cfg: dict):
-    from .potentials import builtin
-
-    pot = cfg["potential"]
-    return builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
-
-
 def build_oracle(cfg: dict):
-    from .potentials import FiniteSumPotential
+    from .potentials import FiniteSumPotential, builtin
     from .samplers import ExactGradient, FiniteSumSpherical, SphericalSmoothed
 
     algo = cfg["algorithm"]
-    p = build_potential(cfg)
+    pot = cfg["potential"]
+    p = builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
     if algo == "lmc":
         return ExactGradient(p)
     sm = cfg["smoothing"]
@@ -209,10 +216,11 @@ def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> li
     from .samplers import run, write_trace_csv
 
     digest = config_hash(cfg)
-    m = build_potential(cfg).m
+    oracle = build_oracle(cfg)
+    m = oracle.potential.m
     seeds = [replica_seed(root_seed, i) for i in range(lo, hi)]
     # run() steps one chain per entry of `seeds`; the config's own seed is unused
-    traces = run(build_oracle(cfg), build_chain_config(cfg, seeds[0]), seeds)
+    traces = run(oracle, build_chain_config(cfg, seeds[0]), seeds)
     entries = []
     for index, seed, trace in zip(range(lo, hi), seeds, traces):
         fname = f"chain_{index:04d}.csv"
@@ -271,31 +279,33 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
     return summary
 
 
-def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    root_seed = int(args.seed) if args.seed is not None else int(cfg["chain"]["seed"])
+def _execute(cfg: dict, args, announce: bool) -> int:
+    """Run a validated config into ``--out`` or its ``outputs``, from ``--seed`` or
+    its chain seed; name each diverged replica on stderr."""
     out = args.out or cfg.get("outputs")
     if not out:
         print("error: no output directory (set 'outputs' in the config or pass --out)",
               file=sys.stderr)
         return EXIT_ERROR
+    root_seed = int(args.seed) if args.seed is not None else int(cfg["chain"]["seed"])
     summary = run_experiment(cfg, root_seed, Path(out))
-    print(json.dumps({
-        "config_sha256": summary["config_sha256"],
-        "root_seed": summary["root_seed"],
-        "diverged": summary["diverged"],
-        "replicas": len(summary["replicas"]),
-        "out": str(out),
-    }, sort_keys=True))
-    if summary["diverged"]:
-        for entry in summary["replicas"]:
-            if entry["diverged_at"] is not None:
-                print(
-                    f"replica {entry['replica']} diverged at step {entry['diverged_at']}",
-                    file=sys.stderr,
-                )
-        return EXIT_DIVERGED
-    return EXIT_OK
+    if announce:
+        print(json.dumps({
+            "config_sha256": summary["config_sha256"],
+            "root_seed": summary["root_seed"],
+            "diverged": summary["diverged"],
+            "replicas": len(summary["replicas"]),
+            "out": str(out),
+        }, sort_keys=True))
+    for entry in summary["replicas"]:
+        if entry["diverged_at"] is not None:
+            print(f"replica {entry['replica']} diverged at step {entry['diverged_at']}",
+                  file=sys.stderr)
+    return EXIT_DIVERGED if summary["diverged"] else EXIT_OK
+
+
+def cmd_sample(args) -> int:
+    return _execute(load_config(args.config), args, announce=True)
 
 
 def cmd_plan(args) -> int:
@@ -348,21 +358,13 @@ def cmd_plan(args) -> int:
     if plan.algorithm == "ss_sg_lmc":
         cfg["smoothing"]["r"] = float(plan.r)
         cfg["smoothing"]["n_batch"] = int(plan.n_batch)
-    validate_config(cfg)
-    out = args.out or cfg.get("outputs")
-    if not out:
-        print("error: no output directory for --execute", file=sys.stderr)
-        return EXIT_ERROR
-    root_seed = int(args.seed) if args.seed is not None else int(cfg["chain"]["seed"])
-    summary = run_experiment(cfg, root_seed, Path(out))
-    return EXIT_DIVERGED if summary["diverged"] else EXIT_OK
+    return _execute(validate_config(cfg), args, announce=False)
 
 
 def cmd_bound(args) -> int:
     from .bounds import inputs_from, theorem_bound
 
     cfg = load_config(args.config)
-    potential = build_potential(cfg)
     oracle = build_oracle(cfg)
     if args.r is not None:
         r = float(args.r)
@@ -377,12 +379,8 @@ def cmd_bound(args) -> int:
         print("error: bound evaluation needs the gaussian initial law "
               "(a point mass has no density)", file=sys.stderr)
         return EXIT_ERROR
-    inputs = inputs_from(potential, oracle, beta=float(chain["beta"]), r=r, a_abs=args.a_abs)
-    try:
-        tb = theorem_bound(inputs, r=r, eta=float(chain["eta"]), k=int(chain["k"]))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    inputs = inputs_from(oracle, beta=float(chain["beta"]), r=r, a_abs=args.a_abs)
+    tb = theorem_bound(inputs, r=r, eta=float(chain["eta"]), k=int(chain["k"]))
     payload = tb.to_dict()
     payload["config_sha256"] = config_hash(cfg)
     payload["r"] = r

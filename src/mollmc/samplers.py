@@ -12,9 +12,7 @@ where ``G`` is supplied by a gradient oracle:
   kernel, making the oracle unbiased for the gradient of the smoothed
   potential at radius ``r``,
 * :class:`FiniteSumSpherical` additionally subsamples components of a
-  finite-sum potential (mini-batching),
-* :class:`CustomOracle` accepts a user gradient with declared bias/variance
-  coefficients.
+  finite-sum potential (mini-batching).
 
 :func:`run` is the one chain engine.  It steps ``C`` chains in lockstep over
 a state array of shape ``(C, d)``, with one oracle call per step for all of
@@ -31,10 +29,14 @@ size is part of the reproducibility contract.  A block holds
 smoothing draws, so large ensembles step in groups whose blocks stay within
 :data:`LOCKSTEP_BLOCK_BYTES`.
 
-Oracles share one batched protocol: ``prep_block(n_steps, zeta_rngs,
-lam_rngs)`` draws one block from the per-chain generators and stacks it on a
-chain axis, and ``grad_at(x, block, j)`` returns the gradients of shape
-``(C, d)`` at the points ``x`` (shape ``(C, d)``) for step ``j`` of the block.
+The oracles share one protocol.  ``dim`` is ``d``; ``n_batch`` counts kernel
+points per chain and step (0 for the exact gradient); ``potential`` is what
+the bounds read (for a finite sum, the potential an ``equal_split`` sum was
+split from, else None); ``mean_stats()`` and ``delta(r)`` give the mean
+gradient's constants and the bias/variance coefficients at radius ``r``.
+``prep_block(n_steps, zeta_rngs, lam_rngs)`` stacks one block drawn from the
+per-chain generators on a chain axis, and ``grad_at(x, block, j)`` returns
+the gradients ``(C, d)`` at the points ``x`` ``(C, d)`` for step ``j``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "ExactGradient",
     "SphericalSmoothed",
     "FiniteSumSpherical",
-    "CustomOracle",
     "run",
     "ss_gradient_batch",
     "write_trace_csv",
@@ -184,12 +185,11 @@ class GTildeStats:
 class ExactGradient:
     """Deterministic oracle ``G = grad U`` (plain LMC)."""
 
+    n_batch = 0  # it draws no kernel points
+
     def __init__(self, potential: PotentialSpec):
         self.potential = potential
-
-    @property
-    def dim(self) -> int:
-        return self.potential.dim
+        self.dim = potential.dim
 
     def mean_stats(self) -> GTildeStats:
         p = self.potential
@@ -230,19 +230,20 @@ class SphericalSmoothed:
         self.potential = potential
         self.r = float(r)
         self.n_batch = int(n_batch)
-        self._unit = Mollifier(potential.dim, 1.0)
+        self.dim, self._m, self._b, self._omega, self._grad_at_zero = self._constants()
+        self._unit = Mollifier(self.dim, 1.0)
 
-    @property
-    def dim(self) -> int:
-        return self.potential.dim
+    def _constants(self):
+        """Dimension, dissipativity ``(m, b)``, gradient modulus and ``|grad U(0)|``."""
+        p = self.potential
+        return p.dim, p.m, p.b, p.modulus, p.grad_at_zero
 
     def mean_stats(self) -> GTildeStats:
         # smoothing halves the dissipativity slope and shifts the offset;
         # convolution does not increase the gradient's modulus
-        p = self.potential
-        w1 = p.modulus.eval(1.0)
-        wr = p.modulus.eval(self.r)
-        return GTildeStats(0.5 * p.m, p.b + p.m, p.grad_at_zero + wr + w1, w1)
+        w1 = self._omega.eval(1.0)
+        wr = self._omega.eval(self.r)
+        return GTildeStats(0.5 * self._m, self._b + self._m, self._grad_at_zero + wr + w1, w1)
 
     def delta(self, r: float):
         if not math.isclose(r, self.r, rel_tol=1e-12, abs_tol=0.0):
@@ -250,7 +251,7 @@ class SphericalSmoothed:
                 "bias/variance coefficients are only available at the oracle's "
                 f"own smoothing radius {self.r}, got {r}"
             )
-        w = self.potential.modulus.eval(self.r)
+        w = self._omega.eval(self.r)
         return (0.0, 0.0, 0.5 * w * w / self.n_batch, 0.0)
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
@@ -265,50 +266,34 @@ class SphericalSmoothed:
         return np.add.reduce(g.reshape(len(x), self.n_batch, self.dim), axis=1) / self.n_batch
 
 
-class FiniteSumSpherical:
+class FiniteSumSpherical(SphericalSmoothed):
     """Mini-batch smoothed oracle for a finite-sum potential.
 
     Each of the ``n_batch`` terms evaluates one uniformly chosen component's
     gradient at an independently smoothed point; the ``n / n_batch`` factor
-    keeps the estimator unbiased for the smoothed full gradient.
+    keeps the estimator unbiased for the smoothed full gradient.  The constants
+    are the sum's, with ``omega_hat`` as the modulus.
     """
 
     def __init__(self, fsum: FiniteSumPotential, r: float, n_batch: int = 1):
-        if not (0.0 < r <= 1.0):
-            raise ValueError(f"smoothing radius must lie in (0, 1], got {r}")
-        if n_batch < 1:
-            raise ValueError("n_batch must be at least 1")
         self.fsum = fsum
-        self.r = float(r)
-        self.n_batch = int(n_batch)
-        self._unit = Mollifier(fsum.dim, 1.0)
-        g0 = np.asarray(fsum.total_grad(np.zeros(fsum.dim)), dtype=float)
-        self._grad_at_zero = float(np.linalg.norm(g0))
+        super().__init__(fsum.base, r, n_batch)
 
-    @property
-    def dim(self) -> int:
-        return self.fsum.dim
-
-    def mean_stats(self) -> GTildeStats:
+    def _constants(self):
         f = self.fsum
-        w1 = f.omega_hat.eval(1.0)
-        wr = f.omega_hat.eval(self.r)
-        return GTildeStats(0.5 * f.m, f.b + f.m, self._grad_at_zero + wr + w1, w1)
+        g0 = np.asarray(f.total_grad(np.zeros(f.dim)), dtype=float)
+        return f.dim, f.m, f.b, f.omega_hat, float(np.linalg.norm(g0))
 
     def delta(self, r: float):
         """Coefficients at the oracle's radius, for ``equal_split`` sums only: the
         variance counts the smoothing draws, not the picking of distinct components."""
         if self.fsum.base is None:
             raise ValueError("component-sampling variance is only bounded for equal_split sums")
-        if not math.isclose(r, self.r, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(
-                "bias/variance coefficients are only available at the oracle's "
-                f"own smoothing radius {self.r}, got {r}"
-            )
-        w = self.fsum.omega_hat.eval(self.r)
-        return (0.0, 0.0, 0.5 * w * w / self.n_batch, 0.0)
+        return super().delta(r)
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
+        # _smoothing_block, not super().prep_block: a wrapper around the
+        # parent's method would see this block twice
         zeta = _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
         size, n = (n_steps, self.n_batch), self.fsum.n_components
         lam = np.stack([g.integers(0, n, size=size) for g in lam_rngs], axis=1)
@@ -322,38 +307,6 @@ class FiniteSumSpherical:
         # axis is contiguous (d = 1), which changes the bits of the trace
         g = g.reshape(len(x), self.n_batch, self.dim).cumsum(axis=1)[:, -1]
         return g * (self.fsum.n_components / self.n_batch)
-
-
-class CustomOracle:
-    """User-supplied stochastic gradient with declared coefficients.
-
-    The library runs it but validates the declaration only through the same
-    sampled spot checks available for any oracle; correctness of the declared
-    ``delta`` and mean-gradient constants is the caller's responsibility.
-    ``gradient(x, rng)`` takes one point of shape ``(d,)`` and the chain's
-    smoothing generator.
-    """
-
-    def __init__(self, dim, gradient, stats: GTildeStats, delta, name="custom"):
-        self.dim = int(dim)
-        self._gradient = gradient
-        self._stats = stats
-        self._delta = tuple(float(v) for v in delta)
-        self.name = name
-
-    def mean_stats(self) -> GTildeStats:
-        return self._stats
-
-    def delta(self, r: float):
-        return self._delta
-
-    def prep_block(self, n_steps, zeta_rngs, lam_rngs):
-        return zeta_rngs
-
-    def grad_at(self, x, block, j):
-        # the user gradient takes one point, so the chains are visited in turn
-        return np.stack([np.asarray(self._gradient(xc, g), dtype=float)
-                         for xc, g in zip(x, block)])
 
 
 def _smoothing_block(unit: Mollifier, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
@@ -396,7 +349,7 @@ def run(oracle, cfg: ChainConfig, seeds=None):
     if not chain_seeds:
         raise ValueError("need at least one chain")
     # one chain's block: d Gaussians and n_batch * d smoothing draws per step
-    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * (1 + getattr(oracle, "n_batch", 0)) * oracle.dim
+    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * (1 + oracle.n_batch) * oracle.dim
     size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
     traces = []
     for lo in range(0, len(chain_seeds), size):

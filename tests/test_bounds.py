@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -25,8 +26,10 @@ from mollmc.bounds import (
     theorem_bound,
 )
 from mollmc.continuity import ModulusSpec
-from mollmc.potentials import builtin
-from mollmc.samplers import ExactGradient, SphericalSmoothed
+from mollmc.potentials import FiniteSumPotential, builtin
+from mollmc.samplers import ExactGradient, FiniteSumSpherical, SphericalSmoothed
+
+from conftest import scaled_quadratic_sum
 
 LIP1 = ModulusSpec.lipschitz(1.0)
 
@@ -320,7 +323,7 @@ class TestTheoremBound:
 
     def test_finite_for_quadratic_defaults(self):
         q = builtin("quadratic", 1)
-        inputs = inputs_from(q, ExactGradient(q), beta=1.0, r=0.1)
+        inputs = inputs_from(ExactGradient(q), beta=1.0, r=0.1)
         tb = theorem_bound(inputs, r=0.1, eta=0.01, k=1000)
         for v in (tb.c0, tb.c1, tb.c1_prime, tb.c2, tb.kappa_inf, tb.c_p_bound,
                   tb.c_ls_bound, tb.f_value, tb.w2_bound):
@@ -409,7 +412,7 @@ class TestExpMoment:
 class TestInputsFrom:
     def test_exact_oracle_wiring(self):
         q = builtin("quadratic", 2)
-        inputs = inputs_from(q, ExactGradient(q), beta=2.0, r=0.2)
+        inputs = inputs_from(ExactGradient(q), beta=2.0, r=0.2)
         assert (inputs.m_tilde, inputs.b_tilde) == (1.0, 0.0)
         assert inputs.g_tilde_mnorm == 1.0
         assert inputs.delta == (0.5 * 0.2**2, 0.0, 0.0, 0.0)
@@ -418,7 +421,24 @@ class TestInputsFrom:
     def test_smoothed_oracle_wiring(self):
         q = builtin("quadratic", 2)
         orc = SphericalSmoothed(q, r=0.2, n_batch=4)
-        inputs = inputs_from(q, orc, beta=1.0, r=0.2)
+        inputs = inputs_from(orc, beta=1.0, r=0.2)
         assert inputs.m_tilde == 0.5
         assert inputs.b_tilde == 1.0
         assert inputs.delta == (0.0, 0.0, 0.5 * 0.2**2 / 4, 0.0)
+
+    @pytest.mark.parametrize("name", ["quadratic", "hoelder_mix", "elastic_net_logistic"])
+    def test_split_sum_reads_its_base_potential(self, name):
+        # an equal split changes the gradient estimator, not one bound input;
+        # four components of weight 1/4 sum grad U(0) without rounding
+        p = builtin(name, 3)
+        split = FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), r=0.2, n_batch=5)
+        assert split.potential is p
+        got = inputs_from(split, beta=1.5, r=0.2, a_abs=2.0)
+        want = inputs_from(SphericalSmoothed(p, r=0.2, n_batch=5), beta=1.5, r=0.2, a_abs=2.0)
+        for f in dataclasses.fields(BoundInputs):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    def test_distinct_components_have_no_inputs(self):
+        orc = FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0]), r=0.5, n_batch=2)
+        with pytest.raises(ValueError, match="equal_split"):
+            inputs_from(orc, beta=1.0, r=0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -224,6 +225,32 @@ def test_sample_rejects_non_integer_counts(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
+_REAL_KEYS = [("chain", "beta"), ("chain", "eta"), ("smoothing", "r")]
+
+
+@pytest.mark.parametrize("value", [True, "0.1", -0.1, math.nan],
+                         ids=["bool", "string", "negative", "nan"])
+@pytest.mark.parametrize("path", _REAL_KEYS, ids=[".".join(p) for p in _REAL_KEYS])
+def test_sample_rejects_non_numeric_and_non_positive_reals(tmp_path, capsys, path, value):
+    # float() would run eta = true at eta = 1 and r = "0.1" at r = 0.1
+    base = _SAMPLE_CONFIGS["ss_sg_lmc"]
+    cli.validate_config(_with(base, path, 1))  # a JSON integer is a number
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(base, path, value)))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
+    assert f"{'.'.join(path)} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bound_rejects_a_bad_radius_in_an_lmc_config(tmp_path, capsys):
+    # bound analyses an exact-gradient config at its smoothing.r, if it has one
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("smoothing", "r"), True)))
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert "smoothing.r must be" in capsys.readouterr().err
+
+
 def test_sample_rejects_sg_lmc_alias(tmp_path, capsys):
     cfg = dict(_SAMPLE_CONFIGS["ss_sg_lmc"], algorithm="sg_lmc")
     cfg_path = tmp_path / "cfg.json"
@@ -261,6 +288,21 @@ def test_plan_execute_runs_the_plan(tmp_path, capsys):
     assert chain["eta"] == float(plan["eta"])
 
 
+def test_plan_execute_names_diverged_replicas(tmp_path, capsys, monkeypatch):
+    def diverged(cfg, root_seed, out_dir):
+        replicas = [{"replica": 0, "diverged_at": None}, {"replica": 1, "diverged_at": 12}]
+        return {"diverged": True, "replicas": replicas}
+
+    monkeypatch.setattr(cli, "run_experiment", diverged)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_LMC_D1))
+    code = main(_LMC_PLAN + ["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert captured.err == "replica 1 diverged at step 12\n"
+    assert set(json.loads(captured.out)) == {"plan", "verification"}
+
+
 @pytest.mark.parametrize(
     "argv,cfg",
     [
@@ -285,3 +327,25 @@ def test_plan_execute_refuses_mismatched_config(tmp_path, capsys, monkeypatch, a
     assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
     assert "error: the plan is for algorithm" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_benchmark_tracer_sees_every_oracle(tmp_path, algo):
+    # perfbench/traced_cli.py wraps prep_block and grad_at on each oracle
+    # class; a renamed or inherited method would leave its spans empty
+    import numpy as np
+
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_SAMPLE_CONFIGS[algo]))
+    spans = tmp_path / "spans.npz"
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="1")
+    argv = [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), "--",
+            "sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(spans) as data:
+        names = data["names"][data["name"]].tolist()
+    assert names.count("samplers.prep_block") == 1  # k = 300 is one noise block
+    assert names.count("samplers.grad_at") == _SAMPLE_CONFIGS[algo]["chain"]["k"]

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mollmc.continuity import ModulusSpec
 from mollmc.mollifier import Mollifier, density
-from mollmc.potentials import FiniteSumPotential, builtin
+from mollmc.potentials import FiniteSumPotential, PotentialSpec, builtin
 from mollmc import samplers
 from mollmc.rng import chain_streams, derive_seed, replica_seed
 from mollmc.samplers import (
     ChainConfig,
     ChainDivergenceError,
-    CustomOracle,
     ExactGradient,
     FiniteSumSpherical,
     GTildeStats,
@@ -29,9 +29,12 @@ from conftest import gl_interval, scaled_quadratic_sum
 
 
 def _zero_gradient_oracle(d):
-    """Custom oracle with ``G = 0``: the chain is a scaled Gaussian random walk."""
-    stats = GTildeStats(1.0, 0.0, 0.0, 0.0)
-    return CustomOracle(d, lambda x, rng: np.zeros(d), stats, (0, 0, 0, 0))
+    """Exact oracle of a constant potential: the chain is a scaled Gaussian random walk."""
+    flat = PotentialSpec(
+        name="zero", dim=d, value=lambda x: np.zeros(np.shape(x)[:-1]), weak_grad=np.zeros_like,
+        m=1.0, b=0.0, modulus=ModulusSpec.lipschitz(1.0), grad_at_zero=0.0, u0=0.0,
+    )
+    return ExactGradient(flat)
 
 
 def _first_noise(seed, d):
@@ -235,6 +238,26 @@ class TestSmoothedGradient:
         assert (db2, dv0, dv2) == (0.0, 0.0, 0.0)
 
 
+_PROTOCOL_ORACLES = {
+    "exact": ExactGradient,
+    "smoothed": lambda p: SphericalSmoothed(p, r=0.5, n_batch=3),
+    "finite_sum": lambda p: FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), 0.5, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PROTOCOL_ORACLES))
+def test_oracle_declares_the_protocol(kind):
+    p = builtin("hoelder_mix", 2, alpha=0.5)
+    orc = _PROTOCOL_ORACLES[kind](p)
+    assert orc.dim == 2 and orc.potential is p
+    assert orc.n_batch == (0 if kind == "exact" else 3)
+    assert isinstance(orc.mean_stats(), GTildeStats)
+    assert len(orc.delta(0.5)) == 4
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    block = orc.prep_block(5, rngs, rngs)
+    assert orc.grad_at(np.ones((2, 2)), block, 4).shape == (2, 2)
+
+
 class _LoopFiniteSum(FiniteSumSpherical):
     """Reference: the per-component loop ``grad_at`` ran before batching.
 
@@ -369,13 +392,6 @@ class TestStreamsAndReplicas:
         with np.errstate(over="ignore", invalid="ignore"):
             traces = _assert_rows_match_solo_runs(ExactGradient(builtin("double_well", 1)), cfg, 5)
         assert [t.diverged_at for t in traces] == [37, None, None, 18, None]
-
-    def test_custom_oracle_lockstep_matches_single_runs(self):
-        def noisy_gradient(x, rng):
-            return x + 0.1 * rng.standard_normal(x.shape)
-
-        orc = CustomOracle(2, noisy_gradient, GTildeStats(1.0, 0.0, 1.0, 1.0), (0, 0, 0.01, 0))
-        _assert_rows_match_solo_runs(orc, ChainConfig(beta=1.0, eta=0.05, k=200, seed=8), 2)
 
     def test_divergent_chain_stops_and_others_step_on(self):
         # on the double well at eta = 0.3 replicas 0 and 3 of root 1 blow up
