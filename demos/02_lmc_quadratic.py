@@ -17,8 +17,7 @@ beta, eta = 1.0, 0.05
 p = builtin("quadratic", 1)
 oracle = ExactGradient(p)
 
-cfg = ChainConfig(beta=beta, eta=eta, k=200_000, seed=11)
-trace = run(oracle, cfg)
+(trace,) = run(oracle, ChainConfig(beta=beta, eta=eta, k=200_000), [11])
 rep = moment_report(trace, m=p.m)
 exact = 2.0 / (beta * (2.0 - eta))
 print("single chain, k = 2e5:")
@@ -27,7 +26,7 @@ print(f"  discretised stationary value = {exact:.5f},  continuum value = {1.0 / 
 print(f"  max |Y| over the run = {rep['max_norm']:.3f}")
 
 seeds = [replica_seed(3, i) for i in range(800)]
-ensemble = run(oracle, ChainConfig(beta=beta, eta=eta, k=2000, seed=3), seeds)
+ensemble = run(oracle, ChainConfig(beta=beta, eta=eta, k=2000), seeds)
 steps, paths = ensemble[0].steps, np.stack([t.iterates for t in ensemble])
 v_end = paths[:, -1, :].var(axis=0, ddof=1)[0]
 print("\nensemble of 800 chains, k = 2000:")

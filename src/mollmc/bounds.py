@@ -23,7 +23,7 @@ follows the quadratic-growth convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "kappa_inf",
     "c_zero",
     "poincare_bound",
+    "poincare_log_bound",
     "log_sobolev_bound",
     "kl_discretization",
     "kl_initial",
@@ -232,12 +233,12 @@ class TheoremBound:
     c2: float
     kappa_inf: float
     c_p_bound: float
+    c_p_log: float
     c_ls_bound: float
     f_value: float
     first_term: float
     exp_term: float
     w2_bound: float
-    c_p_log: float
     notes: tuple = field(default=())
 
     @property
@@ -245,23 +246,9 @@ class TheoremBound:
         return bool(self.notes) or not math.isfinite(self.w2_bound)
 
     def to_dict(self) -> dict:
-        out = {
-            "c0": self.c0,
-            "c1": self.c1,
-            "c1_prime": self.c1_prime,
-            "c2": self.c2,
-            "kappa_inf": self.kappa_inf,
-            "c_p_bound": self.c_p_bound,
-            "c_p_log": self.c_p_log,
-            "c_ls_bound": self.c_ls_bound,
-            "f_value": self.f_value,
-            "first_term": self.first_term,
-            "exp_term": self.exp_term,
-            "w2_bound": self.w2_bound,
-            "vacuous": self.vacuous,
-            "notes": list(self.notes),
-        }
-        return out
+        out = asdict(self)
+        notes = out.pop("notes")
+        return {**out, "vacuous": self.vacuous, "notes": list(notes)}
 
 
 def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremBound:

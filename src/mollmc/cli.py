@@ -71,18 +71,26 @@ def _check_integer(value, name: str, positive: bool = True) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _check_positive(value, name: str, upper: float = math.inf) -> None:
-    """Reject ``value`` unless it is a finite number in ``(0, upper]``.  JSON ``1``
-    counts as 1.0; ``true`` and ``"0.1"`` do not, though ``float()`` takes them."""
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite JSON number.  JSON ``1`` counts as 1.0;
+    ``true`` and ``"0.1"`` do not, though ``float()`` takes them."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0.0 < value <= upper and math.isfinite(value)):
+    return number and math.isfinite(value)
+
+
+def _check_positive(value, name: str, upper: float = math.inf) -> None:
+    """Reject ``value`` unless it is a real number in ``(0, upper]``."""
+    if not (_is_real(value) and 0.0 < value <= upper):
         kind = "a positive number" if upper == math.inf else f"a number in (0, {upper:g}]"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate nested keys and ranges; returns the config unchanged."""
-    from .potentials import BUILTIN_NAMES
+    """Validate nested keys and ranges; returns the config unchanged.
+
+    The potential is built once here, so that its own range checks fail
+    before any output exists."""
+    from .potentials import BUILTIN_NAMES, builtin
 
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
@@ -107,8 +115,16 @@ def validate_config(cfg: dict) -> dict:
             f"potential name must be one of {BUILTIN_NAMES}, got {pot.get('name')!r}"
         )
     _check_integer(pot.get("d"), "potential.d")
-    if "params" in pot and not isinstance(pot["params"], dict):
+    params = pot.get("params", {})
+    if not isinstance(params, dict):
         raise ValueError("potential.params must be an object")
+    for key, value in params.items():
+        if not _is_real(value):
+            raise ValueError(f"potential.params.{key} must be a real number, got {value!r}")
+    try:
+        builtin(pot["name"], int(pot["d"]), **params)
+    except ValueError as err:
+        raise ValueError(f"potential.params: {err}") from None
 
     algo = cfg["algorithm"]
     if algo not in ALGORITHMS:
@@ -133,8 +149,16 @@ def validate_config(cfg: dict) -> dict:
                 raise ValueError(f"unknown key {key!r} in chain.init")
         if init["kind"] not in ("gaussian", "point"):
             raise ValueError("chain.init.kind must be 'gaussian' or 'point'")
-        if init["kind"] == "point" and "x0" not in init:
-            raise ValueError("point init needs x0")
+        if (init["kind"] == "point") != ("x0" in init):
+            raise ValueError("chain.init.x0 must be given exactly when chain.init.kind is 'point'")
+        x0 = init.get("x0")
+        if init["kind"] == "point" and not (
+            isinstance(x0, list) and len(x0) == pot["d"] and all(map(_is_real, x0))
+        ):
+            raise ValueError(
+                f"chain.init.x0 must be a list of potential.d = {pot['d']} real numbers, "
+                f"got {x0!r}"
+            )
 
     sm = cfg.get("smoothing", {})
     if algo in ("ss_lmc", "ss_sg_lmc"):
@@ -150,6 +174,8 @@ def validate_config(cfg: dict) -> dict:
         _check_integer(cfg["finite_sum"].get("n_components"), "finite_sum.n_components")
     if "replicas" in cfg:
         _check_integer(cfg["replicas"], "replicas")
+    if "outputs" in cfg and not (isinstance(cfg["outputs"], str) and cfg["outputs"]):
+        raise ValueError(f"outputs must be a non-empty string, got {cfg['outputs']!r}")
     return cfg
 
 
@@ -182,21 +208,16 @@ def build_oracle(cfg: dict):
     return FiniteSumSpherical(fs, r=float(sm["r"]), n_batch=int(sm["n_batch"]))
 
 
-def build_chain_config(cfg: dict, seed: int):
-    from .samplers import ChainConfig, InitLaw
+def build_chain_config(cfg: dict):
+    from .samplers import ChainConfig
 
     chain = cfg["chain"]
-    init_cfg = chain.get("init", {"kind": "gaussian"})
-    if init_cfg["kind"] == "gaussian":
-        init = InitLaw.gaussian()
-    else:
-        init = InitLaw.point(init_cfg["x0"])
+    init = chain.get("init", {"kind": "gaussian"})
     return ChainConfig(
         beta=float(chain["beta"]),
         eta=float(chain["eta"]),
         k=int(chain["k"]),
-        seed=int(seed),
-        init=init,
+        x0=tuple(float(v) for v in init["x0"]) if init["kind"] == "point" else None,
         record_stride=int(chain.get("record_stride", 1)),
     )
 
@@ -219,8 +240,7 @@ def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> li
     oracle = build_oracle(cfg)
     m = oracle.potential.m
     seeds = [replica_seed(root_seed, i) for i in range(lo, hi)]
-    # run() steps one chain per entry of `seeds`; the config's own seed is unused
-    traces = run(oracle, build_chain_config(cfg, seeds[0]), seeds)
+    traces = run(oracle, build_chain_config(cfg), seeds)
     entries = []
     for index, seed, trace in zip(range(lo, hi), seeds, traces):
         fname = f"chain_{index:04d}.csv"
@@ -274,7 +294,7 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
         "diverged": any(e["diverged_at"] is not None for e in entries),
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 

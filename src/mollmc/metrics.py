@@ -132,6 +132,13 @@ def w2_sliced(a: SampleSet, b: SampleSet, n_proj: int, rng: np.random.Generator)
     return math.sqrt(float(np.mean((px - py) ** 2)))
 
 
+def _finite(value) -> float | None:
+    """``value`` as a float, or None where it is undefined or overflows, so that
+    a summary written from it stays valid JSON."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def moment_report(trace: Trace, burn_in: int | None = None, m: float | None = None) -> dict:
     """Moment summary of a recorded trace.
 
@@ -140,7 +147,8 @@ def moment_report(trace: Trace, burn_in: int | None = None, m: float | None = No
     the empirical exponential moment at ``alpha = min(1, beta m / 4)``, the
     exponent the moment bounds use.  Standard errors treat recorded points
     as independent, which understates autocorrelated error; they are meant
-    for envelope checks with generous cushions.
+    for envelope checks with generous cushions.  A standard error of one
+    point, and an exponential moment or error beyond float range, is None.
     """
     burn = trace.n_recorded // 2 if burn_in is None else int(burn_in)
     if not (0 <= burn < trace.n_recorded):
@@ -153,13 +161,14 @@ def moment_report(trace: Trace, burn_in: int | None = None, m: float | None = No
         "burn_in": int(burn),
         "mean": pts.mean(axis=0).tolist(),
         "second_moment": float(sq.mean()),
-        "second_moment_se": float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan"),
+        "second_moment_se": _finite(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else None,
         "max_norm": float(np.sqrt(np.max(np.sum(np.square(trace.iterates), axis=1)))),
     }
     if m is not None:
         alpha = min(1.0, trace.config.beta * float(m) / 4.0)
-        ev = np.exp(alpha * sq)
         report["exp_moment_alpha"] = float(alpha)
-        report["exp_moment"] = float(ev.mean())
-        report["exp_moment_se"] = float(ev.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev = np.exp(alpha * sq)
+            report["exp_moment"] = _finite(ev.mean())
+            report["exp_moment_se"] = _finite(ev.std(ddof=1) / math.sqrt(n)) if n > 1 else None
     return report

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mollifier", "grad_l1_norm"]
+__all__ = ["Mollifier", "density", "grad_density", "grad_l1_norm", "sample"]
 
 
 @dataclass(frozen=True)

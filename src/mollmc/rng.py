@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["splitmix64", "derive_seed", "generator", "chain_streams", "replica_seed"]
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -14,9 +14,13 @@ where ``G`` is supplied by a gradient oracle:
 * :class:`FiniteSumSpherical` additionally subsamples components of a
   finite-sum potential (mini-batching).
 
-:func:`run` is the one chain engine.  It steps ``C`` chains in lockstep over
-a state array of shape ``(C, d)``, with one oracle call per step for all of
-them; a single chain is the case ``C = 1``.
+:func:`run` is the one chain engine.  ``run(oracle, cfg, seeds)`` steps one
+chain per seed, ``C`` chains in lockstep over a state array of shape
+``(C, d)`` with one oracle call per step for all of them, and returns one
+:class:`Trace` per seed; a single chain is a one-seed list.  Every chain
+starts at ``cfg.x0``, or, when it is None, at a standard Gaussian drawn from
+its own initial-value stream.  A diverged chain is reported by its partial
+trace and ``diverged_at``, not by an exception.
 
 Randomness is organised for reproducibility: a chain seed derives four
 sub-streams (Brownian increments, smoothing draws, component picks, initial
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +58,8 @@ from .potentials import FiniteSumPotential, PotentialSpec
 __all__ = [
     "NOISE_BLOCK",
     "LOCKSTEP_BLOCK_BYTES",
-    "InitLaw",
     "ChainConfig",
     "Trace",
-    "ChainDivergenceError",
     "GTildeStats",
     "ExactGradient",
     "SphericalSmoothed",
@@ -75,51 +77,22 @@ LOCKSTEP_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
-class InitLaw:
-    """Initial law of the chain.
-
-    The default standard Gaussian has a finite exponential moment, which is
-    what the moment bounds require of an initial law.  A point mass has no
-    density, so bound evaluation flags it.
-    """
-
-    kind: str = "gaussian"
-    x0: tuple = ()
-
-    @classmethod
-    def gaussian(cls) -> "InitLaw":
-        return cls(kind="gaussian")
-
-    @classmethod
-    def point(cls, x0) -> "InitLaw":
-        return cls(kind="point", x0=tuple(float(v) for v in np.atleast_1d(x0)))
-
-    def draw(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.standard_normal(d)
-        if self.kind == "point":
-            x0 = np.asarray(self.x0, dtype=float)
-            if x0.shape != (d,):
-                raise ValueError(f"point init has dim {x0.shape}, chain has dim {d}")
-            return x0.copy()
-        raise ValueError(f"unknown init kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ChainConfig:
-    """Run parameters of one chain.
+    """Run parameters shared by the chains of one :func:`run`.
 
     ``eta`` only has to be positive to run; the error bounds additionally
     require ``eta < 1`` and the oracle-dependent cap, which the bounds module
-    enforces where it matters.  ``record_stride`` thins the recorded trace
-    (step 0 and step k are always kept).
+    enforces where it matters.  ``x0`` is the starting point of every chain;
+    None draws it from the standard Gaussian, whose finite exponential moment
+    the moment bounds require of an initial law (a point mass has no density,
+    so bound evaluation refuses it).  ``record_stride`` thins the recorded
+    trace (step 0 and step k are always kept).
     """
 
     beta: float
     eta: float
     k: int
-    seed: int
-    init: InitLaw = field(default_factory=InitLaw.gaussian)
+    x0: tuple | None = None
     record_stride: int = 1
 
     def __post_init__(self):
@@ -129,8 +102,6 @@ class ChainConfig:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in 64 bits")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -152,24 +123,6 @@ class Trace:
     @property
     def n_recorded(self) -> int:
         return self.iterates.shape[0]
-
-
-class ChainDivergenceError(RuntimeError):
-    """A chain iterate left the admissible region (non-finite or |Y| > 1e8).
-
-    Dissipative chains at an admissible step size stay bounded in mean
-    square, so divergence indicates a misconfigured step size for the
-    potential's growth.  Carries the offending step index and the partial
-    trace recorded so far.
-    """
-
-    def __init__(self, step_index, trace: Trace | None = None):
-        super().__init__(
-            f"chain diverged at step {step_index}; "
-            "the step size is too large for this potential"
-        )
-        self.step_index = step_index
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -329,36 +282,32 @@ def _recorded_steps(k: int, stride: int) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def run(oracle, cfg: ChainConfig, seeds=None):
-    """Run chains in lockstep and record their (possibly thinned) iterates.
+def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
+    """Run one chain per seed in lockstep; one (possibly thinned) trace per seed.
 
-    With ``seeds=None`` one chain runs under ``cfg.seed`` and its
-    :class:`Trace` is returned; if an iterate becomes non-finite or its norm
-    exceeds ``1e8``, :class:`ChainDivergenceError` is raised with the partial
-    trace.
-
-    Otherwise chain ``c`` runs under ``seeds[c]``, reproducing bit for bit the
-    single chain at that seed, and one trace per seed is returned.  A chain
-    that diverges stops recording: its trace is the partial one, with
-    ``diverged_at`` set, and the other chains step on.  The chains step in
-    groups of as many as keep a noise block within
+    Chain ``c`` runs under ``seeds[c]`` and reproduces bit for bit the lone
+    chain at that seed.  A chain whose iterate becomes non-finite or exceeds
+    norm ``1e8`` has diverged, which at a dissipative potential means a step
+    size too large for its growth: it stops recording, its trace is the
+    partial one with ``diverged_at`` set, and the other chains step on.  The
+    chains step in groups of as many as keep a noise block within
     :data:`LOCKSTEP_BLOCK_BYTES`; every trace's ``elapsed`` is the wall time
     of its group.
     """
-    chain_seeds = [cfg.seed] if seeds is None else [int(s) for s in seeds]
+    chain_seeds = [int(s) for s in seeds]
     if not chain_seeds:
         raise ValueError("need at least one chain")
+    if not all(0 <= s < 2**64 for s in chain_seeds):
+        raise ValueError("seeds must fit in 64 bits")
+    if cfg.x0 is not None and len(cfg.x0) != oracle.dim:
+        raise ValueError(f"x0 has {len(cfg.x0)} coordinates, the chain has dim {oracle.dim}")
     # one chain's block: d Gaussians and n_batch * d smoothing draws per step
     per_chain = 8 * min(NOISE_BLOCK, cfg.k) * (1 + oracle.n_batch) * oracle.dim
     size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
     traces = []
     for lo in range(0, len(chain_seeds), size):
         traces += _lockstep(oracle, cfg, chain_seeds[lo:lo + size])
-    if seeds is not None:
-        return traces
-    if traces[0].diverged_at is not None:
-        raise ChainDivergenceError(traces[0].diverged_at, traces[0])
-    return traces[0]
+    return traces
 
 
 def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
@@ -366,8 +315,11 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
     t0 = time.perf_counter()
     d = oracle.dim
     bm, zrng, lrng, irng = zip(*(_rng.chain_streams(s) for s in chain_seeds))
-    x = np.stack([np.asarray(cfg.init.draw(gen, d), dtype=float) for gen in irng])
     n_chains = len(chain_seeds)
+    if cfg.x0 is None:
+        x = np.stack([gen.standard_normal(d) for gen in irng])
+    else:
+        x = np.tile(np.asarray(cfg.x0, dtype=float), (n_chains, 1))
 
     record = _recorded_steps(cfg.k, cfg.record_stride)
     out = np.empty((n_chains, len(record), d))
@@ -415,11 +367,11 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
         Trace(
             steps=record[:n],
             iterates=out[c, :n],
-            config=replace(cfg, seed=seed),
+            config=cfg,
             elapsed=elapsed,
             diverged_at=diverged_at[c],
         )
-        for c, (seed, n) in enumerate(zip(chain_seeds, n_recorded))
+        for c, n in enumerate(n_recorded)
     ]
 
 

@@ -243,6 +243,71 @@ def test_sample_rejects_non_numeric_and_non_positive_reals(tmp_path, capsys, pat
     assert not out.exists()
 
 
+_POINT = {"kind": "point", "x0": [1.0, 2.0]}
+_BAD_VALUES = [
+    (("chain", "init"), dict(_POINT, x0=["1", "2"]), "chain.init.x0", "x0-strings"),
+    (("chain", "init"), dict(_POINT, x0=[1.0, math.nan]), "chain.init.x0", "x0-nan"),
+    (("chain", "init"), dict(_POINT, x0=[1, 2, 3]), "chain.init.x0", "x0-length"),
+    (("chain", "init"), {"kind": "point"}, "chain.init.x0", "point-without-x0"),
+    (("chain", "init"), dict(_POINT, kind="gaussian"), "chain.init.x0", "gaussian-with-x0"),
+    (("potential", "params"), {"alpha": True}, "potential.params.alpha", "param-bool"),
+    (("potential",), {"name": "elastic_net_logistic", "d": 2, "params": {"lam1": "0.1"}},
+     "potential.params.lam1", "param-string"),
+    (("potential", "params"), {"alpha": 2}, "potential.params: alpha", "param-range"),
+    (("potential", "params"), {"bogus": 1.0}, "potential.params: unknown", "param-unknown"),
+    (("potential", "params"), [0.5], "potential.params", "params-list"),
+    (("outputs",), 5, "outputs", "outputs-number"),
+    (("outputs",), "", "outputs", "outputs-empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,named", [case[:3] for case in _BAD_VALUES], ids=[case[3] for case in _BAD_VALUES]
+)
+def test_sample_rejects_bad_values_before_any_output(tmp_path, capsys, monkeypatch,
+                                                     path, value, named):
+    # float() and the constructors took some of these, and others failed after
+    # the output directory existed or with a traceback
+    base = {
+        "potential": {"name": "hoelder_mix", "d": 2},
+        "algorithm": "lmc",
+        "chain": {"beta": 1.0, "eta": 0.1, "k": 20, "seed": 4},
+        "outputs": "out",
+    }
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(_with(base, path, value)))
+    assert main(["sample", "--config", "cfg.json"]) == EXIT_ERROR
+    assert named in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "chain,undefined",
+    [
+        ({"k": 1}, {"second_moment_se", "exp_moment_se"}),
+        ({"k": 4, "init": {"kind": "point", "x0": [1000.0]}}, {"exp_moment", "exp_moment_se"}),
+    ],
+    ids=["one-point", "exp-moment-overflows"],
+)
+def test_summary_writes_undefined_moments_as_null(tmp_path, chain, undefined):
+    # k = 1 leaves one point past burn-in, whose standard error is undefined;
+    # exp(|x|^2 / 4) at |x| near 1000 is beyond float range
+    cfg = json.loads(json.dumps(_LMC_D1))
+    cfg["chain"].update(chain)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    # pytest's filterwarnings = error makes a numpy overflow warning fail here
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_not_json)
+    moments = summary["replicas"][0]["moments"]
+    assert {key for key, value in moments.items() if value is None} == undefined
+
+
 def test_bound_rejects_a_bad_radius_in_an_lmc_config(tmp_path, capsys):
     # bound analyses an exact-gradient config at its smoothing.r, if it has one
     cfg_path = tmp_path / "cfg.json"

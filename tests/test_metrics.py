@@ -130,8 +130,8 @@ class TestSliced:
 
 class TestMomentReport:
     def test_constant_trace(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=10, seed=0)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=10)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         t.iterates = np.zeros_like(t.iterates)
         rep = moment_report(t, burn_in=0)
         assert rep["second_moment"] == 0.0
@@ -139,8 +139,8 @@ class TestMomentReport:
 
     def test_quadratic_chain_moment(self):
         beta, eta = 1.0, 0.05
-        cfg = ChainConfig(beta=beta, eta=eta, k=400_000, seed=2)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=beta, eta=eta, k=400_000)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [2])
         rep = moment_report(t, m=1.0)
         target = 2.0 / (beta * (2.0 - eta))
         # naive se understates autocorrelated error by ~sqrt(2/eta); use the
@@ -151,8 +151,8 @@ class TestMomentReport:
         assert math.isfinite(rep["exp_moment"])
 
     def test_burn_in_bounds(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=10, seed=0)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=10)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         with pytest.raises(ValueError):
             moment_report(t, burn_in=t.n_recorded)
 
@@ -163,8 +163,8 @@ class TestSampleSet:
             SampleSet(np.array([[math.nan]]))
 
     def test_from_trace_burn_in(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=9, seed=0)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=9)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         s = SampleSet.from_trace(t)
         assert s.n == 5
         s_all = SampleSet.from_trace(t, burn_in=0)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +12,9 @@ from mollmc import samplers
 from mollmc.rng import chain_streams, derive_seed, replica_seed
 from mollmc.samplers import (
     ChainConfig,
-    ChainDivergenceError,
     ExactGradient,
     FiniteSumSpherical,
     GTildeStats,
-    InitLaw,
     SphericalSmoothed,
     Trace,
     run,
@@ -46,76 +43,81 @@ class TestStep:
     """One update ``y - eta g + sqrt(2 eta / beta) z``: :func:`run` at ``k = 1``."""
 
     def test_deterministic_part(self):
-        cfg = ChainConfig(beta=1.0, eta=0.5, k=1, seed=0, init=InitLaw.point([1.0]))
-        out = run(ExactGradient(builtin("quadratic", 1)), cfg).iterates[-1]
+        cfg = ChainConfig(beta=1.0, eta=0.5, k=1, x0=(1.0,))
+        out = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])[0].iterates[-1]
         assert out[0] == 1.0 - 0.5 * 1.0 + math.sqrt(2.0 * 0.5 / 1.0) * _first_noise(0, 1)[0]
 
     def test_zero_gradient_keeps_point(self):
         y = np.array([2.0, -1.0])
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, seed=0, init=InitLaw.point(y))
-        out = run(_zero_gradient_oracle(2), cfg).iterates[-1]
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, x0=tuple(y))
+        out = run(_zero_gradient_oracle(2), cfg, [0])[0].iterates[-1]
         assert np.array_equal(out, y - 0.1 * np.zeros(2) + math.sqrt(0.2) * _first_noise(0, 2))
 
     def test_noise_variance(self):
-        cfg = ChainConfig(beta=2.0, eta=0.05, k=50_000, seed=4, init=InitLaw.point([0.0, 0.0]))
-        moves = np.diff(run(_zero_gradient_oracle(2), cfg).iterates, axis=0)
+        cfg = ChainConfig(beta=2.0, eta=0.05, k=50_000, x0=(0.0, 0.0))
+        moves = np.diff(run(_zero_gradient_oracle(2), cfg, [4])[0].iterates, axis=0)
         target = 2 * cfg.eta / cfg.beta
         per_coord = moves.var(axis=0, ddof=1)
         se = target * math.sqrt(2.0 / (len(moves) - 1))
         assert np.all(np.abs(per_coord - target) <= 3 * se)
 
     def test_rejects_non_finite(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, seed=0, init=InitLaw.point([math.nan]))
-        with pytest.raises(ChainDivergenceError) as exc:
-            run(ExactGradient(builtin("quadratic", 1)), cfg)
-        assert exc.value.step_index == 1 and exc.value.trace.n_recorded == 1
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, x0=(math.nan,))
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
+        assert t.diverged_at == 1 and t.n_recorded == 1
 
 
 class TestRunBasics:
     def test_determinism(self):
         p = builtin("quadratic", 2)
-        cfg = ChainConfig(beta=1.0, eta=0.05, k=5000, seed=123)
-        t1 = run(ExactGradient(p), cfg)
-        t2 = run(ExactGradient(p), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.05, k=5000)
+        (t1,) = run(ExactGradient(p), cfg, [123])
+        (t2,) = run(ExactGradient(p), cfg, [123])
         assert np.array_equal(t1.iterates, t2.iterates)
         assert np.array_equal(t1.steps, t2.steps)
 
     def test_smoothed_determinism(self):
         p = builtin("hoelder_mix", 1, alpha=0.5)
         orc = SphericalSmoothed(p, r=0.3, n_batch=2)
-        cfg = ChainConfig(beta=1.0, eta=0.01, k=3000, seed=9)
-        assert np.array_equal(run(orc, cfg).iterates, run(orc, cfg).iterates)
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=3000)
+        assert np.array_equal(run(orc, cfg, [9])[0].iterates, run(orc, cfg, [9])[0].iterates)
 
     def test_trace_shape_unthinned(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=100, seed=0)
-        t = run(ExactGradient(builtin("quadratic", 3)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=100)
+        (t,) = run(ExactGradient(builtin("quadratic", 3)), cfg, [0])
         assert t.iterates.shape == (101, 3)
         assert t.steps[0] == 0 and t.steps[-1] == 100
 
     def test_trace_thinning_keeps_ends(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=103, seed=0, record_stride=10)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=103, record_stride=10)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         assert t.steps[0] == 0 and t.steps[-1] == 103
         assert np.all(np.diff(t.steps)[:-1] == 10)
 
     def test_point_init(self):
-        cfg = ChainConfig(
-            beta=1.0, eta=0.1, k=10, seed=0, init=InitLaw.point([3.0, 4.0])
-        )
-        t = run(ExactGradient(builtin("quadratic", 2)), cfg)
-        assert np.array_equal(t.iterates[0], [3.0, 4.0])
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=10, x0=(3.0, 4.0))
+        traces = run(ExactGradient(builtin("quadratic", 2)), cfg, [0, 1])
+        assert all(np.array_equal(t.iterates[0], [3.0, 4.0]) for t in traces)
 
-    def test_divergence_raises_with_index_and_partial_trace(self):
-        cfg = ChainConfig(beta=1.0, eta=10.0, k=10_000, seed=1)
-        with pytest.raises(ChainDivergenceError) as exc:
-            run(ExactGradient(builtin("quadratic", 1)), cfg)
-        assert exc.value.step_index is not None and exc.value.step_index < 200
-        assert exc.value.trace is not None
-        assert exc.value.trace.diverged_at == exc.value.step_index
+    def test_divergence_reports_index_and_partial_trace(self):
+        cfg = ChainConfig(beta=1.0, eta=10.0, k=10_000)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [1])
+        assert t.diverged_at is not None and t.diverged_at < 200
+        assert t.steps[-1] < t.diverged_at and len(t.steps) == t.n_recorded
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
-            ChainConfig(beta=1.0, eta=0.0, k=10, seed=0)
+            ChainConfig(beta=1.0, eta=0.0, k=10)
+
+    @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64]], ids=["empty", "negative", "65-bit"])
+    def test_rejects_no_seeds_and_seeds_outside_64_bits(self, seeds):
+        with pytest.raises(ValueError, match="chain|64 bits"):
+            run(ExactGradient(builtin("quadratic", 1)), ChainConfig(1.0, 0.1, 10), seeds)
+
+    def test_rejects_x0_of_the_wrong_length(self):
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=10, x0=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="x0 has 3 coordinates, the chain has dim 2"):
+            run(ExactGradient(builtin("quadratic", 2)), cfg, [0])
 
 
 class TestQuadraticLaw:
@@ -127,15 +129,15 @@ class TestQuadraticLaw:
         # the variance (integrated autocorrelation ~ 1/eta); the seed is
         # pinned where the draw sits well inside the tolerance
         beta, eta = 1.0, 0.01
-        cfg = ChainConfig(beta=beta, eta=eta, k=1_000_000, seed=0)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=beta, eta=eta, k=1_000_000)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         post = t.iterates[len(t.iterates) // 2 :, 0]
         target = 2.0 / (beta * (2.0 - eta))
         assert abs(post.var(ddof=1) - target) / target < 0.02
 
     def test_ensemble_matches_variance_recursion(self):
         beta, eta = 1.0, 0.05
-        cfg = ChainConfig(beta=beta, eta=eta, k=1000, seed=17)
+        cfg = ChainConfig(beta=beta, eta=eta, k=1000)
         seeds = [replica_seed(17, i) for i in range(1000)]
         traces = run(ExactGradient(builtin("quadratic", 1)), cfg, seeds)
         steps, paths = traces[0].steps, np.stack([t.iterates for t in traces])
@@ -152,7 +154,7 @@ class TestQuadraticLaw:
             assert abs(emp - v_exact) <= 3 * se
 
     def test_mean_zero_by_symmetry(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=500, seed=3, init=InitLaw.point([0.0]))
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=500, x0=(0.0,))
         seeds = [replica_seed(3, i) for i in range(1000)]
         traces = run(ExactGradient(builtin("quadratic", 1)), cfg, seeds)
         end = np.array([t.iterates[-1, 0] for t in traces])
@@ -163,8 +165,8 @@ class TestQuadraticLaw:
         beta, eta = 1.0, 0.1
         p = builtin("quadratic", 1)
         orc = SphericalSmoothed(p, r=0.5, n_batch=4)
-        cfg = ChainConfig(beta=beta, eta=eta, k=200_000, seed=11)
-        t = run(orc, cfg)
+        cfg = ChainConfig(beta=beta, eta=eta, k=200_000)
+        (t,) = run(orc, cfg, [11])
         post = t.iterates[len(t.iterates) // 2 :, 0]
         target = 2.0 / (beta * (2.0 - eta))
         assert abs(post.var(ddof=1) - target) / target < 0.03
@@ -302,8 +304,8 @@ class TestBatchedFiniteSum:
         xs = 2.0 * rng.standard_normal((64, 1, d))
         for j in range(64):
             assert np.array_equal(new.grad_at(xs[j], block, j), ref.grad_at(xs[j], block, j))
-        cfg = ChainConfig(beta=1.0, eta=0.01, k=1000, seed=7)
-        assert np.array_equal(run(new, cfg).iterates, run(ref, cfg).iterates)
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=1000)
+        assert np.array_equal(run(new, cfg, [7])[0].iterates, run(ref, cfg, [7])[0].iterates)
 
     def test_rows_use_their_own_component(self):
         c = np.array([0.5, 1.0, 2.5, 4.0])
@@ -325,21 +327,14 @@ class TestBatchedFiniteSum:
             distinct.delta(0.5)
 
 
-def _solo(oracle, cfg, seed):
-    """The single chain at ``seed``, or its partial trace if it diverges."""
-    try:
-        return run(oracle, replace(cfg, seed=seed))
-    except ChainDivergenceError as err:
-        return err.trace
-
-
-def _assert_rows_match_solo_runs(oracle, cfg, n_chains):
-    seeds = [replica_seed(cfg.seed, i) for i in range(n_chains)]
+def _assert_rows_match_solo_runs(oracle, cfg, root, n_chains):
+    """Run replicas ``0 .. n_chains - 1`` of ``root`` together, and each alone;
+    a diverged chain is compared by its partial trace."""
+    seeds = [replica_seed(root, i) for i in range(n_chains)]
     traces = run(oracle, cfg, seeds)
     assert len(traces) == n_chains
     for seed, t in zip(seeds, traces):
-        solo = _solo(oracle, cfg, seed)
-        assert t.config.seed == seed
+        (solo,) = run(oracle, cfg, [seed])
         assert t.diverged_at == solo.diverged_at
         assert np.array_equal(t.steps, solo.steps)
         assert np.array_equal(t.iterates, solo.iterates)
@@ -357,9 +352,9 @@ def _lockstep_oracle(kind, d, n_batch):
 class TestStreamsAndReplicas:
     def test_ensemble_rows_match_single_runs(self):
         p = builtin("quadratic", 2)
-        cfg = ChainConfig(beta=1.0, eta=0.05, k=500, seed=77, record_stride=5)
+        cfg = ChainConfig(beta=1.0, eta=0.05, k=500, record_stride=5)
         for n_chains in (1, 2, 4, 5):
-            _assert_rows_match_solo_runs(ExactGradient(p), cfg, n_chains)
+            _assert_rows_match_solo_runs(ExactGradient(p), cfg, 77, n_chains)
 
     @pytest.mark.parametrize("n_chains", [1, 2, 5])
     @pytest.mark.parametrize("n_batch", [1, 3, 16])
@@ -370,13 +365,13 @@ class TestStreamsAndReplicas:
              "finite_sum-elastic_net_logistic-d10"],
     )
     def test_lockstep_rows_match_single_runs(self, kind, d, n_batch, n_chains):
-        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, seed=21, record_stride=7)
-        _assert_rows_match_solo_runs(_lockstep_oracle(kind, d, n_batch), cfg, n_chains)
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, record_stride=7)
+        _assert_rows_match_solo_runs(_lockstep_oracle(kind, d, n_batch), cfg, 21, n_chains)
 
     def test_groups_match_single_runs(self, monkeypatch):
         # a budget of two chains' blocks splits 5 chains into groups 2, 2, 1
         smoothed = _lockstep_oracle("smoothed", 1, 3)
-        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, seed=21, record_stride=7)
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, record_stride=7)
         monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_BYTES", 2 * 8 * 300 * 4 * 1)
         groups, lockstep = [], samplers._lockstep
 
@@ -385,25 +380,23 @@ class TestStreamsAndReplicas:
             return lockstep(oracle, cfg, seeds)
 
         monkeypatch.setattr(samplers, "_lockstep", counted)
-        _assert_rows_match_solo_runs(smoothed, cfg, 5)
+        _assert_rows_match_solo_runs(smoothed, cfg, 21, 5)
         assert groups == [2, 2, 1] + [1] * 5  # the lockstep run, then the solo runs
         monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_BYTES", 2 * 8 * 200 * 1 * 1)
-        cfg = ChainConfig(beta=1.0, eta=0.3, k=200, seed=1, record_stride=3)
+        cfg = ChainConfig(beta=1.0, eta=0.3, k=200, record_stride=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            traces = _assert_rows_match_solo_runs(ExactGradient(builtin("double_well", 1)), cfg, 5)
+            traces = _assert_rows_match_solo_runs(
+                ExactGradient(builtin("double_well", 1)), cfg, 1, 5)
         assert [t.diverged_at for t in traces] == [37, None, None, 18, None]
 
     def test_divergent_chain_stops_and_others_step_on(self):
         # on the double well at eta = 0.3 replicas 0 and 3 of root 1 blow up
-        # (at steps 37 and 18) within 200 steps and the others stay bounded
-        cfg = ChainConfig(beta=1.0, eta=0.3, k=200, seed=1, record_stride=3)
+        # (at steps 37 and 18) within 200 steps and the others stay bounded;
+        # each chain's diverged_at equals its lone run's
+        cfg = ChainConfig(beta=1.0, eta=0.3, k=200, record_stride=3)
         oracle = ExactGradient(builtin("double_well", 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            traces = _assert_rows_match_solo_runs(oracle, cfg, 5)
-            for i in (0, 3):
-                with pytest.raises(ChainDivergenceError) as exc:
-                    run(oracle, replace(cfg, seed=replica_seed(1, i)))
-                assert traces[i].diverged_at == exc.value.step_index
+            traces = _assert_rows_match_solo_runs(oracle, cfg, 1, 5)
         assert [t.diverged_at for t in traces] == [37, None, None, 18, None]
         assert traces[1].n_recorded == len(range(0, 201, 3)) + 1
 
@@ -434,7 +427,7 @@ class TestStreamsAndReplicas:
 
     def test_run_replicas_distinct_and_deterministic(self):
         p = builtin("quadratic", 1)
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=50, seed=5)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=50)
         seeds = [replica_seed(5, i) for i in range(3)]
         a = run(ExactGradient(p), cfg, seeds)
         b = run(ExactGradient(p), cfg, seeds)
@@ -500,7 +493,7 @@ class TestTraceCsv:
                 [1.0 / 3.0, -2.5e-310, 1e22, 123456789.0],
             ]
         )
-        chain = run(ExactGradient(builtin("quadratic", 4)), ChainConfig(1.0, 0.1, 200, seed=3))
+        (chain,) = run(ExactGradient(builtin("quadratic", 4)), ChainConfig(1.0, 0.1, 200), [3])
         trace = Trace(
             steps=np.concatenate([chain.steps, [201, 202, 2**40]]),
             iterates=np.vstack([chain.iterates, extremes]),
@@ -515,16 +508,16 @@ class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
         from mollmc.metrics import SampleSet
 
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=64, seed=10)
-        t = run(ExactGradient(builtin("quadratic", 2)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=64)
+        (t,) = run(ExactGradient(builtin("quadratic", 2)), cfg, [10])
         path = tmp_path / "trace.csv"
         write_trace_csv(t, path, provenance={"config": "abc", "seed": 10})
         loaded = SampleSet.from_csv(path)
         assert np.array_equal(loaded.points, t.iterates)
 
     def test_provenance_lines(self, tmp_path):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=4, seed=10)
-        t = run(ExactGradient(builtin("quadratic", 1)), cfg)
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=4)
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [10])
         path = tmp_path / "trace.csv"
         write_trace_csv(t, path, provenance={"config": "deadbeef", "seed": 10})
         text = path.read_text().splitlines()
