@@ -78,6 +78,13 @@ def _is_real(value) -> bool:
     return number and math.isfinite(value)
 
 
+def _check_root_seed(value: int, name: str) -> None:
+    """Reject a root seed outside ``[0, 2**64)``: the seed derivation reads it
+    modulo 2**64, so ``-5`` would rerun the experiment of ``2**64 - 5``."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
+
+
 def _check_positive(value, name: str, upper: float = math.inf) -> None:
     """Reject ``value`` unless it is a real number in ``(0, upper]``."""
     if not (_is_real(value) and 0.0 < value <= upper):
@@ -138,6 +145,7 @@ def validate_config(cfg: dict) -> dict:
     _check_positive(chain["eta"], "chain.eta")
     _check_integer(chain["k"], "chain.k")
     _check_integer(chain["seed"], "chain.seed", positive=False)
+    _check_root_seed(chain["seed"], "chain.seed")
     if "record_stride" in chain:
         _check_integer(chain["record_stride"], "chain.record_stride")
     if "init" in chain:
@@ -225,7 +233,10 @@ def build_chain_config(cfg: dict):
 def _n_workers(replicas: int) -> int:
     env = os.environ.get("MOLLMC_WORKERS", "")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"MOLLMC_WORKERS must be an integer, got {env!r}") from None
     return max(1, min(replicas, os.cpu_count() or 1))
 
 
@@ -267,9 +278,9 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
     The replicas are split into one contiguous shard per worker; each worker
     steps its shard in lockstep and writes that shard's traces itself.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     replicas = int(cfg.get("replicas", 1))
     workers = min(_n_workers(replicas), replicas)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cuts = [replicas * w // workers for w in range(workers + 1)]
     shards = list(zip(cuts[:-1], cuts[1:]))
 
@@ -455,6 +466,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _check_root_seed(args.seed, "--seed")
         return args.func(args)
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -61,24 +61,6 @@ class SampleSet:
             raise ValueError("burn_in must be smaller than the recorded length")
         return cls(trace.iterates[burn:])
 
-    @classmethod
-    def from_csv(cls, path) -> "SampleSet":
-        """Load the coordinate columns of a trace CSV (comment lines skipped)."""
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = None
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if header is None:
-                    header = line
-                    continue
-                rows.append([float(tok) for tok in line.split(",")[1:]])
-        if not rows:
-            raise ValueError(f"no data rows in {path}")
-        return cls(np.asarray(rows))
-
 
 def _paired(a: SampleSet, b: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     if a.n != b.n:

@@ -10,9 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mollmc.continuity import ModulusSpec
 from mollmc.potentials import FiniteSumPotential
+
+# every property test draws the same examples on every run, with no deadline
+settings.register_profile("mollmc", derandomize=True, deadline=None)
+settings.load_profile("mollmc")
 
 
 def gl_tensor(f, d, n_nodes):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -83,7 +83,6 @@ class TestKappaInf:
         assert kappa_inf(make_inputs(delta=(0, 0, 0.5, 0)), 0.1) > base
         assert kappa_inf(make_inputs(d=2), 0.1) > base
 
-    @settings(derandomize=True, deadline=None)
     @given(_admissible(), st.floats(1e-3, 0.5))
     def test_increasing_in_each_input(self, case, step):
         inputs, eta = case
@@ -280,7 +279,6 @@ class TestTheoremBound:
                 vals.append(theorem_bound(inputs, r=0.5, eta=0.05, k=50).w2_bound)
             assert vals[0] <= vals[1] <= vals[2]
 
-    @settings(derandomize=True, deadline=None)
     @given(_admissible(), st.integers(0, 3), st.floats(1e-3, 1.0), st.floats(0.01, 1.0),
            st.integers(1, 10**6))
     def test_w2_nondecreasing_in_each_delta_axis(self, case, axis, step, r, k):
@@ -296,7 +294,6 @@ class TestTheoremBound:
         terms = [theorem_bound(inputs, 0.5, 0.1, k).exp_term for k in (100, 1000, 10000)]
         assert terms[0] > terms[1] > terms[2]
 
-    @settings(derandomize=True, deadline=None)
     @given(_admissible(), st.floats(0.01, 1.0), st.integers(1, 10**6), st.integers(1, 10**6))
     def test_exp_term_decreasing_in_k_everywhere(self, case, r, k, dk):
         inputs, eta = case

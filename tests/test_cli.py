@@ -327,6 +327,16 @@ def test_sample_rejects_sg_lmc_alias(tmp_path, capsys):
     assert all(repr(algo) in err for algo in ALGORITHMS)
 
 
+def test_sample_rejects_a_bad_worker_count_before_any_output(tmp_path, capsys, monkeypatch):
+    # the count was read after the output directory existed, and int() named no variable
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MOLLMC_WORKERS", "abc")
+    Path("cfg.json").write_text(json.dumps(_LMC_D1))
+    assert main(["sample", "--config", "cfg.json", "--out", "o1"]) == EXIT_ERROR
+    assert "MOLLMC_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_sample_needs_an_output_directory(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_LMC_D1))
@@ -335,6 +345,28 @@ def test_sample_needs_an_output_directory(tmp_path, capsys):
 
 
 _LMC_PLAN = ["plan", "--epsilon", "1.0", "--d", "1", "--alpha", "1.0", "--execute"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+@pytest.mark.parametrize(
+    "command,named",
+    [("sample", "chain.seed"), ("sample", "--seed"), ("plan", "--seed")],
+    ids=["config", "sample-flag", "plan-flag"],
+)
+def test_root_seed_outside_64_bits_is_rejected(tmp_path, capsys, monkeypatch,
+                                               command, named, seed):
+    # the seed derivation reads the root modulo 2**64, so -1 ran the
+    # experiment of 2**64 - 1 under a different root_seed in summary.json
+    monkeypatch.chdir(tmp_path)
+    in_config = named == "chain.seed"
+    cfg = _with(_LMC_D1, ("chain", "seed"), seed) if in_config else _LMC_D1
+    Path("cfg.json").write_text(json.dumps(cfg))
+    argv = _LMC_PLAN if command == "plan" else ["sample"]
+    if not in_config:
+        argv = [*argv, f"--seed={seed}"]
+    assert main([*argv, "--config", "cfg.json", "--out", "out"]) == EXIT_ERROR
+    assert f"{named} must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_plan_execute_needs_config(capsys):

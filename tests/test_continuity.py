@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mollmc.continuity import ModulusSpec
@@ -74,20 +74,17 @@ _radii = st.floats(1e-6, 100.0)
 
 
 class TestTableProperties:
-    @settings(derandomize=True, deadline=None)
     @given(_tables(), _radii, _radii)
     def test_nondecreasing(self, m, r, s):
         lo, hi = min(r, s), max(r, s)
         assert m.eval(lo) <= m.eval(hi)
 
-    @settings(derandomize=True, deadline=None)
     @given(_tables())
     def test_bounds_every_knot(self, m):
         for r, w in zip(m.knots_r, m.knots_w):
             if r > 0.0:
                 assert m.eval(r) >= w
 
-    @settings(derandomize=True, deadline=None)
     @given(_tables(), st.floats(1.0, 1e3, exclude_min=True))
     def test_extension_dominates_last_knot(self, m, t):
         r = t * m.knots_r[-1]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mollmc.continuity import ModulusSpec
@@ -442,7 +442,6 @@ class TestStreamsAndReplicas:
         assert derive_seed(42, 1) == 2949826092126892291
         assert replica_seed(7, 0) != replica_seed(7, 1)
 
-    @settings(derandomize=True, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 65),
            st.lists(st.integers(0, 2**64 - 1), max_size=20))
     def test_derived_seeds_injective_in_index(self, root, start, extra):
@@ -453,7 +452,6 @@ class TestStreamsAndReplicas:
         assert len(seeds) == len(indices)
         assert all(0 <= s < 2**64 for s in seeds)
 
-    @settings(derandomize=True, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(max_value=-1))
     def test_derive_seed_rejects_negative_index(self, root, index):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -482,6 +480,30 @@ def _per_value_csv(trace, path, provenance=None):
             fh.write(f"# diverged_at_step={trace.diverged_at}\n")
 
 
+def _assert_csv_matches_per_value(directory, steps, iterates):
+    """write_trace_csv writes the bytes of the per-value reference."""
+    trace = Trace(
+        steps=np.asarray(steps, dtype=np.int64),
+        iterates=np.asarray(iterates, dtype=float),
+        config=ChainConfig(1.0, 0.1, 1),
+        elapsed=0.0,
+    )
+    write_trace_csv(trace, directory / "new.csv")
+    _per_value_csv(trace, directory / "ref.csv")
+    assert (directory / "new.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+
+
+def _ulps_around(x, n):
+    """The doubles ``x`` and its ``n`` neighbours on either side."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
 class TestTraceCsv:
     @pytest.mark.parametrize("diverged_at", [None, 9])
     @pytest.mark.parametrize("provenance", [None, {"config": "abc", "seed": 2**64 - 1}])
@@ -505,15 +527,61 @@ class TestTraceCsv:
         _per_value_csv(trace, tmp_path / "ref.csv", provenance=provenance)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_round_trip_exact(self, tmp_path):
-        from mollmc.metrics import SampleSet
+    def test_bytes_match_on_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(2026)
+        anywhere = rng.integers(0, 2**64, size=(500, 10), dtype=np.uint64)
+        # exponents of [6e-5, 3.4e7): the fixed-notation window and its edges
+        exponent = rng.integers(1009, 1048, size=(2000, 10), dtype=np.uint64)
+        mantissa = rng.integers(0, 2**52, size=(2000, 10), dtype=np.uint64)
+        sign = rng.integers(0, 2, size=(2000, 10), dtype=np.uint64) << np.uint64(63)
+        fixed = sign | exponent << np.uint64(52) | mantissa
+        bits = np.vstack([anywhere, fixed])
+        _assert_csv_matches_per_value(tmp_path, np.arange(len(bits)), bits.view(np.float64))
 
+    def test_bytes_match_on_ties_powers_of_ten_zeros_and_subnormals(self, tmp_path):
+        # N / 2**j with N * 5**j of 18 digits ends in 5: a tie at 17 digits
+        rng = np.random.default_rng(7)
+        ties = [131073 / 2**17]
+        for j in range(2, 26):
+            lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+            ties += [(int(n) | 1) / 2**j for n in rng.integers(lo, hi, size=8)]
+        powers = [v for p in range(-15, 18) for v in _ulps_around(10.0**p, 4)]
+        specials = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.5e-310]
+        values = np.array(ties + powers + specials)
+        rows = np.concatenate([values, -values]).reshape(-1, 1)
+        _assert_csv_matches_per_value(tmp_path, np.arange(len(rows)), rows)
+        text = (tmp_path / "new.csv").read_text().splitlines()
+        assert text[1] == "0,1.0000076293945312"  # rounded half to even
+
+    @pytest.mark.parametrize("d", [1, 10])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_bytes_match_across_block_edges(self, tmp_path, d, extra):
+        block = samplers._CSV_BLOCK // d
+        rows = block + extra
+        values = np.random.default_rng(d).standard_normal((rows, d))
+        # rows formatted by "%" on both sides of the first block edge
+        edge = min(block, rows - 1)
+        values[edge - 1, 0] = values[edge, -1] = 1e-5
+        steps = 5 * np.arange(rows)
+        steps[-4:] = [10**8 - 1, 10**8, 2**40, 2**63 - 1]
+        _assert_csv_matches_per_value(tmp_path, steps, values)
+
+    @given(st.lists(st.tuples(st.integers(0, 2**63 - 1),
+                              st.floats(), st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
+                    min_size=1, max_size=20))
+    def test_bytes_match_on_any_rows(self, tmp_path_factory, rows):
+        _assert_csv_matches_per_value(
+            tmp_path_factory.mktemp("csv"), [r[0] for r in rows], [r[1:] for r in rows]
+        )
+
+    def test_round_trip_exact(self, tmp_path):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=64)
         (t,) = run(ExactGradient(builtin("quadratic", 2)), cfg, [10])
         path = tmp_path / "trace.csv"
         write_trace_csv(t, path, provenance={"config": "abc", "seed": 10})
-        loaded = SampleSet.from_csv(path)
-        assert np.array_equal(loaded.points, t.iterates)
+        rows = [line.split(",") for line in path.read_text().splitlines()[3:]]
+        assert np.array_equal([int(row[0]) for row in rows], t.steps)
+        assert np.array_equal([[float(v) for v in row[1:]] for row in rows], t.iterates)
 
     def test_provenance_lines(self, tmp_path):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=4)
