@@ -84,17 +84,22 @@ class BoundInputs:
     a_abs: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1:
+        # each comparison is written so that NaN fails it
+        if not self.d >= 1:
             raise ValueError("d must be a positive integer")
         for name in ("beta", "m", "m_tilde", "a_abs"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         for name in ("b", "b_tilde", "kappa0", "grad_u_mnorm", "g_tilde_mnorm",
                      "omega_g_tilde_one", "u0"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if len(self.delta) != 4 or any(v < 0.0 for v in self.delta):
-            raise ValueError("delta must be four nonnegative reals")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not math.isfinite(self.p0_sup_log):
+            raise ValueError(f"p0_sup_log must be finite, got {self.p0_sup_log}")
+        if len(self.delta) != 4 or not all(0.0 <= v < math.inf for v in self.delta):
+            raise ValueError(f"delta must be four finite nonnegative reals, got {self.delta}")
         object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
 
 

@@ -8,7 +8,10 @@ Subcommands:
   it with verification margins (optionally feeding it into ``sample``),
 * ``bound`` evaluates every envelope constant for a configured run.
 
-The config is one JSON file with nested keys; unknown keys are errors, not
+The config is one JSON file with nested keys.  ``_KEYS`` is the reference for
+its format: it maps each key path to what the value must be, and
+``_REQUIRED`` lists the keys each algorithm needs.  Every key is checked
+wherever it appears, whatever the algorithm.  Unknown keys are errors, not
 warnings, because a silently ignored misspelling is the main failure mode of
 numerical experiments.  Every output embeds the config hash and the seed it
 was produced from.  Replica ``i`` runs under the seed derived from the root
@@ -38,7 +41,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -49,141 +51,113 @@ EXIT_ERROR = 1
 EXIT_DIVERGED = 3
 EXIT_REFUSED = 4
 
-_SCHEMA = {
-    "potential": {"name", "d", "params"},
-    "algorithm": None,
-    "chain": {"beta", "eta", "k", "seed", "init", "record_stride"},
-    "smoothing": {"r", "n_batch"},
-    "finite_sum": {"n_components"},
-    "replicas": None,
-    "outputs": None,
-}
-_INIT_KEYS = {"kind", "x0"}
-
-
-def _check_integer(value, name: str, positive: bool = True) -> None:
-    """Reject ``value`` unless it is an integer, and a positive one when
-    ``positive``.  JSON ``2.0`` counts as 2; ``true``, ``2.7`` and ``"2"`` do not,
-    because ``int()`` would run them as some other integer."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or (positive and value < 1):
-        kind = "a positive integer" if positive else "an integer"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-
 
 def _is_real(value) -> bool:
     """Whether ``value`` is a finite JSON number.  JSON ``1`` counts as 1.0;
-    ``true`` and ``"0.1"`` do not, though ``float()`` takes them."""
+    ``true`` and ``"0.1"`` do not, though ``float()`` takes them, and neither
+    does an integer beyond float range, which ``float()`` rejects."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and math.isfinite(value)
+    return number and abs(value) <= sys.float_info.max
 
 
-def _check_root_seed(value: int, name: str) -> None:
-    """Reject a root seed outside ``[0, 2**64)``: the seed derivation reads it
-    modulo 2**64, so ``-5`` would rerun the experiment of ``2**64 - 5``."""
-    if not 0 <= value < 2**64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
+# A rule is what a value must be, as text for the message, and its predicate.
+# A count is an integral number, so JSON 2.0 counts as 2, but 2.7 does not,
+# because int() would run it as some other integer.
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_POSITIVE = ("a positive number", lambda v: _is_real(v) and v > 0.0)
+_COUNT = ("a positive integer", lambda v: _is_real(v) and v >= 1 and v == int(v))
+# the seed derivation reads the root modulo 2**64, so -5 would rerun the
+# experiment of 2**64 - 5
+_SEED = ("in [0, 2**64)", lambda v: _is_real(v) and 0 <= v < 2**64 and v == int(v))
+
+# Every key a config may hold; ("potential", "params", "*") stands for any
+# parameter name.  A key is checked against its rule wherever it appears,
+# whatever the algorithm, and a key that is not here is an error.
+_KEYS = {
+    ("potential",): _OBJECT,
+    ("potential", "name"): _TEXT,
+    ("potential", "d"): _COUNT,
+    ("potential", "params"): _OBJECT,
+    ("potential", "params", "*"): ("a real number", _is_real),
+    ("algorithm",): (f"one of {ALGORITHMS}", lambda v: v in ALGORITHMS),
+    ("chain",): _OBJECT,
+    ("chain", "beta"): _POSITIVE,
+    ("chain", "eta"): _POSITIVE,
+    ("chain", "k"): _COUNT,
+    ("chain", "seed"): _SEED,
+    ("chain", "record_stride"): _COUNT,
+    ("chain", "init"): _OBJECT,
+    ("chain", "init", "kind"): ("'gaussian' or 'point'", lambda v: v in ("gaussian", "point")),
+    ("chain", "init", "x0"):
+        ("a list of real numbers", lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    ("smoothing",): _OBJECT,
+    ("smoothing", "r"): ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0),
+    ("smoothing", "n_batch"): _COUNT,
+    ("finite_sum",): _OBJECT,
+    ("finite_sum", "n_components"): _COUNT,
+    ("replicas",): _COUNT,
+    ("outputs",): _TEXT,
+}
+
+# The keys each algorithm needs; a listed key must be present wherever its
+# parent is, so chain.init needs a kind only when the chain has an init.
+_LMC_KEYS = (("potential",), ("potential", "name"), ("potential", "d"), ("algorithm",), ("chain",),
+             *(("chain", key) for key in ("beta", "eta", "k", "seed")), ("chain", "init", "kind"))
+_SMOOTHED_KEYS = (*_LMC_KEYS, ("smoothing",), ("smoothing", "r"), ("smoothing", "n_batch"))
+_REQUIRED = {"lmc": _LMC_KEYS, "ss_lmc": _SMOOTHED_KEYS,
+             "ss_sg_lmc": (*_SMOOTHED_KEYS, ("finite_sum",), ("finite_sum", "n_components"))}
 
 
-def _check_positive(value, name: str, upper: float = math.inf) -> None:
-    """Reject ``value`` unless it is a real number in ``(0, upper]``."""
-    if not (_is_real(value) and 0.0 < value <= upper):
-        kind = "a positive number" if upper == math.inf else f"a number in (0, {upper:g}]"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+def _must(name: str, what: str, value) -> str:
+    return f"{name} must be {what}, got {value!r}"
+
+
+def _check(value, name: str, rule) -> None:
+    what, ok = rule
+    if not ok(value):
+        raise ValueError(_must(name, what, value))
+
+
+def _walk(node: dict, path: tuple) -> None:
+    """Check each key under ``node`` against its rule in ``_KEYS``."""
+    for key, value in node.items():
+        sub = (*path, key)
+        rule = _KEYS.get(sub, _KEYS.get((*path, "*")))
+        if rule is None:
+            raise ValueError(f"unknown key {key!r} in {'.'.join(path) or 'config'}")
+        _check(value, ".".join(sub), rule)
+        if rule is _OBJECT:
+            _walk(value, sub)
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate nested keys and ranges; returns the config unchanged.
-
-    The potential is built once here, so that its own range checks fail
-    before any output exists."""
+    """Check the config against ``_KEYS`` and ``_REQUIRED``; returns it unchanged.
+    The potential is built once here, so that its own range checks fail before
+    any output exists."""
     from .potentials import BUILTIN_NAMES, builtin
 
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    for key in cfg:
-        if key not in _SCHEMA:
-            raise ValueError(f"unknown key {key!r} at config top level")
-    for key in ("potential", "algorithm", "chain"):
-        if key not in cfg:
-            raise ValueError(f"config is missing required key {key!r}")
-    for section, allowed in _SCHEMA.items():
-        if allowed is None or section not in cfg:
-            continue
-        if not isinstance(cfg[section], dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        for key in cfg[section]:
-            if key not in allowed:
-                raise ValueError(f"unknown key {key!r} in config section {section!r}")
+    _check(cfg, "config", _OBJECT)
+    _walk(cfg, ())
+    # an absent algorithm is reported as missing by the lmc list
+    for *head, key in _REQUIRED.get(cfg.get("algorithm"), _LMC_KEYS):
+        parent = cfg
+        for step in head:
+            parent = None if parent is None else parent.get(step)
+        if parent is not None and key not in parent:
+            raise ValueError(f"{'.'.join(head) or 'config'} is missing required key {key!r}")
 
-    pot = cfg["potential"]
-    if pot.get("name") not in BUILTIN_NAMES:
-        raise ValueError(
-            f"potential name must be one of {BUILTIN_NAMES}, got {pot.get('name')!r}"
-        )
-    _check_integer(pot.get("d"), "potential.d")
-    params = pot.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("potential.params must be an object")
-    for key, value in params.items():
-        if not _is_real(value):
-            raise ValueError(f"potential.params.{key} must be a real number, got {value!r}")
+    pot, init = cfg["potential"], cfg["chain"].get("init", {"kind": "gaussian"})
+    if pot["name"] not in BUILTIN_NAMES:
+        raise ValueError(_must("potential.name", f"one of {BUILTIN_NAMES}", pot["name"]))
+    if (init["kind"] == "point") != ("x0" in init):
+        raise ValueError("chain.init.x0 must be given exactly when chain.init.kind is 'point'")
+    if "x0" in init and len(init["x0"]) != pot["d"]:
+        raise ValueError(_must("chain.init.x0", f"of length potential.d = {pot['d']}", init["x0"]))
     try:
-        builtin(pot["name"], int(pot["d"]), **params)
+        builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
     except ValueError as err:
         raise ValueError(f"potential.params: {err}") from None
-
-    algo = cfg["algorithm"]
-    if algo not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algo!r}")
-
-    chain = cfg["chain"]
-    for key in ("beta", "eta", "k", "seed"):
-        if key not in chain:
-            raise ValueError(f"chain section is missing {key!r}")
-    _check_positive(chain["beta"], "chain.beta")
-    _check_positive(chain["eta"], "chain.eta")
-    _check_integer(chain["k"], "chain.k")
-    _check_integer(chain["seed"], "chain.seed", positive=False)
-    _check_root_seed(chain["seed"], "chain.seed")
-    if "record_stride" in chain:
-        _check_integer(chain["record_stride"], "chain.record_stride")
-    if "init" in chain:
-        init = chain["init"]
-        if not isinstance(init, dict) or "kind" not in init:
-            raise ValueError("chain.init must be an object with a 'kind'")
-        for key in init:
-            if key not in _INIT_KEYS:
-                raise ValueError(f"unknown key {key!r} in chain.init")
-        if init["kind"] not in ("gaussian", "point"):
-            raise ValueError("chain.init.kind must be 'gaussian' or 'point'")
-        if (init["kind"] == "point") != ("x0" in init):
-            raise ValueError("chain.init.x0 must be given exactly when chain.init.kind is 'point'")
-        x0 = init.get("x0")
-        if init["kind"] == "point" and not (
-            isinstance(x0, list) and len(x0) == pot["d"] and all(map(_is_real, x0))
-        ):
-            raise ValueError(
-                f"chain.init.x0 must be a list of potential.d = {pot['d']} real numbers, "
-                f"got {x0!r}"
-            )
-
-    sm = cfg.get("smoothing", {})
-    if algo in ("ss_lmc", "ss_sg_lmc"):
-        if "smoothing" not in cfg:
-            raise ValueError(f"algorithm {algo!r} needs a smoothing section")
-        _check_positive(sm.get("r"), "smoothing.r", upper=1.0)
-        _check_integer(sm.get("n_batch"), "smoothing.n_batch")
-    elif "r" in sm:  # `bound` analyses an lmc config at this radius
-        _check_positive(sm["r"], "smoothing.r", upper=1.0)
-    if algo == "ss_sg_lmc":
-        if "finite_sum" not in cfg:
-            raise ValueError(f"algorithm {algo!r} needs a finite_sum section")
-        _check_integer(cfg["finite_sum"].get("n_components"), "finite_sum.n_components")
-    if "replicas" in cfg:
-        _check_integer(cfg["replicas"], "replicas")
-    if "outputs" in cfg and not (isinstance(cfg["outputs"], str) and cfg["outputs"]):
-        raise ValueError(f"outputs must be a non-empty string, got {cfg['outputs']!r}")
     return cfg
 
 
@@ -234,9 +208,11 @@ def _n_workers(replicas: int) -> int:
     env = os.environ.get("MOLLMC_WORKERS", "")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"MOLLMC_WORKERS must be an integer, got {env!r}") from None
+            raise ValueError(_must("MOLLMC_WORKERS", "an integer", env)) from None
+        _check(workers, "MOLLMC_WORKERS", _COUNT)
+        return workers
     return max(1, min(replicas, os.cpu_count() or 1))
 
 
@@ -467,7 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:
-            _check_root_seed(args.seed, "--seed")
+            _check(args.seed, "--seed", _SEED)
         return args.func(args)
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -30,6 +30,7 @@ module implements the proof-consistent pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -66,14 +67,20 @@ class PlanRequest:
     omega_one: float = 1.0
 
     def __post_init__(self):
+        # each comparison is written so that NaN fails it
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("d must be a positive integer")
-        if self.c_const < 1.0:
-            raise ValueError(f"envelope constant must be at least 1, got {self.c_const}")
-        if self.m <= 0.0 or self.omega_one <= 0.0:
-            raise ValueError("m and omega_one must be positive")
+        if not (1 <= self.d < math.inf) or int(self.d) != self.d:
+            raise ValueError(f"d must be a positive integer, got {self.d}")
+        if not (1.0 <= self.c_const < math.inf):
+            raise ValueError(f"c_const must be a finite envelope constant of at least 1, "
+                             f"got {self.c_const}")
+        for name in ("m", "omega_one"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass

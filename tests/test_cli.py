@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -258,6 +259,11 @@ _BAD_VALUES = [
     (("potential", "params"), [0.5], "potential.params", "params-list"),
     (("outputs",), 5, "outputs", "outputs-number"),
     (("outputs",), "", "outputs", "outputs-empty"),
+    (("smoothing", "n_batch"), "3", "smoothing.n_batch", "n_batch-string-on-lmc"),
+    (("finite_sum", "n_components"), True, "finite_sum.n_components", "n_components-bool-on-lmc"),
+    (("potential", "name"), "nope", "potential.name", "unknown-potential"),
+    (("chain", "init"), {"kind": "uniform"}, "chain.init.kind", "unknown-init-kind"),
+    (("chain",), [1], "chain", "chain-list"),
 ]
 
 
@@ -327,14 +333,70 @@ def test_sample_rejects_sg_lmc_alias(tmp_path, capsys):
     assert all(repr(algo) in err for algo in ALGORITHMS)
 
 
-def test_sample_rejects_a_bad_worker_count_before_any_output(tmp_path, capsys, monkeypatch):
-    # the count was read after the output directory existed, and int() named no variable
+@pytest.mark.parametrize(
+    "workers,message",
+    [
+        ("abc", "MOLLMC_WORKERS must be an integer, got 'abc'"),
+        ("0", "MOLLMC_WORKERS must be a positive integer, got 0"),
+        ("-3", "MOLLMC_WORKERS must be a positive integer, got -3"),
+    ],
+    ids=["abc", "0", "-3"],
+)
+def test_sample_rejects_a_bad_worker_count_before_any_output(tmp_path, capsys, monkeypatch,
+                                                             workers, message):
+    # the count was read after the output directory existed, and int() named no
+    # variable; a count below 1 ran as one worker
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("MOLLMC_WORKERS", "abc")
+    monkeypatch.setenv("MOLLMC_WORKERS", workers)
     Path("cfg.json").write_text(json.dumps(_LMC_D1))
     assert main(["sample", "--config", "cfg.json", "--out", "o1"]) == EXIT_ERROR
-    assert "MOLLMC_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+_BOUND = ["bound", "--config", "cfg.json"]
+_PLAN = ["plan", "--epsilon", "0.5", "--d", "1", "--alpha", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        ([*_BOUND, "--a-abs", "nan"], "a_abs"),
+        ([*_BOUND, "--a-abs", "inf"], "a_abs"),
+        ([*_PLAN, "--c-const", "nan"], "c_const"),
+        ([*_PLAN, "--m", "inf"], "m"),
+        ([*_PLAN, "--omega-one", "inf"], "omega_one"),
+    ],
+    ids=["a_abs-nan", "a_abs-inf", "c_const-nan", "m-inf", "omega_one-inf"],
+)
+def test_non_finite_reals_are_rejected_by_name(tmp_path, capsys, monkeypatch, argv, field):
+    # NaN passed the `x <= 0.0` checks: bound printed a NaN bound with exit 0,
+    # plan --m inf passed its verification, and plan --c-const nan failed in int()
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(_SAMPLE_CONFIGS["ss_lmc"]))
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"error: {field} must be" in captured.err
+    assert captured.out == ""
+
+
+def test_integral_floats_pass_and_keep_the_config_hash(tmp_path, capsys):
+    # the hash is of the config as written: validation must not normalise 2.0 to 2
+    cfg = {
+        "potential": {"name": "quadratic", "d": 2.0},
+        "algorithm": "lmc",
+        "chain": {"beta": 1.0, "eta": 0.1, "k": 20.0, "seed": 4.0},
+    }
+    written = json.dumps(cfg)
+    assert cli.validate_config(cfg) is cfg and json.dumps(cfg) == written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(written)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    expected = hashlib.sha256(cli.canonical_json(cfg).encode("utf-8")).hexdigest()
+    assert summary["config_sha256"] == expected
 
 
 def test_sample_needs_an_output_directory(tmp_path, capsys):
