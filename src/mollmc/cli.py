@@ -375,7 +375,7 @@ def cmd_bound(args) -> int:
     oracle = build_oracle(cfg)
     if args.r is not None:
         r = float(args.r)
-    elif "smoothing" in cfg:
+    elif "r" in cfg.get("smoothing", {}):
         r = float(cfg["smoothing"]["r"])
     else:
         print("error: exact-gradient configs need --r (analysis radius)", file=sys.stderr)

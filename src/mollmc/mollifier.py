@@ -26,6 +26,8 @@ import numpy as np
 
 __all__ = ["Mollifier", "density", "grad_density", "grad_l1_norm", "sample"]
 
+_NORM_ROWS = 8192  # rows squared at a time by _row_norms
+
 
 @dataclass(frozen=True)
 class Mollifier:
@@ -106,13 +108,26 @@ def grad_l1_norm(d: int) -> float:
     return (d + 6) * (d + 4) * (d + 2) * d / ((d + 5) * (d + 3) * (d + 1))
 
 
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(g, axis=1)`` bit for bit: ``sqrt(add.reduce(g*g, axis=1))``,
+    squaring :data:`_NORM_ROWS` rows at a time into one scratch array."""
+    norms = np.empty(len(g))
+    sq = np.empty((min(len(g), _NORM_ROWS), g.shape[1]))
+    for lo in range(0, len(g), _NORM_ROWS):
+        rows = g[lo:lo + _NORM_ROWS]
+        s = np.multiply(rows, rows, out=sq[:len(rows)])
+        np.add.reduce(s, axis=1, out=norms[lo:lo + len(rows)])
+    return np.sqrt(norms, out=norms)
+
+
 def sample(m: Mollifier, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Exact draws with density ``rho_r``.
 
     Direction is a normalised Gaussian vector (redrawn in the measure-zero
     event of a zero norm); the radius is ``r * sqrt(B)`` with
     ``B ~ Beta(d/2, 4)``.  Consumption order per call: all direction
-    Gaussians first, then all Beta draws.
+    Gaussians first, then all Beta draws.  The Gaussian array is normalised
+    and scaled in place, so a call holds its result and ``O(size)`` scratch.
 
     Returns shape ``(d,)`` when ``size`` is None, else ``(size, d)``.
     """
@@ -122,11 +137,15 @@ def sample(m: Mollifier, rng: np.random.Generator, size: int | None = None) -> n
         raise ValueError("size must be at least 1")
     d = m.dim
     g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
+    norms = _row_norms(g)
     while np.any(norms == 0.0):  # pragma: no cover - probability zero
         bad = norms == 0.0
         g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(g, axis=1)
-    b = rng.beta(0.5 * d, 4.0, size=n)
-    pts = g / norms[:, None] * (m.radius * np.sqrt(b))[:, None]
-    return pts[0] if single else pts
+        norms = _row_norms(g)
+    scale = rng.beta(0.5 * d, 4.0, size=n)
+    np.sqrt(scale, out=scale)
+    scale *= m.radius
+    # the bits of g / norms[:, None] * (radius * sqrt(b))[:, None]
+    g /= norms[:, None]
+    g *= scale[:, None]
+    return g[0] if single else g

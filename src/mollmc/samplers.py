@@ -29,9 +29,13 @@ bit for bit, whichever other chains step beside it, and parallel replicas
 never share a stream.  Noise is pre-drawn in fixed blocks of
 :data:`NOISE_BLOCK` steps, each chain's block from its own streams; the block
 size is part of the reproducibility contract.  A block holds
-``C * NOISE_BLOCK * d`` Gaussians and ``C * NOISE_BLOCK * n_batch * d``
-smoothing draws, so large ensembles step in groups whose blocks stay within
-:data:`LOCKSTEP_BLOCK_BYTES`.
+``C * NOISE_BLOCK * d`` Gaussians, ``C * NOISE_BLOCK * n_batch * d``
+smoothing draws and, for a finite sum, ``C * NOISE_BLOCK * n_batch`` int64
+component picks, so large ensembles step in groups whose blocks stay within
+:data:`LOCKSTEP_BLOCK_BYTES`.  At its peak a group holds its block, one
+chain's kernel draw (``NOISE_BLOCK * n_batch * d`` floats, freed before the
+next chain draws) and its trace array: a spent block is dropped before the
+next one is drawn.
 
 The oracles share one protocol.  ``dim`` is ``d``; ``n_batch`` counts kernel
 points per chain and step (0 for the exact gradient); ``potential`` is what
@@ -273,6 +277,7 @@ def _smoothing_block(unit: Mollifier, r: float, n_steps: int, n_batch: int, rngs
     for c, g in enumerate(rngs):
         z = _kernel_sample(unit, g, size=n_steps * n_batch)
         np.multiply(r, z.reshape(n_steps, n_batch, unit.dim), out=block[:, c])
+        del z  # one chain's draw at a time
     return block
 
 
@@ -302,8 +307,10 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
         raise ValueError("seeds must fit in 64 bits")
     if cfg.x0 is not None and len(cfg.x0) != oracle.dim:
         raise ValueError(f"x0 has {len(cfg.x0)} coordinates, the chain has dim {oracle.dim}")
-    # one chain's block: d Gaussians and n_batch * d smoothing draws per step
-    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * (1 + oracle.n_batch) * oracle.dim
+    # one chain's block per step: d Gaussians, n_batch * d smoothing draws and,
+    # for a finite sum, n_batch int64 component picks
+    picks = oracle.n_batch if isinstance(oracle, FiniteSumSpherical) else 0
+    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * ((1 + oracle.n_batch) * oracle.dim + picks)
     size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
     traces = []
     for lo in range(0, len(chain_seeds), size):
@@ -362,6 +369,7 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
                 out[:, rec_pos] = x
                 rec_pos += 1
                 next_record = record[rec_pos] if rec_pos < len(record) else -1
+        del z_block, o_block  # free the spent block before the next is drawn
 
     elapsed = time.perf_counter() - t0
     return [
@@ -388,7 +396,9 @@ def ss_gradient_batch(oracle, x, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 # Trace CSV rows are formatted a block of values at a time (see write_trace_csv).
-_CSV_BLOCK = 8192  # values per block; bounds the writer's temporaries
+_CSV_BLOCK = 8192  # values per block; bounds the writer's buffers
+# digits a field can show: 10**6 .. 10**-20, as fixed values have -4 <= k <= 6
+_MAX_POS = 27
 _POW5 = np.array([5**s for s in range(21)], dtype=np.uint64)
 _ZEROS = 0x3030303030303030  # eight ASCII "0" bytes
 _LSB = 0x0101010101010101
@@ -447,9 +457,12 @@ def _byte_mask(x: np.ndarray) -> np.ndarray:
     return (((x + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080) >> 7) * 0xFF
 
 
-def _digit_rows(q: np.ndarray) -> np.ndarray:
+def _digit_rows(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """48-byte rows holding digit ``i`` of ``q < 10**17`` at byte ``15 + i``, after
-    15 ASCII zeros; trailing zeros of ``q`` and the 16 bytes after it are NUL."""
+    15 ASCII zeros; trailing zeros of ``q`` and the 16 bytes after it are NUL.
+
+    Written into the first ``q.size`` rows of ``rows`` ``(n, 6)`` uint64, whose
+    last two words must already be zero."""
     top = q // 10**8
     lead = top // 10**8
     mid8, low8 = _digits8(top - lead * 10**8), _digits8(q - top * 10**8)
@@ -458,7 +471,7 @@ def _digit_rows(q: np.ndarray) -> np.ndarray:
         x |= x >> 8
         x |= x >> 16
         x |= x >> 32
-    rows = np.zeros((q.size, 6), np.dtype("<u8"))
+    rows = rows[:q.size]
     rows[:, 0] = _ZEROS
     rows[:, 1] = (lead + 0x30) << 56 | _ZEROS >> 8
     rows[:, 2] = mid8 & _byte_mask(x_mid | (x_low != 0).astype(np.uint64) * _LSB)
@@ -476,7 +489,22 @@ def _step_digits(s: np.ndarray) -> np.ndarray:
     return np.asarray(digits & _byte_mask(x), np.dtype("<u8")).view(np.uint8).reshape(-1, 8)
 
 
-def _csv_rows(steps: np.ndarray, values: np.ndarray) -> str:
+class _CsvScratch:
+    """The buffers that every block of one :func:`write_trace_csv` call reuses,
+    for blocks of up to ``n_values`` values in rows of ``d``: the values' digit
+    rows, their fields and the block's text.  They share one allocation."""
+
+    def __init__(self, n_values: int, d: int):
+        n_digits, n_field = 48 * n_values, n_values * (_MAX_POS + 3)
+        n_text = n_field + n_values // d * 9
+        buf = np.empty(n_digits + n_field + n_text, np.uint8)
+        self.digits = buf[:n_digits].view(np.dtype("<u8")).reshape(n_values, 6)
+        self.digits[:, 4:] = 0  # _digit_rows leaves words 4 and 5 zero
+        self.field = buf[n_digits:n_digits + n_field]
+        self.text = buf[n_digits + n_field:]
+
+
+def _csv_rows(steps: np.ndarray, values: np.ndarray, scratch: _CsvScratch) -> list[bytes]:
     """The rows ``"%d" + ",%.17g" * d`` of a block of steps and float64 values.
 
     Each field is cut from its value's digit row at the same columns for the
@@ -499,9 +527,9 @@ def _csv_rows(steps: np.ndarray, values: np.ndarray) -> str:
     # and the digits at 10**-1 .. 10**p_min
     p_max, p_min = max(int(k.max()), 0), int(k.min()) - 16
     n_int, n_pos = p_max + 1, p_max + 1 - p_min
-    windows = sliding_window_view(_digit_rows(q).view(np.uint8), n_pos, axis=1)
+    windows = sliding_window_view(_digit_rows(q, scratch.digits).view(np.uint8), n_pos, axis=1)
     cut = windows[np.arange(v.size), 15 + k - p_max]
-    field = np.empty((v.size, n_pos + 3), np.uint8)
+    field = scratch.field[:v.size * (n_pos + 3)].reshape(v.size, n_pos + 3)
     field[:, 0] = ord(",")
     field[:, 1] = np.signbit(v) * ord("-")
     np.bitwise_or(cut[:, :n_int], 0x30, out=field[:, 2:n_int + 2])
@@ -513,20 +541,22 @@ def _csv_rows(steps: np.ndarray, values: np.ndarray) -> str:
     ok = (steps >= 0) & (steps < 10**8)
     s = np.where(ok, steps, 0).astype(np.uint64)
     w_step = len(str(int(s.max())))
-    text = np.concatenate(
+    width = w_step + d * (n_pos + 3) + 1
+    text = scratch.text[:n_rows * width].reshape(n_rows, width)
+    np.concatenate(
         [_step_digits(s)[:, 8 - w_step:], field.reshape(n_rows, -1),
-         np.full((n_rows, 1), ord("\n"), np.uint8)],
-        axis=1,
+         np.broadcast_to(np.uint8(ord("\n")), (n_rows, 1))],
+        axis=1, out=text,
     )
 
     row_fmt = "%d" + ",%.17g" * d + "\n"
     pieces, start = [], 0
     for i in sorted(set(slow.tolist()) | set(np.flatnonzero(~ok).tolist())):
-        pieces.append(text[start:i].tobytes().translate(None, b"\0").decode("ascii"))
-        pieces.append(row_fmt % (steps[i], *values[i].tolist()))
+        pieces.append(text[start:i].tobytes().translate(None, b"\0"))
+        pieces.append((row_fmt % (steps[i], *values[i].tolist())).encode("ascii"))
         start = i + 1
-    pieces.append(text[start:].tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+    pieces.append(text[start:].tobytes().translate(None, b"\0"))
+    return pieces
 
 
 def write_trace_csv(trace: Trace, path, provenance: dict | None = None) -> None:
@@ -537,7 +567,8 @@ def write_trace_csv(trace: Trace, path, provenance: dict | None = None) -> None:
     a divergence marker line is appended when the trace is partial.
 
     Each row is the text of ``"%d" + ",%.17g" * d``, byte for byte, but rows
-    are formatted in blocks of about :data:`_CSV_BLOCK` values with numpy.
+    are formatted in blocks of about :data:`_CSV_BLOCK` values with numpy,
+    into buffers that every block of the call reuses.
     The fast path covers a value ``v`` with ``1e-4 <= |v| < 1e7``, which
     ``%.17g`` prints in fixed notation, and ``±0``.  Its digits are the
     integer ``q = round_half_even(|v| * 10**(16 - k))``, ``k`` the decimal
@@ -548,14 +579,15 @@ def write_trace_csv(trace: Trace, path, provenance: dict | None = None) -> None:
     spliced in place.
     """
     d = trace.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in (provenance or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("step," + ",".join(f"x{j}" for j in range(d)) + "\n")
+    head = "".join(f"# {key}={val}\n" for key, val in (provenance or {}).items())
+    head += "step," + ",".join(f"x{j}" for j in range(d)) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
         steps = np.asarray(trace.steps, dtype=np.int64)
         iterates = np.asarray(trace.iterates, dtype=np.float64)
         block = max(1, _CSV_BLOCK // d)
+        scratch = _CsvScratch(min(block, len(steps)) * d, d)
         for lo in range(0, len(steps), block):
-            fh.write(_csv_rows(steps[lo:lo + block], iterates[lo:lo + block]))
+            fh.writelines(_csv_rows(steps[lo:lo + block], iterates[lo:lo + block], scratch))
         if trace.diverged_at is not None:
-            fh.write(f"# diverged_at_step={trace.diverged_at}\n")
+            fh.write(f"# diverged_at_step={trace.diverged_at}\n".encode("utf-8"))

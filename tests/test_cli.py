@@ -322,6 +322,17 @@ def test_bound_rejects_a_bad_radius_in_an_lmc_config(tmp_path, capsys):
     assert "smoothing.r must be" in capsys.readouterr().err
 
 
+def test_bound_asks_for_r_when_an_lmc_config_has_smoothing_without_r(tmp_path, capsys):
+    # smoothing.r is optional for lmc; its absence was a KeyError, "error: 'r'"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("smoothing", "n_batch"), 3)))
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "exact-gradient configs need --r" in captured.err
+    assert captured.out == ""
+    assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
+
+
 def test_sample_rejects_sg_lmc_alias(tmp_path, capsys):
     cfg = dict(_SAMPLE_CONFIGS["ss_sg_lmc"], algorithm="sg_lmc")
     cfg_path = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mollmc import mollifier
 from mollmc.mollifier import Mollifier, density, grad_density, grad_l1_norm, sample
 
 from conftest import gl_tensor
@@ -131,6 +132,24 @@ class TestSampler:
     def test_single_draw_shape(self, rng):
         z = sample(Mollifier(5, 1.0), rng)
         assert z.shape == (5,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 17])
+    @pytest.mark.parametrize("rows", [None, -1, 0, 1], ids=["single", "scratch-1", "scratch",
+                                                           "scratch+1"])
+    def test_in_place_draw_has_the_bits_of_the_formula(self, d, rows):
+        # sample normalises and scales in place and squares its rows a scratch
+        # array at a time; the reference is the whole-array formula it replaced
+        size = None if rows is None else mollifier._NORM_ROWS + rows
+        m = Mollifier(d, 0.3)
+        rng, replay = np.random.default_rng(1000 + d), np.random.default_rng(1000 + d)
+        g = replay.standard_normal((1 if size is None else size, d))
+        b = replay.beta(0.5 * d, 4.0, size=len(g))
+        ref = g / np.linalg.norm(g, axis=1)[:, None] * (m.radius * np.sqrt(b))[:, None]
+        if size is None:
+            ref = ref[0]
+        z = sample(m, rng, size=size)
+        assert z.shape == ref.shape and z.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def gl_interval_poly():

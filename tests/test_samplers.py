@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,13 @@ class TestStreamsAndReplicas:
             traces = _assert_rows_match_solo_runs(
                 ExactGradient(builtin("double_well", 1)), cfg, 1, 5)
         assert [t.diverged_at for t in traces] == [37, None, None, 18, None]
+        # a finite sum's block also holds n_batch int64 component picks per step:
+        # two chains' blocks of (1 + 3) * 1 floats and 3 picks per step
+        groups.clear()
+        monkeypatch.setattr(samplers, "LOCKSTEP_BLOCK_BYTES", 2 * 8 * 300 * (4 + 3))
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=300, record_stride=7)
+        _assert_rows_match_solo_runs(_lockstep_oracle("finite_sum", 1, 3), cfg, 21, 5)
+        assert groups[:3] == [2, 2, 1]
 
     def test_divergent_chain_stops_and_others_step_on(self):
         # on the double well at eta = 0.3 replicas 0 and 3 of root 1 blow up
@@ -465,6 +473,34 @@ class TestStreamsAndReplicas:
         assert np.array_equal(a, b)
         c = s2[1].standard_normal(4)
         assert not np.array_equal(a, c)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("kind,n_chains", [("finite_sum", 1), ("smoothed", 3)],
+                             ids=["logistic-1-chain", "hoelder_mix-3-chains"])
+    def test_a_group_holds_its_block_one_draw_and_its_trace(self, kind, n_chains):
+        # two full noise blocks, so the second is drawn after the first is
+        # spent; a spent block kept alive, a second chain's draw or the
+        # temporaries of a normalisation out of place each exceed the slack
+        d, n_batch, steps = 10, 16, samplers.NOISE_BLOCK
+        oracle = _lockstep_oracle(kind, d, n_batch)
+        cfg = ChainConfig(beta=1.0, eta=0.01, k=2 * steps, record_stride=50)
+        picks = n_batch if kind == "finite_sum" else 0
+        block = 8 * steps * n_chains * ((1 + n_batch) * d + picks)
+        draw = 8 * steps * n_batch * d
+        trace = 8 * n_chains * len(samplers._recorded_steps(cfg.k, cfg.record_stride)) * d
+        run(oracle, ChainConfig(beta=1.0, eta=0.01, k=3), [0])  # first-call set-up
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(oracle, cfg, range(n_chains))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= block + draw + trace + 2 * 2**20
 
 
 def _per_value_csv(trace, path, provenance=None):
