@@ -334,7 +334,15 @@ def cmd_plan(args) -> int:
         plan = plan_ss_sg_lmc(req)
     report = verify_plan(plan, req)
     plan_info = plan.to_dict()
-    print(json.dumps({"plan": plan_info, "verification": report.to_dict()}, indent=2))
+    # k can have more digits than the interpreter turns into text by default
+    # (a limit since Python 3.10.7), so the limit is lifted for this print only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        print(json.dumps({"plan": plan_info, "verification": report.to_dict()}, indent=2))
+    finally:
+        set_limit(limit)
 
     if not args.execute:
         return EXIT_OK if report.passed else EXIT_ERROR
@@ -380,19 +388,18 @@ def cmd_bound(args) -> int:
     else:
         print("error: exact-gradient configs need --r (analysis radius)", file=sys.stderr)
         return EXIT_ERROR
-    chain = cfg["chain"]
-    init_kind = chain.get("init", {"kind": "gaussian"})["kind"]
-    if init_kind != "gaussian":
+    chain = build_chain_config(cfg)
+    if chain.x0 is not None:
         print("error: bound evaluation needs the gaussian initial law "
               "(a point mass has no density)", file=sys.stderr)
         return EXIT_ERROR
-    inputs = inputs_from(oracle, beta=float(chain["beta"]), r=r, a_abs=args.a_abs)
-    tb = theorem_bound(inputs, r=r, eta=float(chain["eta"]), k=int(chain["k"]))
+    inputs = inputs_from(oracle, beta=chain.beta, r=r, a_abs=args.a_abs)
+    tb = theorem_bound(inputs, r=r, eta=chain.eta, k=chain.k)
     payload = tb.to_dict()
     payload["config_sha256"] = config_hash(cfg)
     payload["r"] = r
-    payload["eta"] = float(chain["eta"])
-    payload["k"] = int(chain["k"])
+    payload["eta"] = chain.eta
+    payload["k"] = chain.k
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     return EXIT_OK
 

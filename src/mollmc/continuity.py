@@ -7,11 +7,11 @@ what gradients of dissipative potentials are assumed to have, and the
 smoothing bias, the log-Sobolev bound and the envelope in
 :mod:`mollmc.bounds` are written in terms of it.
 
-Three modulus shapes are supported:
+Two modulus shapes are supported:
 
 * ``hoelder(M, alpha)`` evaluates ``M * max(r**alpha, r)``, so growth is at
-  most linear beyond ``r = 1``,
-* ``lipschitz(K)`` evaluates ``K * r``,
+  most linear beyond ``r = 1``; ``lipschitz(K)`` is ``hoelder(K, 1)``, which
+  evaluates ``K * r``,
 * ``table(pairs)`` interpolates user-supplied upper bounds piecewise
   linearly (monotonicity is enforced at construction).
 """
@@ -43,15 +43,14 @@ class ModulusSpec:
     def hoelder(cls, scale: float, alpha: float) -> "ModulusSpec":
         if not (0.0 < alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        if scale <= 0.0:
-            raise ValueError("scale must be positive")
+        # each comparison is written so that NaN fails it
+        if not (0.0 < scale < math.inf):
+            raise ValueError(f"scale must be finite and positive, got {scale}")
         return cls(kind="hoelder", scale=float(scale), alpha=float(alpha))
 
     @classmethod
     def lipschitz(cls, scale: float) -> "ModulusSpec":
-        if scale <= 0.0:
-            raise ValueError("scale must be positive")
-        return cls(kind="lipschitz", scale=float(scale))
+        return cls.hoelder(scale, 1.0)
 
     @classmethod
     def table(cls, pairs) -> "ModulusSpec":
@@ -60,14 +59,14 @@ class ModulusSpec:
             raise ValueError("table modulus needs at least one knot")
         rs = tuple(p[0] for p in pts)
         ws = tuple(p[1] for p in pts)
-        if rs[0] < 0.0:
-            raise ValueError("knot radii must be nonnegative")
+        if not all(0.0 <= r < math.inf for r in rs):
+            raise ValueError(f"knot radii must be finite and nonnegative, got {rs}")
         if any(b == a for a, b in zip(rs, rs[1:])):
             raise ValueError("knot radii must be distinct")
         if rs[-1] == 0.0:
             raise ValueError("table modulus needs a knot at a positive radius")
-        if any(w < 0.0 for w in ws):
-            raise ValueError("knot values must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in ws):
+            raise ValueError(f"knot values must be finite and nonnegative, got {ws}")
         if any(b < a for a, b in zip(ws, ws[1:])):
             raise ValueError("table modulus must be nondecreasing")
         return cls(kind="table", knots_r=rs, knots_w=ws)
@@ -79,8 +78,6 @@ class ModulusSpec:
             raise ValueError(f"modulus argument must be a positive real, got {r}")
         if self.kind == "hoelder":
             return self.scale * max(r**self.alpha, r)
-        if self.kind == "lipschitz":
-            return self.scale * r
         rs, ws = self.knots_r, self.knots_w
         if r <= rs[0]:
             # nondecreasing omega, so the first knot is still an upper bound
@@ -89,6 +86,3 @@ class ModulusSpec:
             # extend by the subadditive scaling omega(t r) <= ceil(t) omega(r)
             return math.ceil(r / rs[-1]) * ws[-1]
         return float(np.interp(r, rs, ws))
-
-    def __call__(self, r: float) -> float:
-        return self.eval(r)

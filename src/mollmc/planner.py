@@ -11,8 +11,13 @@ honestly instead of overflowing or clamping.
 All arithmetic runs in mpmath extended precision because the formulas mix
 ``exp(2 C d)`` against ``epsilon**16``; ``k`` is an exact Python integer.
 
-:func:`verify_plan` re-derives every inequality the proofs need from the
-finished plan alone (independent code path from the planners) and reports
+Each regime's f-terms, their sum and the envelope's two terms are written
+once, in ``_envelope``: the planners take ``predicted_envelope`` from it, and
+:func:`verify_plan` turns the same terms into its items, so the printed
+envelope is the total that the verification checks.  The closed-form
+schedules for ``k``, ``eta``, ``r`` and ``n_batch`` live only in the planners,
+so :func:`verify_plan` still re-derives every inequality the proofs need
+from the finished plan alone, apart from how the plan was made, and reports
 signed margins.  Its verdicts, margins and the serialized plan are evaluated
 at ``PRECISION_DPS`` whatever precision the caller has set, so no result
 depends on ambient mpmath state.
@@ -110,6 +115,11 @@ class Plan:
         }
 
 
+def _inputs(req: PlanRequest):
+    """``(epsilon, C, d)`` as mpmath numbers, for use at ``PRECISION_DPS``."""
+    return mp.mpf(req.epsilon), mp.mpf(req.c_const), mp.mpf(req.d)
+
+
 def _cap(req: PlanRequest) -> mp.mpf:
     return mp.mpf(req.m) / (2 * mp.mpf(req.omega_one) ** 2)
 
@@ -130,19 +140,14 @@ def plan_lmc(req: PlanRequest) -> Plan:
             f"alpha must lie in (1/3, 1]; got {req.alpha} (no guarantee below 1/3)"
         )
     with mp.workdps(PRECISION_DPS):
-        eps = mp.mpf(req.epsilon)
-        c = mp.mpf(req.c_const)
-        d = mp.mpf(req.d)
+        eps, c, d = _inputs(req)
         a = mp.mpf(req.alpha)
         logt = mp.log(2 * c * d / eps)
-        cap = _cap(req)
+        q = eps**4 / (48 * c**4 * d**2)
 
         if req.alpha == 1.0:
-            k_min = 16 * c**8 * d**16 * mp.e ** (2 * c * d) * logt**2 / eps**4
-            k = int(mp.ceil(k_min))
+            k = int(mp.ceil(16 * c**8 * d**16 * mp.e ** (2 * c * d) * logt**2 / eps**4))
             eta_raw = mp.sqrt(eps**4 / (16 * c**4 * d**4 * k))
-            eta = min(eta_raw, cap)
-            r = None
         else:
             growth = (3 * a + 1) / (3 * a - 1)
             k_min = (
@@ -154,21 +159,12 @@ def plan_lmc(req: PlanRequest) -> Plan:
                 extra = d ** ((5 + 3 * a) / 2) * (48 * c**4 * d**2 / eps**4) ** (3 * a)
                 k_min = max(k_min, extra)
             k = int(mp.ceil(k_min))
-            q = eps**4 / (48 * c**4 * d**2)
             eta_raw = d ** (-4 * a / (1 + 3 * a)) * (q / k) ** ((1 + a) / (1 + 3 * a))
-            eta = min(eta_raw, cap)
-            r = (q / (k * eta)) ** (1 / (2 * a))
+        eta = min(eta_raw, _cap(req))
+        r = None if req.alpha == 1.0 else (q / (k * eta)) ** (1 / (2 * a))
 
-        envelope = _lmc_envelope(eps, c, d, a, k, eta, r)
-        return Plan(
-            algorithm="lmc",
-            k=k,
-            eta=eta,
-            r=r,
-            n_batch=None,
-            eta_capped=bool(eta < eta_raw),
-            predicted_envelope=envelope,
-        )
+        _, first, expo = _envelope(req, "lmc", k, eta, r, None)
+        return Plan("lmc", k, eta, r, None, bool(eta < eta_raw), first + expo)
 
 
 def plan_ss_sg_lmc(req: PlanRequest) -> Plan:
@@ -177,48 +173,57 @@ def plan_ss_sg_lmc(req: PlanRequest) -> Plan:
     ``omega_one`` is the unit-scale value of the aggregate component modulus.
     """
     with mp.workdps(PRECISION_DPS):
-        eps = mp.mpf(req.epsilon)
-        c = mp.mpf(req.c_const)
-        d = mp.mpf(req.d)
+        eps, c, d = _inputs(req)
         logt = mp.log(2 * c * d / eps)
-        cap = _cap(req)
 
         k_min = 48**4 * c**18 * d ** mp.mpf("17.5") * mp.e ** (2 * c * d) * logt**2 / eps**16
         k = int(mp.ceil(k_min))
         # proof-consistent step size; see the module docstring
         eta_raw = eps**4 / (48 * c**4 * d ** mp.mpf("3.25") * mp.sqrt(k))
-        eta = min(eta_raw, cap)
+        eta = min(eta_raw, _cap(req))
         r = eps**4 / (48 * c**4 * d ** mp.mpf("2.5"))
         n_batch = int(mp.ceil(48 * c**4 * d**2 * k * eta / eps**4))
 
-        envelope = _ss_envelope(eps, c, d, k, eta, r, n_batch)
-        return Plan(
-            algorithm="ss_sg_lmc",
-            k=k,
-            eta=eta,
-            r=r,
-            n_batch=n_batch,
-            eta_capped=bool(eta < eta_raw),
-            predicted_envelope=envelope,
-        )
+        _, first, expo = _envelope(req, "ss_sg_lmc", k, eta, r, n_batch)
+        return Plan("ss_sg_lmc", k, eta, r, n_batch, bool(eta < eta_raw), first + expo)
 
 
-def _lmc_envelope(eps, c, d, a, k, eta, r):
-    if a == 1:
-        first = c * d * (k * eta**2) ** mp.mpf("0.25")
-        decay = mp.e ** (-k * eta / (c * d**3 * mp.e ** (c * d)))
+def _envelope(req: PlanRequest, algorithm: str, k, eta, r, n_batch):
+    """The regime's own items, and the envelope's first and exponential terms.
+
+    The f-terms (step, bias or batch, smoothing) each get their share of the
+    fourth-root factor; their sum ``s`` gives the first term ``C lead s^{1/4}``
+    and the exponential term is ``C d exp(-rate)``.  Both planners and
+    :func:`verify_plan` take the envelope from here, at ``PRECISION_DPS``.
+    """
+    eps, c, d = _inputs(req)
+    k = mp.mpf(k)
+    q = eps**4 / (48 * c**4 * d**2)
+    one, zero = mp.mpf(1), mp.mpf(0)
+    if algorithm == "lmc" and req.alpha == 1.0:
+        checks = []
+        terms = [PlanItem("step_term", k * eta**2, eps**4 / (16 * c**4 * d**4))]
+        lead, rate = d, k * eta / (c * d**3 * mp.e ** (c * d))
+    elif algorithm == "lmc":
+        a = mp.mpf(req.alpha)
+        checks = [PlanItem("r_le_one", r, one), PlanItem("r_positive", -r, zero)]
+        terms = [PlanItem("step_term", d**2 * r ** (a - 1) * k * eta**2, q),
+                 PlanItem("bias_term", r ** (2 * a) * k * eta, q),
+                 PlanItem("smoothing_term", r * mp.sqrt(d), q)]
+        lead, rate = mp.sqrt(d), k * eta / (c * r ** (a - 1) * d**3 * mp.e ** (c * d))
+    elif algorithm == "ss_sg_lmc":
+        nb = mp.mpf(n_batch)
+        checks = [PlanItem("r_le_one", r, one), PlanItem("r_positive", -r, zero),
+                  PlanItem("n_batch_at_least_one", one, nb)]
+        terms = [PlanItem("step_term", d**2 / r * k * eta**2, q),
+                 PlanItem("batch_term", k * eta / nb, q),
+                 PlanItem("smoothing_term", r * mp.sqrt(d), q)]
+        lead, rate = mp.sqrt(d), k * eta * r / (c * d**3 * mp.e ** (c * d))
     else:
-        s = (d**2 * r ** (a - 1) * eta + r ** (2 * a)) * k * eta + r * mp.sqrt(d)
-        first = c * mp.sqrt(d) * s ** mp.mpf("0.25")
-        decay = mp.e ** (-k * eta / (c * r ** (a - 1) * d**3 * mp.e ** (c * d)))
-    return first + c * d * decay
-
-
-def _ss_envelope(eps, c, d, k, eta, r, n_batch):
-    s = (d**2 / r * eta + mp.mpf(1) / n_batch) * k * eta + r * mp.sqrt(d)
-    first = c * mp.sqrt(d) * s ** mp.mpf("0.25")
-    decay = mp.e ** (-k * eta * r / (c * d**3 * mp.e ** (c * d)))
-    return first + c * d * decay
+        raise ValueError(f"unknown plan algorithm {algorithm!r}")
+    s = sum(term.lhs for term in terms)
+    items = [*checks, *terms, PlanItem("f_term_le_one", s, one)]
+    return items, c * lead * s ** mp.mpf("0.25"), c * d * mp.e ** -rate
 
 
 _EQUALITY_SLACK = mp.mpf("1e-30")
@@ -288,59 +293,15 @@ def verify_plan(plan: Plan, req: PlanRequest) -> PlanReport:
     sign at the rounding level (say ``-7.3e-63``) and still be satisfied.
     """
     with mp.workdps(PRECISION_DPS):
+        regime, first, expo = _envelope(req, plan.algorithm, plan.k, plan.eta, plan.r, plan.n_batch)
         eps = mp.mpf(req.epsilon)
-        c = mp.mpf(req.c_const)
-        d = mp.mpf(req.d)
-        k = mp.mpf(plan.k)
-        eta = plan.eta
         items = [
-            PlanItem("k_at_least_one", mp.mpf(1), k),
-            PlanItem("eta_le_one", eta, mp.mpf(1)),
-            PlanItem("eta_le_cap", eta, _cap(req)),
+            PlanItem("k_at_least_one", mp.mpf(1), mp.mpf(plan.k)),
+            PlanItem("eta_le_one", plan.eta, mp.mpf(1)),
+            PlanItem("eta_le_cap", plan.eta, _cap(req)),
+            *regime,
+            PlanItem("first_term_le_half_eps", first, eps / 2),
+            PlanItem("exp_term_le_half_eps", expo, eps / 2),
+            PlanItem("total_le_eps", first + expo, eps),
         ]
-        q = eps**4 / (48 * c**4 * d**2)
-
-        if plan.algorithm == "lmc" and req.alpha == 1.0:
-            step_term = k * eta**2
-            items.append(PlanItem("step_term", step_term, eps**4 / (16 * c**4 * d**4)))
-            items.append(PlanItem("f_term_le_one", step_term, mp.mpf(1)))
-            first = c * d * step_term ** mp.mpf("0.25")
-            expo = c * d * mp.e ** (-k * eta / (c * d**3 * mp.e ** (c * d)))
-        elif plan.algorithm == "lmc":
-            a = mp.mpf(req.alpha)
-            r = plan.r
-            items.append(PlanItem("r_le_one", r, mp.mpf(1)))
-            items.append(PlanItem("r_positive", -r, mp.mpf(0)))
-            t_step = d**2 * r ** (a - 1) * k * eta**2
-            t_bias = r ** (2 * a) * k * eta
-            t_smooth = r * mp.sqrt(d)
-            items.append(PlanItem("step_term", t_step, q))
-            items.append(PlanItem("bias_term", t_bias, q))
-            items.append(PlanItem("smoothing_term", t_smooth, q))
-            s = t_step + t_bias + t_smooth
-            items.append(PlanItem("f_term_le_one", s, mp.mpf(1)))
-            first = c * mp.sqrt(d) * s ** mp.mpf("0.25")
-            expo = c * d * mp.e ** (-k * eta / (c * r ** (a - 1) * d**3 * mp.e ** (c * d)))
-        elif plan.algorithm == "ss_sg_lmc":
-            r = plan.r
-            nb = mp.mpf(plan.n_batch)
-            items.append(PlanItem("r_le_one", r, mp.mpf(1)))
-            items.append(PlanItem("r_positive", -r, mp.mpf(0)))
-            items.append(PlanItem("n_batch_at_least_one", mp.mpf(1), nb))
-            t_step = d**2 / r * k * eta**2
-            t_batch = k * eta / nb
-            t_smooth = r * mp.sqrt(d)
-            items.append(PlanItem("step_term", t_step, q))
-            items.append(PlanItem("batch_term", t_batch, q))
-            items.append(PlanItem("smoothing_term", t_smooth, q))
-            s = t_step + t_batch + t_smooth
-            items.append(PlanItem("f_term_le_one", s, mp.mpf(1)))
-            first = c * mp.sqrt(d) * s ** mp.mpf("0.25")
-            expo = c * d * mp.e ** (-k * eta * r / (c * d**3 * mp.e ** (c * d)))
-        else:
-            raise ValueError(f"unknown plan algorithm {plan.algorithm!r}")
-
-        items.append(PlanItem("first_term_le_half_eps", first, eps / 2))
-        items.append(PlanItem("exp_term_le_half_eps", expo, eps / 2))
-        items.append(PlanItem("total_le_eps", first + expo, eps))
         return PlanReport(algorithm=plan.algorithm, items=tuple(items))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,8 +58,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.m <= 0.0 or self.b < 0.0:
-            raise ValueError("dissipativity requires m > 0 and b >= 0")
+        # each comparison is written so that NaN fails it
+        if not (0.0 < self.m < math.inf and 0.0 <= self.b < math.inf):
+            raise ValueError(f"dissipativity requires finite m > 0 and b >= 0, "
+                             f"got m = {self.m}, b = {self.b}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
         c = float(params.pop("c", 1.0))
         if params:
             raise ValueError(f"unknown double_well parameters {params}")
-        if c <= 0.0:
+        if not (0.0 < c < math.inf):
             raise ValueError("c must be positive")
 
         def dw_value(x, c=c):
@@ -233,7 +235,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
         lam2 = float(params.pop("lam2", 1.0))
         if params:
             raise ValueError(f"unknown elastic_net_logistic parameters {params}")
-        if lam1 < 0.0 or lam2 <= 0.0:
+        if not (0.0 <= lam1 < math.inf and 0.0 < lam2 < math.inf):
             raise ValueError("need lam1 >= 0 and lam2 > 0")
 
         def en_value(x, lam1=lam1, lam2=lam2):

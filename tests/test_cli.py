@@ -12,6 +12,7 @@ import pytest
 import mollmc
 from mollmc import cli
 from mollmc.cli import ALGORITHMS, EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_REFUSED, main
+from mollmc.planner import PlanRequest, plan_lmc
 
 
 @pytest.mark.parametrize(
@@ -38,6 +39,33 @@ def test_plan_output_independent_of_ambient_precision(capsys):
         outputs.append(capsys.readouterr())
     assert "(log10 k = 58.462154)" in outputs[0].err
     assert all(o.out == outputs[0].out and o.err == outputs[0].err for o in outputs)
+
+
+def test_plan_prints_a_k_beyond_the_integer_digit_limit(capsys):
+    # k has 5,764 digits, more than the interpreter's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    assert main(["plan", "--epsilon", "0.5", "--d", "100", "--alpha", "0.34"]) == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        k = json.loads(out)["plan"]["k"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert k == plan_lmc(PlanRequest(epsilon=0.5, d=100, alpha=0.34)).k
+
+
+def test_plan_output_independent_of_the_integer_digit_limit(capsys):
+    # k has 1,888 digits here
+    argv = ["plan", "--epsilon", "0.5", "--d", "20", "--alpha", "0.34"]
+    assert main(argv) == EXIT_OK
+    paths = [str(Path(mollmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == capsys.readouterr().out
 
 
 def _modules_after(code: str, prefix: str) -> str:

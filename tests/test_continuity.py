@@ -49,6 +49,22 @@ class TestEval:
             ModulusSpec.hoelder(1.0, 1.2)
 
     @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ModulusSpec.hoelder(math.nan, 0.5),
+            lambda: ModulusSpec.lipschitz(math.nan),
+            lambda: ModulusSpec.lipschitz(math.inf),
+            lambda: ModulusSpec.table([(0.0, math.nan), (1.0, 2.0)]),
+            lambda: ModulusSpec.table([(0.0, 1.0), (math.inf, 2.0)]),
+        ],
+        ids=["hoelder-nan", "lipschitz-nan", "lipschitz-inf", "table-value-nan",
+             "table-radius-inf"],
+    )
+    def test_non_finite_constants_are_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize(
         "spec",
         [ModulusSpec.hoelder(2.0, 0.4), ModulusSpec.hoelder(1.0, 1.0), ModulusSpec.lipschitz(3.0)],
     )

@@ -9,6 +9,7 @@ import mollmc
 
 MODULES = ["mollmc"] + [f"mollmc.{m.name}" for m in pkgutil.iter_modules(mollmc.__path__)]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SOURCES = sorted(Path(mollmc.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -30,3 +31,23 @@ def test_demo_imports_are_exported(path):
         if alias.name not in getattr(importlib.import_module(node.module), "__all__", ())
     ]
     assert hidden == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    # an import the module never reads is dead weight and, for numpy or
+    # mpmath, start-up time; one marked "# noqa: F401" is kept on purpose
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module("mollmc" if path.stem == "__init__" else f"mollmc.{path.stem}")
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []

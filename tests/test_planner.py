@@ -123,6 +123,18 @@ class TestVerifyPlan:
         report = verify_plan(plan_ss_sg_lmc(req), req)
         assert report.passed, [item.name for item in report.failures()]
 
+    @pytest.mark.parametrize("eps", (0.3, 0.5, 1.0))
+    @pytest.mark.parametrize("alpha", (None, 0.4, 0.5, 0.7, 1.0))
+    @pytest.mark.parametrize("d", (1, 2, 5, 10))
+    def test_printed_envelope_is_the_verified_total(self, eps, alpha, d):
+        # the planner's envelope and the total that verify_plan checks were
+        # once two copies of the formula, which differed at 60 digits
+        req = PlanRequest(epsilon=eps, d=d, alpha=alpha)
+        plan = (plan_ss_sg_lmc if alpha is None else plan_lmc)(req)
+        total = verify_plan(plan, req).items[-1]
+        assert total.name == "total_le_eps"
+        assert plan.predicted_envelope == total.lhs
+
     def test_halved_k_breaks_exponential_term(self):
         req = PlanRequest(epsilon=1.0, d=1, c_const=1.0, alpha=1.0)
         plan = plan_lmc(req)

@@ -204,6 +204,24 @@ class TestFiniteSum:
             FiniteSumPotential.equal_split(builtin("quadratic", 1), 0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin("double_well", 2, c=math.nan),
+        lambda: builtin("double_well", 2, c=math.inf),
+        lambda: builtin("elastic_net_logistic", 2, lam1=math.nan),
+        lambda: builtin("elastic_net_logistic", 2, lam2=math.nan),
+        lambda: dataclasses.replace(builtin("quadratic", 2), m=math.nan),
+        lambda: dataclasses.replace(builtin("quadratic", 2), b=math.inf),
+    ],
+    ids=["double_well-c-nan", "double_well-c-inf", "elastic_net-lam1-nan",
+         "elastic_net-lam2-nan", "spec-m-nan", "spec-b-inf"],
+)
+def test_non_finite_constants_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_unknown_builtin():
     with pytest.raises(ValueError):
         builtin("mystery", 2)
