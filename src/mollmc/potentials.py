@@ -14,14 +14,15 @@ A :class:`FiniteSumPotential` is batched over components too: row ``b`` of
 ``pts`` (shape ``(B, d)``) is evaluated under component ``idx[b]``.
 
 Declared constants are exactly that: declarations.  :func:`check_assumptions`
-re-validates them by sampling, reporting worst-case margins rather than
-raising, so a deliberately wrong declaration is visible instead of fatal.
+and :func:`check_finite_sum` re-validate them by sampling, reporting
+worst-case margins rather than raising, so a deliberately wrong declaration
+is visible instead of fatal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -281,15 +282,10 @@ class CheckItem:
     name: str
     passed: bool
     margin: float
-    detail: str = ""
+    detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -315,10 +311,53 @@ def _sample_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     Dissipativity violations show up at large radius and modulus violations
     at small scales, so radii span [1e-3, 1e2] logarithmically.
     """
+    if n < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n}")
     radii = np.geomspace(1e-3, 1e2, n)
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radii[:, None] * dirs
+
+
+def _pairs(x, n_pairs, rng):
+    """Base points drawn from ``x``, partners at unit directions and
+    log-spaced distances in [1e-3, 1], and nominal and realized distances."""
+    base = x[rng.choice(len(x), size=n_pairs, replace=False)]
+    dirs = rng.standard_normal((n_pairs, x.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    steps = np.geomspace(1e-3, 1.0, n_pairs)
+    other = base + steps[:, None] * dirs
+    return base, other, steps, np.linalg.norm(other - base, axis=1)
+
+
+def _worst(name, x, margin, m, b, detail) -> CheckItem:
+    """``margin >= 0`` where tightest over ``x`` (``{r}`` in ``detail`` is its
+    radius), allowing for the rounding, about ``|x|^2 * eps``, of two sides
+    reduced in different orders."""
+    r2 = np.sum(np.square(x), axis=-1)
+    slack = margin + 1e-9 * (1.0 + m * r2 + b)
+    i = int(np.argmin(slack))
+    return CheckItem(name, float(slack[i]) >= 0.0, float(margin[i]),
+                     detail.format(r=math.sqrt(r2[i])))
+
+
+def _dissipativity(name, x, grad, m, b) -> CheckItem:
+    """``<x, grad> >= m |x|^2 - b`` at the points ``x``."""
+    diss = np.einsum("ij,ij->i", x, grad) - (m * np.sum(np.square(x), axis=-1) - b)
+    return _worst(name, x, diss, m, b, "worst at |x|={r:.3g}")
+
+
+def _modulus(name, modulus, scale, pairs, grad, note) -> CheckItem:
+    """Declared ``modulus(dist) / scale`` against the fluctuation of ``grad``
+    on ``pairs`` (a row per component, if several), with a rounding allowance."""
+    base, other, steps, dist = pairs
+    allowed = np.array([modulus.eval(s) for s in dist]) / scale
+    fluct = np.linalg.norm(np.asarray(grad(base)) - np.asarray(grad(other)), axis=-1)
+    fluct = np.reshape(fluct, (-1, len(dist)))
+    gap = np.min(allowed - fluct + 1e-9 * (1.0 + allowed), axis=0)
+    j = int(np.argmin(gap))
+    return CheckItem(name, float(gap[j]) >= 0.0, float(gap[j]),
+                     f"worst at |x|={np.linalg.norm(base[j]):.3g}, step={steps[j]:.3g}{note}")
 
 
 def check_assumptions(p: PotentialSpec, n_samples: int = 10_000, rng=None) -> AssumptionReport:
@@ -330,73 +369,20 @@ def check_assumptions(p: PotentialSpec, n_samples: int = 10_000, rng=None) -> As
     the declared modulus against sampled gradient fluctuations.  Failures are
     reported, not raised.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(0) if rng is None else rng
     x = _sample_points(p.dim, n_samples, rng)
     val = np.asarray(p.value(x), dtype=float)
-    grad = np.asarray(p.weak_grad(x), dtype=float)
     r2 = np.sum(np.square(x), axis=-1)
-
-    items = []
-    # pass predicates carry a relative float-rounding allowance: the two
-    # sides of each inequality are reduced in different orders, which costs
-    # about |x|^2 * eps at the largest sampled radii
-    rounding = 1e-9 * (1.0 + p.m * r2 + p.b)
-
     margin = float(np.min(val))
-    items.append(
-        CheckItem("nonnegative_value", margin >= 0.0, margin, f"min U over {n_samples} points")
-    )
-
-    diss = np.einsum("ij,ij->i", x, grad) - (p.m * r2 - p.b)
-    i_bad = int(np.argmin(diss + rounding))
-    items.append(
-        CheckItem(
-            "dissipativity",
-            float(diss[i_bad] + rounding[i_bad]) >= 0.0,
-            float(diss[i_bad]),
-            f"worst at |x|={math.sqrt(r2[i_bad]):.3g}",
-        )
-    )
-
-    lower = val - (p.m / 3.0 * r2 - 0.5 * p.b * math.log(3.0))
-    j_bad = int(np.argmin(lower + rounding))
-    items.append(
-        CheckItem(
-            "quadratic_lower_bound",
-            float(lower[j_bad] + rounding[j_bad]) >= 0.0,
-            float(lower[j_bad]),
-            "U >= m/3 |x|^2 - b/2 log 3",
-        )
-    )
-
-    # gradient fluctuation against the declared modulus on paired points;
-    # the modulus is evaluated at the realized (rounded) pair distance and
-    # the pass predicate carries a float-rounding allowance
-    n_pairs = min(n_samples, 2000)
-    base = x[rng.choice(n_samples, size=n_pairs, replace=n_pairs > n_samples)]
-    deltas = rng.standard_normal((n_pairs, p.dim))
-    deltas /= np.linalg.norm(deltas, axis=1, keepdims=True)
-    steps = np.geomspace(1e-3, 1.0, n_pairs)
-    other = base + steps[:, None] * deltas
-    real_steps = np.linalg.norm(other - base, axis=1)
-    fluct = np.linalg.norm(
-        np.asarray(p.weak_grad(base)) - np.asarray(p.weak_grad(other)), axis=-1
-    )
-    allowed = np.array([p.modulus.eval(s) for s in real_steps])
-    gap = allowed - fluct + 1e-9 * (1.0 + allowed)
-    j = int(np.argmin(gap))
+    items = [
+        CheckItem("nonnegative_value", margin >= 0.0, margin, f"min U over {n_samples} points"),
+        _dissipativity("dissipativity", x, np.asarray(p.weak_grad(x), dtype=float), p.m, p.b),
+        _worst("quadratic_lower_bound", x, val - (p.m / 3.0 * r2 - 0.5 * p.b * math.log(3.0)),
+               p.m, p.b, "U >= m/3 |x|^2 - b/2 log 3"),
+    ]
+    pairs = _pairs(x, min(n_samples, 2000), rng)
     note = "" if p.modulus_is_global else " (declared modulus is local only)"
-    items.append(
-        CheckItem(
-            "gradient_modulus",
-            float(gap[j]) >= 0.0,
-            float(gap[j]),
-            f"worst at |x|={np.linalg.norm(base[j]):.3g}, step={steps[j]:.3g}{note}",
-        )
-    )
-
+    items.append(_modulus("gradient_modulus", p.modulus, 1.0, pairs, p.weak_grad, note))
     return AssumptionReport(target=p.name, items=tuple(items))
 
 
@@ -404,45 +390,21 @@ def check_finite_sum(f: FiniteSumPotential, n_samples: int = 2000, rng=None) -> 
     """Sampled validation of a finite-sum descriptor.
 
     Checks aggregate dissipativity with the declared ``(m, b)`` and the
-    per-component gradient fluctuation bound ``omega_hat(r) / n``.
+    per-component gradient fluctuation bound ``omega_hat(r) / n`` as
+    :func:`check_assumptions` checks their counterparts.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     x = _sample_points(f.dim, n_samples, rng)
-    grad = np.asarray(f.total_grad(x), dtype=float)
-    r2 = np.sum(np.square(x), axis=-1)
-    items = []
-    rounding = 1e-9 * (1.0 + f.m * r2 + f.b)
-
-    diss = np.einsum("ij,ij->i", x, grad) - (f.m * r2 - f.b)
-    items.append(
-        CheckItem(
-            "sum_dissipativity",
-            float(np.min(diss + rounding)) >= 0.0,
-            float(np.min(diss)),
-        )
-    )
-
-    n_pairs = min(n_samples, 500)
-    base = x[:n_pairs]
-    deltas = rng.standard_normal((n_pairs, f.dim))
-    deltas /= np.linalg.norm(deltas, axis=1, keepdims=True)
-    steps = np.geomspace(1e-3, 1.0, n_pairs)
-    other = base + steps[:, None] * deltas
-    real_steps = np.linalg.norm(other - base, axis=1)
-    # every component at every pair in one call, component-major
+    pairs = _pairs(x, min(n_samples, 500), rng)
     n = f.n_components
-    idx = np.repeat(np.arange(n), n_pairs)
-    g_base = f.component_grad(idx, np.tile(base, (n, 1)))
-    fluct = np.linalg.norm(g_base - f.component_grad(idx, np.tile(other, (n, 1))), axis=-1)
-    allowed = np.array([f.omega_hat.eval(s) for s in real_steps]) / n
-    worst = float(np.min(allowed - fluct.reshape(n, n_pairs) + 1e-9 * (1.0 + allowed)))
-    items.append(
-        CheckItem(
-            "component_gradient_modulus",
-            worst >= 0.0,
-            worst,
-            "per-component gradient fluctuation <= omega_hat(r)/n",
-        )
-    )
+    idx = np.repeat(np.arange(n), len(pairs[0]))
 
-    return AssumptionReport(target=f.name, items=tuple(items))
+    def grads(pts):  # every component at every point in one call, component-major
+        return f.component_grad(idx, np.tile(pts, (n, 1)))
+
+    items = (
+        _dissipativity("sum_dissipativity", x, np.asarray(f.total_grad(x), dtype=float), f.m, f.b),
+        _modulus("component_gradient_modulus", f.omega_hat, n, pairs, grads,
+                 " (per component, omega_hat(r)/n)"),
+    )
+    return AssumptionReport(target=f.name, items=items)
