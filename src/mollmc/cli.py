@@ -344,8 +344,13 @@ def cmd_plan(args) -> int:
     finally:
         set_limit(limit)
 
+    if not report.passed:
+        if args.execute:
+            failing = ", ".join(item.name for item in report.failures())
+            print(f"error: the plan fails verification ({failing}); not run", file=sys.stderr)
+        return EXIT_ERROR
     if not args.execute:
-        return EXIT_OK if report.passed else EXIT_ERROR
+        return EXIT_OK
     if plan.k > args.cap:
         with mp.workdps(PRECISION_DPS):
             k_str = mp.nstr(mp.mpf(plan.k), 6)

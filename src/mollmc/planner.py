@@ -124,14 +124,30 @@ def _cap(req: PlanRequest) -> mp.mpf:
     return mp.mpf(req.m) / (2 * mp.mpf(req.omega_one) ** 2)
 
 
+def _capped(req: PlanRequest, k: int, eta_raw: mp.mpf):
+    """``(k, eta)`` with ``eta`` capped at ``m / (2 omega_one^2)``.
+
+    Where the cap binds, ``k`` grows to ``ceil(k eta_raw / eta)`` so that
+    ``k eta``, and with it the exponential decay, is at least the uncapped
+    schedule's.
+    """
+    eta = min(eta_raw, _cap(req))
+    if eta < eta_raw:
+        k = int(mp.ceil(k * eta_raw / eta))
+    return k, eta
+
+
 def plan_lmc(req: PlanRequest) -> Plan:
     """Schedule for the exact-gradient chain under a Hoelder-type modulus.
 
     Three regimes by the exponent ``alpha``: (1/3, 2/3], (2/3, 1), and 1.
     In each, ``k`` is the ceiling of the displayed lower bound, the step size
     follows the displayed formula capped at ``m / (2 omega_one^2)``, and the
-    smoothing radius (absent at ``alpha = 1``) balances the step term
-    exactly: ``d^2 r^{alpha-1} k eta^2 = eps^4 / (48 C^4 d^2)``.
+    smoothing radius (absent at ``alpha = 1``) meets the bias term with
+    equality: ``r^{2 alpha} k eta = eps^4 / (48 C^4 d^2)``; uncapped, the step
+    term ``d^2 r^{alpha-1} k eta^2`` meets the same bound with equality too.
+    Where the cap binds, ``k`` first grows to ``ceil(k eta_raw / eta)``, so
+    ``k eta`` is at least the uncapped schedule's and ``r`` at most its.
     """
     if req.alpha is None:
         raise ValueError("plan_lmc needs the regularity exponent alpha")
@@ -160,7 +176,7 @@ def plan_lmc(req: PlanRequest) -> Plan:
                 k_min = max(k_min, extra)
             k = int(mp.ceil(k_min))
             eta_raw = d ** (-4 * a / (1 + 3 * a)) * (q / k) ** ((1 + a) / (1 + 3 * a))
-        eta = min(eta_raw, _cap(req))
+        k, eta = _capped(req, k, eta_raw)
         r = None if req.alpha == 1.0 else (q / (k * eta)) ** (1 / (2 * a))
 
         _, first, expo = _envelope(req, "lmc", k, eta, r, None)
@@ -171,6 +187,9 @@ def plan_ss_sg_lmc(req: PlanRequest) -> Plan:
     """Schedule for the mini-batch smoothed chain (no regularity exponent).
 
     ``omega_one`` is the unit-scale value of the aggregate component modulus.
+    Where the step-size cap ``m / (2 omega_one^2)`` binds, ``k`` grows to
+    ``ceil(k eta_raw / eta)`` before ``n_batch`` is set, so ``k eta`` is at
+    least the uncapped schedule's.
     """
     with mp.workdps(PRECISION_DPS):
         eps, c, d = _inputs(req)
@@ -180,7 +199,7 @@ def plan_ss_sg_lmc(req: PlanRequest) -> Plan:
         k = int(mp.ceil(k_min))
         # proof-consistent step size; see the module docstring
         eta_raw = eps**4 / (48 * c**4 * d ** mp.mpf("3.25") * mp.sqrt(k))
-        eta = min(eta_raw, _cap(req))
+        k, eta = _capped(req, k, eta_raw)
         r = eps**4 / (48 * c**4 * d ** mp.mpf("2.5"))
         n_batch = int(mp.ceil(48 * c**4 * d**2 * k * eta / eps**4))
 

@@ -363,11 +363,11 @@ def _modulus(name, modulus, scale, pairs, grad, note) -> CheckItem:
 def check_assumptions(p: PotentialSpec, n_samples: int = 10_000, rng=None) -> AssumptionReport:
     """Sampled validation of the declared constants of ``p``.
 
-    Four lines are checked, each with its worst-case margin (nonnegative
-    means pass): nonnegativity of the value, the dissipativity inequality,
-    the quadratic lower bound ``U >= m/3 |x|^2 - b/2 log 3`` it implies, and
-    the declared modulus against sampled gradient fluctuations.  Failures are
-    reported, not raised.
+    Six lines are checked, each with its worst-case margin (nonnegative
+    means pass): ``U >= 0``, dissipativity, the quadratic lower bound
+    ``U >= m/3 |x|^2 - b/2 log 3`` it implies, the declared modulus against
+    sampled gradient fluctuations, ``|grad U(0)| <= grad_at_zero`` and
+    ``U <= u0`` on the unit ball.  Failures are reported, not raised.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     x = _sample_points(p.dim, n_samples, rng)
@@ -383,6 +383,14 @@ def check_assumptions(p: PotentialSpec, n_samples: int = 10_000, rng=None) -> As
     pairs = _pairs(x, min(n_samples, 2000), rng)
     note = "" if p.modulus_is_global else " (declared modulus is local only)"
     items.append(_modulus("gradient_modulus", p.modulus, 1.0, pairs, p.weak_grad, note))
+    zero = np.zeros((1, p.dim))
+    g0 = np.linalg.norm(p.weak_grad(zero), axis=-1)
+    ball = r2 <= 1.0
+    items += [
+        _worst("grad_at_zero", zero, p.grad_at_zero - g0, p.m, p.b, "|grad U(0)|"),
+        _worst("u0", x[ball], p.u0 - val[ball], p.m, p.b,
+               f"max U at {ball.sum()} points, |x| <= 1"),
+    ]
     return AssumptionReport(target=p.name, items=tuple(items))
 
 

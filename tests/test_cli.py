@@ -501,6 +501,35 @@ def test_plan_execute_names_diverged_replicas(tmp_path, capsys, monkeypatch):
     assert set(json.loads(captured.out)) == {"plan", "verification"}
 
 
+@pytest.mark.parametrize("execute", [True, False], ids=["execute", "print-only"])
+def test_plan_failing_verification_exits_one_and_never_runs(tmp_path, capsys, monkeypatch,
+                                                            execute):
+    # the planners' schedules all pass verification, so the verdict is stubbed
+    from mollmc import planner
+
+    def failing(plan, req):
+        return planner.PlanReport(plan.algorithm, (
+            planner.PlanItem("k_at_least_one", mp.mpf(1), mp.mpf(plan.k)),
+            planner.PlanItem("exp_term_le_half_eps", mp.mpf(1), mp.mpf("0.25")),
+        ))
+
+    def _must_not_run(*args):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(planner, "verify_plan", failing)
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(_LMC_D1))
+    argv = _LMC_PLAN if execute else _LMC_PLAN[:-1]
+    assert main([*argv, "--config", "cfg.json", "--out", "out"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verification"]["passed"] is False
+    if execute:
+        expected = "error: the plan fails verification (exp_term_le_half_eps); not run\n"
+        assert captured.err == expected
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "argv,cfg",
     [

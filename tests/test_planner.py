@@ -241,6 +241,28 @@ class TestStepSizeCap:
         assert plan.eta_capped
         assert float(plan.eta) == pytest.approx(1e-9 / 200.0)
 
+    @pytest.mark.parametrize("omega_one", (1.0, 50.0))
+    @pytest.mark.parametrize("m", (1.0, 1e-9))
+    @pytest.mark.parametrize("alpha", (None, 0.34, 0.75, 1.0))
+    @pytest.mark.parametrize("d", (1, 10))
+    @pytest.mark.parametrize("eps", (0.05, 0.5))
+    def test_capped_plans_pass_verification(self, eps, d, alpha, m, omega_one):
+        # m = 1e-9 or omega_one = 50 makes the step-size cap bind; k must then
+        # grow, or the exponential term (among others) misses its bound
+        req = PlanRequest(epsilon=eps, d=d, alpha=alpha, m=m, omega_one=omega_one)
+        report = verify_plan((plan_ss_sg_lmc if alpha is None else plan_lmc)(req), req)
+        assert report.passed, [item.name for item in report.failures()]
+
+    @pytest.mark.parametrize("alpha", (None, 0.5, 1.0))
+    def test_binding_cap_keeps_k_eta(self, alpha):
+        planner = plan_ss_sg_lmc if alpha is None else plan_lmc
+        free = planner(PlanRequest(epsilon=0.5, d=1, alpha=alpha))
+        capped = planner(PlanRequest(epsilon=0.5, d=1, alpha=alpha, m=1e-9, omega_one=50.0))
+        assert capped.eta_capped and not free.eta_capped
+        with mp.workdps(60):
+            assert capped.k == int(mp.ceil(free.k * free.eta / capped.eta))
+            assert capped.k * capped.eta >= free.k * free.eta
+
 
 class TestRequestValidation:
     def test_epsilon_range(self):

@@ -156,7 +156,42 @@ class TestCheckAssumptions:
     def test_report_serializes(self):
         rep = check_assumptions(builtin("quadratic", 1), n_samples=100)
         d = rep.to_dict()
-        assert d["passed"] and len(d["items"]) == 4
+        assert d["passed"] and len(d["items"]) == 6
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize(
+        "name,params",
+        [("quadratic", {}), ("double_well", {"c": 1.0}), ("hoelder_mix", {"alpha": 0.5}),
+         ("hoelder_mix", {"alpha": 0.35}), ("elastic_net_logistic", {})],
+    )
+    def test_builtins_declare_grad_at_zero_and_u0(self, name, params, d):
+        rep = check_assumptions(builtin(name, d, **params), rng=np.random.default_rng(d))
+        assert [item.name for item in rep.items][4:] == ["grad_at_zero", "u0"]
+        assert all(item.passed for item in rep.items[4:]), rep.to_dict()
+
+    @pytest.mark.parametrize(
+        "p,failing",
+        [
+            (dataclasses.replace(builtin("hoelder_mix", 1, alpha=0.5),
+                                 u0=0.5 * builtin("hoelder_mix", 1, alpha=0.5).u0), "u0"),
+            (dataclasses.replace(builtin("elastic_net_logistic", 2), grad_at_zero=0.0),
+             "grad_at_zero"),
+        ],
+        ids=["hoelder_mix-halved-u0", "elastic_net-zero-grad_at_zero"],
+    )
+    def test_understated_constant_fails_its_item(self, p, failing):
+        rep = check_assumptions(p, rng=np.random.default_rng(0))
+        assert [item.name for item in rep.items if not item.passed] == [failing]
+        (item,) = [item for item in rep.items if item.name == failing]
+        assert item.margin < 0
+
+    @pytest.mark.parametrize("check,target", [
+        (check_assumptions, builtin("quadratic", 1)),
+        (check_finite_sum, FiniteSumPotential.equal_split(builtin("quadratic", 1), 2)),
+    ], ids=["check_assumptions", "check_finite_sum"])
+    def test_needs_a_sample(self, check, target):
+        with pytest.raises(ValueError, match="n_samples"):
+            check(target, n_samples=0)
 
 
 class TestSmoothedGradientSymmetry:
@@ -178,10 +213,25 @@ class TestFiniteSum:
         assert np.allclose(f.total_value(pts), p.value(pts), rtol=1e-12)
         assert np.allclose(f.total_grad(pts), p.weak_grad(pts), rtol=1e-12)
 
-    def test_split_passes_checks(self):
-        f = FiniteSumPotential.equal_split(builtin("hoelder_mix", 1, alpha=0.5), 8)
+    @pytest.mark.parametrize(
+        "name,d,n,params",
+        [("hoelder_mix", 1, 8, {"alpha": 0.5}), ("elastic_net_logistic", 10, 100, {})],
+    )
+    def test_split_passes_checks(self, name, d, n, params):
+        f = FiniteSumPotential.equal_split(builtin(name, d, **params), n)
         rep = check_finite_sum(f, rng=np.random.default_rng(2))
-        assert rep.passed
+        assert rep.passed, rep.to_dict()
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_double_well_split_fails_component_modulus(self, seed):
+        # the cubic gradient growth shows only at large radii, so the pairs
+        # must be drawn from the whole radial grid, as check_assumptions does
+        f = FiniteSumPotential.equal_split(builtin("double_well", 2, c=1.0), 4)
+        rng = None if seed is None else np.random.default_rng(seed)
+        rep = check_finite_sum(f, rng=rng)
+        assert [item.name for item in rep.items if not item.passed] == [
+            "component_gradient_modulus"
+        ]
 
     def test_distinct_components_totals(self, rng):
         f = scaled_quadratic_sum([0.5, 1.0, 2.5])
