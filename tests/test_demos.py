@@ -1,14 +1,9 @@
-"""Each demo runs to completion against the checkout's sources."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Each demo runs to completion against the checkout's sources and prints its
+golden output."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from test_golden import DEMOS, assert_golden, demo_hashes, run_demo
 
 
 def test_all_five_demos_found():
@@ -17,12 +12,8 @@ def test_all_five_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, text=True,
-        timeout=300,
-    )
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+    assert_golden(demo_hashes(proc, demo), f"demo/{demo.stem}")
