@@ -390,26 +390,55 @@ def gaussian_log_p0_sup(d: int) -> float:
 def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInputs:
     """Assemble :class:`BoundInputs` for an oracle and its potential at radius r.
 
+    This states what the analysis assumes of each oracle, with ``omega`` the
+    potential's gradient modulus.  The exact gradient (``n_batch == 0``) is
+    its own mean: the potential's ``(m, b)``, norm ``|grad U(0)| + omega(1)``
+    and ``omega(1)``.  It is off the radius-``r`` smoothed gradient by at most
+    ``omega(r)``, a squared bias ``delta_b0 = omega(r)^2 / 2``.  A smoothed
+    oracle is unbiased at its own radius only, so ``r`` must be ``oracle.r``.
+    Smoothing makes the mean's constants ``(m / 2, b + m)`` and adds
+    ``omega(r)`` to its norm, and each of the ``n_batch`` points deviates by
+    at most ``omega(r)``, a variance ``delta_v0 = omega(r)^2 / (2 n_batch)``.
+    A finite sum reads the potential an ``equal_split`` sum was split from:
+    its components are identical, so picking them adds no variance to that
+    of the smoothing draws.  A sum of distinct components has no potential
+    and no bound on that variance, and is refused.
+
     Assumes the standard Gaussian initial law (the default of the samplers);
     other initial laws need hand-built inputs because a point mass has no
     density and a custom law has no declared moments.
     """
-    delta = oracle.delta(r)  # first: a sum without a potential raises here
-    potential, stats = oracle.potential, oracle.mean_stats()
+    p = oracle.potential
+    if p is None:
+        raise ValueError("component-sampling variance is only bounded for equal_split sums")
+    w1 = p.modulus.eval(1.0)
+    if oracle.n_batch == 0:
+        w = p.modulus.eval(r)
+        m_tilde, b_tilde, mnorm = p.m, p.b, p.grad_at_zero + w1
+        delta = (0.5 * w * w, 0.0, 0.0, 0.0)
+    else:
+        if not math.isclose(r, oracle.r, rel_tol=1e-12, abs_tol=0.0):
+            raise ValueError(
+                "bias/variance coefficients are only available at the oracle's "
+                f"own smoothing radius {oracle.r}, got {r}"
+            )
+        w = p.modulus.eval(oracle.r)
+        m_tilde, b_tilde, mnorm = 0.5 * p.m, p.b + p.m, p.grad_at_zero + w + w1
+        delta = (0.0, 0.0, 0.5 * w * w / oracle.n_batch, 0.0)
     return BoundInputs(
-        d=potential.dim,
+        d=p.dim,
         beta=float(beta),
-        m=potential.m,
-        b=potential.b,
-        m_tilde=stats.m_tilde,
-        b_tilde=stats.b_tilde,
-        kappa0=gaussian_kappa0(potential.dim),
-        p0_sup_log=gaussian_log_p0_sup(potential.dim),
-        grad_u_mnorm=potential.grad_at_zero + potential.modulus.eval(1.0),
-        g_tilde_mnorm=stats.mnorm,
-        omega_grad_u=potential.modulus,
-        omega_g_tilde_one=stats.omega_one,
-        u0=potential.u0,
+        m=p.m,
+        b=p.b,
+        m_tilde=m_tilde,
+        b_tilde=b_tilde,
+        kappa0=gaussian_kappa0(p.dim),
+        p0_sup_log=gaussian_log_p0_sup(p.dim),
+        grad_u_mnorm=p.grad_at_zero + w1,
+        g_tilde_mnorm=mnorm,
+        omega_grad_u=p.modulus,
+        omega_g_tilde_one=w1,
+        u0=p.u0,
         delta=delta,
         a_abs=a_abs,
     )

@@ -95,7 +95,7 @@ class FiniteSumPotential:
 
     def _total(self, fun, x):
         # one component at a time in index order: the summation order, and so
-        # the bits of grad U(0) in `mollmc bound`, do not depend on batching
+        # the bits of a total, do not depend on how the points are batched
         pts = np.reshape(x, (-1, self.dim))
         total = sum(fun(np.full(len(pts), i), pts) for i in range(self.n_components))
         return total.reshape(np.shape(x)[:-1] + total.shape[1:])

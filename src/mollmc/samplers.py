@@ -37,11 +37,12 @@ chain's kernel draw (``NOISE_BLOCK * n_batch * d`` floats, freed before the
 next chain draws) and its trace array: a spent block is dropped before the
 next one is drawn.
 
-The oracles share one protocol.  ``dim`` is ``d``; ``n_batch`` counts kernel
-points per chain and step (0 for the exact gradient); ``potential`` is what
-the bounds read (for a finite sum, the potential an ``equal_split`` sum was
-split from, else None); ``mean_stats()`` and ``delta(r)`` give the mean
-gradient's constants and the bias/variance coefficients at radius ``r``.
+The oracles share one protocol, and only sample.  ``dim`` is ``d``;
+``n_batch`` counts kernel points per chain and step (0 for the exact
+gradient); ``potential`` is what the bounds read (for a finite sum, the
+potential an ``equal_split`` sum was split from, else None); a smoothed
+oracle's ``r`` is its radius.  :func:`mollmc.bounds.inputs_from` states what
+the analysis assumes of each oracle from these.
 ``prep_block(n_steps, zeta_rngs, lam_rngs)`` stacks one block drawn from the
 per-chain generators on a chain axis, and ``grad_at(x, block, j)`` returns
 the gradients ``(C, d)`` at the points ``x`` ``(C, d)`` for step ``j``.
@@ -65,7 +66,6 @@ __all__ = [
     "LOCKSTEP_BLOCK_BYTES",
     "ChainConfig",
     "Trace",
-    "GTildeStats",
     "ExactGradient",
     "SphericalSmoothed",
     "FiniteSumSpherical",
@@ -130,16 +130,6 @@ class Trace:
         return self.iterates.shape[0]
 
 
-@dataclass(frozen=True)
-class GTildeStats:
-    """Constants of the oracle's mean gradient: dissipativity and fluctuation."""
-
-    m_tilde: float
-    b_tilde: float
-    mnorm: float
-    omega_one: float
-
-
 class ExactGradient:
     """Deterministic oracle ``G = grad U`` (plain LMC)."""
 
@@ -148,21 +138,6 @@ class ExactGradient:
     def __init__(self, potential: PotentialSpec):
         self.potential = potential
         self.dim = potential.dim
-
-    def mean_stats(self) -> GTildeStats:
-        p = self.potential
-        w1 = p.modulus.eval(1.0)
-        return GTildeStats(p.m, p.b, p.grad_at_zero + w1, w1)
-
-    def delta(self, r: float):
-        """Bias/variance coefficients against the radius-``r`` smoothed gradient.
-
-        The exact gradient deviates from the smoothed one by at most
-        ``omega(r)`` uniformly, giving a constant squared bias and no
-        variance.
-        """
-        w = self.potential.modulus.eval(r)
-        return (0.5 * w * w, 0.0, 0.0, 0.0)
 
     # the exact oracle needs no noise
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
@@ -188,29 +163,8 @@ class SphericalSmoothed:
         self.potential = potential
         self.r = float(r)
         self.n_batch = int(n_batch)
-        self.dim, self._m, self._b, self._omega, self._grad_at_zero = self._constants()
+        self.dim = potential.dim
         self._unit = Mollifier(self.dim, 1.0)
-
-    def _constants(self):
-        """Dimension, dissipativity ``(m, b)``, gradient modulus and ``|grad U(0)|``."""
-        p = self.potential
-        return p.dim, p.m, p.b, p.modulus, p.grad_at_zero
-
-    def mean_stats(self) -> GTildeStats:
-        # smoothing halves the dissipativity slope and shifts the offset;
-        # convolution does not increase the gradient's modulus
-        w1 = self._omega.eval(1.0)
-        wr = self._omega.eval(self.r)
-        return GTildeStats(0.5 * self._m, self._b + self._m, self._grad_at_zero + wr + w1, w1)
-
-    def delta(self, r: float):
-        if not math.isclose(r, self.r, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(
-                "bias/variance coefficients are only available at the oracle's "
-                f"own smoothing radius {self.r}, got {r}"
-            )
-        w = self._omega.eval(self.r)
-        return (0.0, 0.0, 0.5 * w * w / self.n_batch, 0.0)
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
         return _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
@@ -229,25 +183,12 @@ class FiniteSumSpherical(SphericalSmoothed):
 
     Each of the ``n_batch`` terms evaluates one uniformly chosen component's
     gradient at an independently smoothed point; the ``n / n_batch`` factor
-    keeps the estimator unbiased for the smoothed full gradient.  The constants
-    are the sum's, with ``omega_hat`` as the modulus.
+    keeps the estimator unbiased for the smoothed full gradient.
     """
 
     def __init__(self, fsum: FiniteSumPotential, r: float, n_batch: int = 1):
-        self.fsum = fsum
-        super().__init__(fsum.base, r, n_batch)
-
-    def _constants(self):
-        f = self.fsum
-        g0 = np.asarray(f.total_grad(np.zeros(f.dim)), dtype=float)
-        return f.dim, f.m, f.b, f.omega_hat, float(np.linalg.norm(g0))
-
-    def delta(self, r: float):
-        """Coefficients at the oracle's radius, for ``equal_split`` sums only: the
-        variance counts the smoothing draws, not the picking of distinct components."""
-        if self.fsum.base is None:
-            raise ValueError("component-sampling variance is only bounded for equal_split sums")
-        return super().delta(r)
+        super().__init__(fsum, r, n_batch)  # which reads only fsum.dim
+        self.fsum, self.potential = fsum, fsum.base
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
         # _smoothing_block, not super().prep_block: a wrapper around the

@@ -26,7 +26,7 @@ from mollmc.bounds import (
     theorem_bound,
 )
 from mollmc.continuity import ModulusSpec
-from mollmc.potentials import FiniteSumPotential, builtin
+from mollmc.potentials import BUILTIN_NAMES, FiniteSumPotential, builtin
 from mollmc.samplers import ExactGradient, FiniteSumSpherical, SphericalSmoothed
 
 from conftest import scaled_quadratic_sum
@@ -423,15 +423,44 @@ class TestInputsFrom:
         assert inputs.b_tilde == 1.0
         assert inputs.delta == (0.0, 0.0, 0.5 * 0.2**2 / 4, 0.0)
 
-    @pytest.mark.parametrize("name", ["quadratic", "hoelder_mix", "elastic_net_logistic"])
-    def test_split_sum_reads_its_base_potential(self, name):
-        # an equal split changes the gradient estimator, not one bound input;
-        # four components of weight 1/4 sum grad U(0) without rounding
-        p = builtin(name, 3)
-        split = FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), r=0.2, n_batch=5)
+    def test_delta_requires_matching_radius(self):
+        orc = SphericalSmoothed(builtin("quadratic", 1), r=0.5, n_batch=2)
+        assert inputs_from(orc, beta=1.0, r=0.5).delta == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
+        with pytest.raises(ValueError, match="own smoothing radius"):
+            inputs_from(orc, beta=1.0, r=0.3)
+
+    def test_exact_oracle_delta(self):
+        orc = ExactGradient(builtin("quadratic", 1))
+        db0, db2, dv0, dv2 = inputs_from(orc, beta=1.0, r=0.2).delta
+        assert db0 == pytest.approx(0.5 * 0.2**2)
+        assert (db2, dv0, dv2) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["exact", "smoothed", "finite_sum"])
+    def test_every_oracle_has_inputs(self, kind):
+        p = builtin("hoelder_mix", 2, alpha=0.5)
+        orc = {
+            "exact": ExactGradient(p),
+            "smoothed": SphericalSmoothed(p, r=0.5, n_batch=3),
+            "finite_sum": FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), 0.5, 3),
+        }[kind]
+        inputs = inputs_from(orc, beta=1.0, r=0.5)
+        assert inputs.d == 2 and len(inputs.delta) == 4
+
+    def test_equal_split_delta(self):
+        split = FiniteSumPotential.equal_split(builtin("quadratic", 1), 4)
+        orc = FiniteSumSpherical(split, r=0.5, n_batch=2)
+        assert inputs_from(orc, beta=1.0, r=0.5).delta == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 100, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_split_sum_reads_its_base_potential(self, name, d, n):
+        # an equal split changes the gradient estimator, not one bound input
+        p = builtin(name, d)
+        split = FiniteSumSpherical(FiniteSumPotential.equal_split(p, n), r=0.1, n_batch=5)
         assert split.potential is p
-        got = inputs_from(split, beta=1.5, r=0.2, a_abs=2.0)
-        want = inputs_from(SphericalSmoothed(p, r=0.2, n_batch=5), beta=1.5, r=0.2, a_abs=2.0)
+        got = inputs_from(split, beta=1.5, r=0.1, a_abs=2.0)
+        want = inputs_from(SphericalSmoothed(p, r=0.1, n_batch=5), beta=1.5, r=0.1, a_abs=2.0)
         for f in dataclasses.fields(BoundInputs):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 

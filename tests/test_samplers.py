@@ -15,7 +15,6 @@ from mollmc.samplers import (
     ChainConfig,
     ExactGradient,
     FiniteSumSpherical,
-    GTildeStats,
     SphericalSmoothed,
     Trace,
     run,
@@ -228,18 +227,6 @@ class TestSmoothedGradient:
         g = ss_gradient_batch(orc, np.array([1.0, 2.0]), 1, np.random.default_rng(0))
         assert g.shape == (1, 2)
 
-    def test_delta_requires_matching_radius(self):
-        orc = SphericalSmoothed(builtin("quadratic", 1), r=0.5, n_batch=2)
-        assert orc.delta(0.5) == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
-        with pytest.raises(ValueError):
-            orc.delta(0.3)
-
-    def test_exact_oracle_delta(self):
-        orc = ExactGradient(builtin("quadratic", 1))
-        db0, db2, dv0, dv2 = orc.delta(0.2)
-        assert db0 == pytest.approx(0.5 * 0.2**2)
-        assert (db2, dv0, dv2) == (0.0, 0.0, 0.0)
-
 
 _PROTOCOL_ORACLES = {
     "exact": ExactGradient,
@@ -254,8 +241,7 @@ def test_oracle_declares_the_protocol(kind):
     orc = _PROTOCOL_ORACLES[kind](p)
     assert orc.dim == 2 and orc.potential is p
     assert orc.n_batch == (0 if kind == "exact" else 3)
-    assert isinstance(orc.mean_stats(), GTildeStats)
-    assert len(orc.delta(0.5)) == 4
+    assert kind == "exact" or orc.r == 0.5
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     block = orc.prep_block(5, rngs, rngs)
     assert orc.grad_at(np.ones((2, 2)), block, 4).shape == (2, 2)
@@ -317,15 +303,6 @@ class TestBatchedFiniteSum:
         for j in range(20):
             expect = (4 / 5) * np.sum(c[lam[j]][..., None] * (x[:, None] + zeta[j]), axis=1)
             assert np.allclose(orc.grad_at(x, block, j), expect, rtol=1e-13, atol=1e-13)
-
-    def test_delta_only_for_equal_split(self):
-        split = FiniteSumPotential.equal_split(builtin("quadratic", 1), 4)
-        assert FiniteSumSpherical(split, r=0.5, n_batch=2).delta(0.5) == (
-            0.0, 0.0, 0.5 * 0.25 / 2, 0.0,
-        )
-        distinct = FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0]), r=0.5, n_batch=2)
-        with pytest.raises(ValueError, match="equal_split"):
-            distinct.delta(0.5)
 
 
 def _assert_rows_match_solo_runs(oracle, cfg, root, n_chains):
