@@ -49,9 +49,6 @@ __all__ = [
     "inputs_from",
 ]
 
-_EXP_OVERFLOW = 700.0  # log threshold beyond which exp() leaves float range
-
-
 class DegenerateModulusError(ValueError):
     """The gradient modulus vanishes at the requested radius."""
 
@@ -161,9 +158,10 @@ def poincare_bound(inputs: BoundInputs) -> float:
     leaves float range (see :func:`poincare_log_bound`).
     """
     first, log_second = _poincare_pieces(inputs)
-    if log_second > _EXP_OVERFLOW:
+    try:
+        return first + math.exp(log_second)
+    except OverflowError:
         return math.inf
-    return first + math.exp(log_second)
 
 
 def poincare_log_bound(inputs: BoundInputs) -> float:
@@ -344,7 +342,10 @@ def exp_moment_bound(
     asym_log = 2.0 * alpha_exp * (b_bar + inputs.d / inputs.beta) / (
         m_bar - alpha_exp / inputs.beta
     )
-    asym = 2.0 * math.exp(asym_log) if asym_log <= _EXP_OVERFLOW else math.inf
+    try:
+        asym = 2.0 * math.exp(asym_log)
+    except OverflowError:
+        asym = math.inf
     if math.isinf(t):
         return asym
     if init_exp_moment is None:

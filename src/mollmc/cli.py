@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -405,7 +406,10 @@ def cmd_bound(args) -> int:
     payload["r"] = r
     payload["eta"] = chain.eta
     payload["k"] = chain.k
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    # inf and nan are not JSON; c_p_log and the notes say what overflowed
+    payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in payload.items()}
+    print(json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False))
     return EXIT_OK
 
 

@@ -137,6 +137,12 @@ class TestPoincare:
         assert poincare_bound(big) == math.inf
         assert math.isfinite(poincare_log_bound(big))
 
+    def test_finite_up_to_the_float_range(self):
+        # the log bound is log(16) + 700 = 702.77, below log(max float) = 709.78
+        inputs = make_inputs(u0=700.0)
+        assert 1e305 < poincare_bound(inputs) < math.inf
+        assert not theorem_bound(inputs, r=0.5, eta=0.1, k=10).notes
+
 
 class TestLogSobolev:
     def test_pinned_example(self):
@@ -392,6 +398,13 @@ class TestExpMoment:
         inputs = make_inputs()  # beta m_bar = 0.5
         with pytest.raises(ValueError):
             exp_moment_bound(inputs, 1.0, 0.5)
+
+    def test_asymptote_finite_up_to_the_float_range(self):
+        # the asymptote's log is 2 alpha (b + m + d / beta) / (m / 2 - alpha / beta)
+        near = make_inputs(m=2.0, m_tilde=2.0, b=349.0)  # log 704
+        assert 1e305 < exp_moment_bound(near, math.inf, 0.5) < math.inf
+        beyond = make_inputs(m=2.0, m_tilde=2.0, b=1000.0)  # log 2006
+        assert exp_moment_bound(beyond, math.inf, 0.5) == math.inf
 
     def test_gaussian_default_initial_moment(self):
         inputs = make_inputs(m=4.0, m_tilde=4.0)

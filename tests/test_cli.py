@@ -361,6 +361,17 @@ def test_bound_asks_for_r_when_an_lmc_config_has_smoothing_without_r(tmp_path, c
     assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
 
 
+def test_bound_writes_overflowed_values_as_null(tmp_path, capsys):
+    # the Poincare bound of the quadratic at d = 100 is beyond float range
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("potential", "d"), 100)))
+    assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    assert out["c_p_bound"] is None and out["c_ls_bound"] is None
+    assert math.isfinite(out["c_p_log"]) and out["vacuous"] is True
+    assert any("overflows float range" in note for note in out["notes"])
+
+
 def test_sample_rejects_sg_lmc_alias(tmp_path, capsys):
     cfg = dict(_SAMPLE_CONFIGS["ss_sg_lmc"], algorithm="sg_lmc")
     cfg_path = tmp_path / "cfg.json"
