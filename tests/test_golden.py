@@ -33,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -84,12 +85,14 @@ BOUNDS = {
     },
 }
 # the benchmark's four plan shapes at a fixed epsilon, and one whose step-size cap binds
+_PLAN = ["plan", "--epsilon", "0.5", "--d", "10"]
 PLANS = {
-    **{f"lmc_alpha{alpha}": ["--alpha", alpha] for alpha in ("0.4", "0.7", "1.0")},
-    "ss_sg_lmc": ["--algorithm", "ss_sg_lmc"],
+    "lmc_alpha0.4": [*_PLAN, "--alpha", "0.4"],
+    "lmc_alpha0.7": [*_PLAN, "--alpha", "0.7"],
+    "lmc_alpha1.0": [*_PLAN, "--alpha", "1.0"],
+    "ss_sg_lmc": [*_PLAN, "--algorithm", "ss_sg_lmc"],
+    "lmc_capped": ["plan", "--epsilon", "0.05", "--d", "1", "--m", "1e-9", "--alpha", "1"],
 }
-PLANS = {name: ["plan", "--epsilon", "0.5", "--d", "10", *args] for name, args in PLANS.items()}
-PLANS["lmc_capped"] = ["plan", "--epsilon", "0.05", "--d", "1", "--m", "1e-9", "--alpha", "1"]
 BOUND_R = "0.1"  # the analysis radius passed to `bound` for exact-gradient configs
 
 
@@ -119,15 +122,8 @@ def _write_config(cfg: dict, path: Path) -> str:
 def sample_hashes(name: str, workers: int, tmp: Path) -> dict:
     path = _write_config(SAMPLES[name], tmp / f"{name}.json")
     out = tmp / f"{name}-w{workers}"
-    before = os.environ.get("MOLLMC_WORKERS")
-    os.environ["MOLLMC_WORKERS"] = str(workers)
-    try:
+    with mock.patch.dict(os.environ, MOLLMC_WORKERS=str(workers)):
         _stdout(["sample", "--config", path, "--out", str(out)])
-    finally:
-        if before is None:
-            del os.environ["MOLLMC_WORKERS"]
-        else:
-            os.environ["MOLLMC_WORKERS"] = before
     summary = (out / "summary.json").read_bytes().splitlines(keepends=True)
     files = {f.name: f.read_bytes() for f in sorted(out.glob("chain_*.csv"))}
     files["summary.json"] = b"".join(
