@@ -284,6 +284,8 @@ def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremB
     if not math.isfinite(cp):
         notes.append(f"Poincare bound overflows float range; log value {cp_log:.6g}")
     cls = log_sobolev_bound(inputs, r)
+    if math.isfinite(cp) and not math.isfinite(cls):
+        notes.append("log-Sobolev bound overflows float range; exponential term taken undecayed")
 
     f = kl_discretization(inputs, r, eta, k) + (
         0.5

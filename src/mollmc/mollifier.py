@@ -120,7 +120,9 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def sample(m: Mollifier, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+def sample(
+    m: Mollifier, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact draws with density ``rho_r``.
 
     Direction is a normalised Gaussian vector (redrawn in the measure-zero
@@ -129,14 +131,18 @@ def sample(m: Mollifier, rng: np.random.Generator, size: int | None = None) -> n
     Gaussians first, then all Beta draws.  The Gaussian array is normalised
     and scaled in place, so a call holds its result and ``O(size)`` scratch.
 
-    Returns shape ``(d,)`` when ``size`` is None, else ``(size, d)``.
+    Returns shape ``(d,)`` when ``size`` is None, else ``(size, d)``.  Given
+    ``out`` (float64, C-contiguous, shape ``(size, d)``), the Gaussians are
+    drawn into it, the draws are finished there in the same order and with
+    the same bits, and ``out`` is returned; a wrong shape raises
+    ``ValueError`` before any draw.
     """
     single = size is None
     n = 1 if single else int(size)
     if n < 1:
         raise ValueError("size must be at least 1")
     d = m.dim
-    g = rng.standard_normal((n, d))
+    g = rng.standard_normal((n, d), out=out)  # numpy checks out's shape first
     norms = _row_norms(g)
     while np.any(norms == 0.0):  # pragma: no cover - probability zero
         bad = norms == 0.0

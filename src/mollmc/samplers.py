@@ -32,10 +32,9 @@ size is part of the reproducibility contract.  A block holds
 ``C * NOISE_BLOCK * d`` Gaussians, ``C * NOISE_BLOCK * n_batch * d``
 smoothing draws and, for a finite sum, ``C * NOISE_BLOCK * n_batch`` int64
 component picks, so large ensembles step in groups whose blocks stay within
-:data:`LOCKSTEP_BLOCK_BYTES`.  At its peak a group holds its block, one
-chain's kernel draw (``NOISE_BLOCK * n_batch * d`` floats, freed before the
-next chain draws) and its trace array: a spent block is dropped before the
-next one is drawn.
+:data:`LOCKSTEP_BLOCK_BYTES`.  Each generator draws straight into its
+chain's slice of a chain-major block, so at its peak a group holds its block
+and its trace array: a spent block is dropped before the next one is drawn.
 
 The oracles share one protocol, and only sample.  ``dim`` is ``d``;
 ``n_batch`` counts kernel points per chain and step (0 for the exact
@@ -43,9 +42,10 @@ gradient); ``potential`` is what the bounds read (for a finite sum, the
 potential an ``equal_split`` sum was split from, else None); a smoothed
 oracle's ``r`` is its radius.  :func:`mollmc.bounds.inputs_from` states what
 the analysis assumes of each oracle from these.
-``prep_block(n_steps, zeta_rngs, lam_rngs)`` stacks one block drawn from the
-per-chain generators on a chain axis, and ``grad_at(x, block, j)`` returns
-the gradients ``(C, d)`` at the points ``x`` ``(C, d)`` for step ``j``.
+``prep_block(n_steps, zeta_rngs, lam_rngs)`` draws one block from the
+per-chain generators, chain-major (chain ``c``'s draws at ``[c]``), and
+``grad_at(x, block, j)`` returns the gradients ``(C, d)`` at the points ``x``
+``(C, d)`` for step ``j``, read at ``[:, j]``.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class SphericalSmoothed:
         return _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
 
     def grad_at(self, x, block, j):
-        pts = (x[:, None, :] + block[j]).reshape(-1, self.dim)
+        pts = (x[:, None, :] + block[:, j]).reshape(-1, self.dim)
         g = np.asarray(self.potential.weak_grad(pts), dtype=float)
         # the sum over axis 1 of (C, n_batch, d), divided by n_batch, has the
         # bits of one chain's mean over axis 0 of (n_batch, d); a test pins
@@ -194,14 +194,15 @@ class FiniteSumSpherical(SphericalSmoothed):
         # _smoothing_block, not super().prep_block: a wrapper around the
         # parent's method would see this block twice
         zeta = _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
-        size, n = (n_steps, self.n_batch), self.fsum.n_components
-        lam = np.stack([g.integers(0, n, size=size) for g in lam_rngs], axis=1)
+        lam = np.empty((len(lam_rngs), n_steps, self.n_batch), dtype=np.int64)
+        for c, g in enumerate(lam_rngs):
+            lam[c] = g.integers(0, self.fsum.n_components, size=lam.shape[1:])
         return zeta, lam
 
     def grad_at(self, x, block, j):
         zeta, lam = block
-        pts = (x[:, None, :] + zeta[j]).reshape(-1, self.dim)
-        g = self.fsum.component_grad(lam[j].reshape(-1), pts)
+        pts = (x[:, None, :] + zeta[:, j]).reshape(-1, self.dim)
+        g = self.fsum.component_grad(lam[:, j].reshape(-1), pts)
         # sequential sum over the batch: sum(axis=1) adds pairwise when that
         # axis is contiguous (d = 1), which changes the bits of the trace
         g = g.reshape(len(x), self.n_batch, self.dim).cumsum(axis=1)[:, -1]
@@ -209,16 +210,16 @@ class FiniteSumSpherical(SphericalSmoothed):
 
 
 def _smoothing_block(unit: Mollifier, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
-    """``r`` times kernel draws, shape ``(n_steps, C, n_batch, d)``.
+    """``r`` times kernel draws, chain-major: shape ``(C, n_steps, n_batch, d)``.
 
     Chain ``c`` takes its ``n_steps * n_batch`` draws from ``rngs[c]`` in one
-    call, as a lone chain would.
+    call, as a lone chain would, straight into ``block[c]``; the block is then
+    scaled in place.
     """
-    block = np.empty((n_steps, len(rngs), n_batch, unit.dim))
+    block = np.empty((len(rngs), n_steps, n_batch, unit.dim))
     for c, g in enumerate(rngs):
-        z = _kernel_sample(unit, g, size=n_steps * n_batch)
-        np.multiply(r, z.reshape(n_steps, n_batch, unit.dim), out=block[:, c])
-        del z  # one chain's draw at a time
+        _kernel_sample(unit, g, size=n_steps * n_batch, out=block[c].reshape(-1, unit.dim))
+    block *= r
     return block
 
 
@@ -288,13 +289,15 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
     i = 0
     while i < cfg.k and None in diverged_at:
         n_steps = min(NOISE_BLOCK, cfg.k - i)
-        z_block = np.empty((n_steps, n_chains, d))
+        z_block = np.empty((n_chains, n_steps, d))
         for c, gen in enumerate(bm):
-            z_block[:, c] = gen.standard_normal((n_steps, d))
+            gen.standard_normal(out=z_block[c])
+        z_block *= noise_scale  # once per block: the product a step adds keeps its bits
         o_block = oracle.prep_block(n_steps, zrng, lrng)
         for j in range(n_steps):
             g = oracle.grad_at(x, o_block, j)
-            x = x - eta * g + noise_scale * z_block[j]
+            x = x - eta * g
+            x += z_block[:, j]
             i += 1
             if not float(np.vdot(x, x)) <= screen:
                 for c in range(n_chains):

@@ -167,6 +167,19 @@ class TestLogSobolev:
         with pytest.raises(DegenerateModulusError):
             log_sobolev_bound(make_inputs(omega_grad_u=flat0), 0.5)
 
+    def test_overflow_noted_when_poincare_is_finite(self):
+        # log bound 707.77: c_P is 2.4e307, but c_LS, a multiple of it, is inf
+        tb = theorem_bound(make_inputs(u0=705.0), r=0.5, eta=0.1, k=10)
+        assert math.isfinite(tb.c_p_bound) and tb.c_ls_bound == math.inf
+        assert len(tb.notes) == 1 and "log-Sobolev" in tb.notes[0]
+        assert "undecayed" in tb.notes[0]
+        assert tb.vacuous
+
+    def test_poincare_overflow_keeps_its_single_note(self):
+        tb = theorem_bound(make_inputs(u0=2000.0), r=0.5, eta=0.1, k=10)
+        assert tb.c_p_bound == math.inf and tb.c_ls_bound == math.inf
+        assert tb.notes == ("Poincare bound overflows float range; log value 2002.77",)
+
 
 def _kappa0_by_quadrature(d):
     """log E exp(|x|) as a 40-digit integral over the chi density."""

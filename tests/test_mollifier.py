@@ -151,6 +151,31 @@ class TestSampler:
         assert z.shape == ref.shape and z.tobytes() == ref.tobytes()
         assert rng.bit_generator.state == replay.bit_generator.state
 
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("size", [1, 7, 65_536])
+    def test_out_has_the_bits_and_stream_of_the_allocating_draw(self, d, size):
+        m = Mollifier(d, 0.3)
+        rng, replay = np.random.default_rng(2000 + d), np.random.default_rng(2000 + d)
+        out = np.empty((size, d))
+        assert sample(m, rng, size=size, out=out) is out
+        assert out.tobytes() == sample(m, replay, size=size).tobytes()
+        assert rng.standard_normal() == replay.standard_normal()
+
+    @pytest.mark.parametrize("shape", [(6, 2), (7, 3), (14,), (7, 2, 1)])
+    def test_out_of_the_wrong_shape_consumes_nothing(self, shape):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="out"):
+            sample(Mollifier(2, 1.0), rng, size=7, out=np.empty(shape))
+        assert rng.bit_generator.state == state
+
+    def test_numpy_rejects_other_out_arrays(self):
+        m, rng = Mollifier(2, 1.0), np.random.default_rng(3)
+        with pytest.raises(TypeError):
+            sample(m, rng, size=7, out=np.empty((7, 2), dtype=np.float32))
+        with pytest.raises(ValueError):
+            sample(m, rng, size=7, out=np.empty((7, 4))[:, ::2])
+
 
 def gl_interval_poly():
     x, w = np.polynomial.legendre.leggauss(16)
