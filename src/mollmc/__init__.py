@@ -6,7 +6,8 @@ Submodules:
 * :mod:`mollmc.continuity` - moduli of continuity,
 * :mod:`mollmc.potentials` - potential descriptors and built-ins,
 * :mod:`mollmc.samplers` - the chains and gradient oracles,
-* :mod:`mollmc.metrics` - transport distances and moment diagnostics,
+* :mod:`mollmc.metrics` - the exact W2 of a chain's law to its target, and
+  moment diagnostics,
 * :mod:`mollmc.bounds` - the explicit error-envelope arithmetic,
 * :mod:`mollmc.planner` - accuracy-driven parameter schedules,
 * :mod:`mollmc.cli` - the configuration-driven experiment runner.

@@ -6,6 +6,9 @@ gradient, dissipativity constants ``(m, b)`` with
 ``<x, grad U(x)> >= m |x|^2 - b``, a declared modulus of continuity for the
 gradient, ``|grad U(0)|``, and the sup of ``U`` over the unit ball.
 
+``separable`` declares ``U(x) = sum_i u(x_i)`` for one function ``u`` of a
+coordinate, which :func:`mollmc.metrics.law_w2` needs for an exact law.
+
 ``value`` and ``weak_grad`` must be pure and accept arrays of shape ``(d,)``
 or ``(n, d)``; everything downstream (samplers, smoothing oracles, ensemble
 runners) relies on that batching contract.
@@ -54,7 +57,7 @@ class PotentialSpec:
     modulus: ModulusSpec
     grad_at_zero: float
     u0: float
-    modulus_is_global: bool = True
+    separable: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -164,6 +167,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.lipschitz(1.0),
             grad_at_zero=0.0,
             u0=0.5,
+            separable=True,
         )
 
     if name == "double_well":
@@ -183,8 +187,9 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             return (s - c + 1.0)[..., None] * x if x.ndim > 1 else (s - c + 1.0) * x
 
         # Hessian norm within |x| <= R0; the global modulus is infinite
-        # (cubic gradient growth), so modulus_is_global is False and the
-        # assumption check is expected to flag the modulus line.
+        # (cubic gradient growth), so the assumption check is expected to
+        # flag the modulus line.  |x|^4 couples the coordinates, so the
+        # potential is not separable and its chain has no exact law.
         r0 = 2.0 * max(1.0, math.sqrt(c))
         k_local = 3.0 * r0 * r0 + abs(1.0 - c)
         return PotentialSpec(
@@ -197,7 +202,6 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.lipschitz(k_local),
             grad_at_zero=0.0,
             u0=max(0.25 * c * c, 0.25 * (1.0 - c) ** 2 + 0.5),
-            modulus_is_global=False,
         )
 
     if name == "hoelder_mix":
@@ -229,6 +233,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.hoelder(big_m, alpha),
             grad_at_zero=0.0,
             u0=0.5 + d ** (0.5 * (1.0 - alpha)) / (1.0 + alpha),
+            separable=True,
         )
 
     if name == "elastic_net_logistic":
@@ -272,6 +277,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             modulus=ModulusSpec.table([(0.0, jump), (r_hi, jump + slope * r_hi)]),
             grad_at_zero=0.25 * math.sqrt(d),
             u0=d * float(_sigmoid(1.0 / math.sqrt(d))) + lam1 * math.sqrt(d) + 0.5 * lam2,
+            separable=True,
         )
 
     raise ValueError(f"unknown builtin potential {name!r}; choose from {BUILTIN_NAMES}")
@@ -381,8 +387,7 @@ def check_assumptions(p: PotentialSpec, n_samples: int = 10_000, rng=None) -> As
                p.m, p.b, "U >= m/3 |x|^2 - b/2 log 3"),
     ]
     pairs = _pairs(x, min(n_samples, 2000), rng)
-    note = "" if p.modulus_is_global else " (declared modulus is local only)"
-    items.append(_modulus("gradient_modulus", p.modulus, 1.0, pairs, p.weak_grad, note))
+    items.append(_modulus("gradient_modulus", p.modulus, 1.0, pairs, p.weak_grad, ""))
     zero = np.zeros((1, p.dim))
     g0 = np.linalg.norm(p.weak_grad(zero), axis=-1)
     ball = r2 <= 1.0

@@ -105,10 +105,11 @@ class ChainConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.k < 1 or int(self.k) != self.k:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        for name in ("k", "record_stride"):
+            value = getattr(self, name)
+            # an integral float such as 10.0 is refused too: range() needs an int
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass

@@ -1,12 +1,9 @@
 """Shared numerical oracles for the test suite.
 
 These deliberately avoid the library's own helper code: quadrature is a
-fresh Gauss-Legendre tensor product, the transport oracle enumerates all
-permutations.  Tests freeze expected values computed through these routes.
+fresh Gauss-Legendre tensor product.  Tests freeze expected values computed
+through this route.
 """
-
-import itertools
-import math
 
 import numpy as np
 import pytest
@@ -46,19 +43,6 @@ def gl_interval(f, a, b, n_nodes=200):
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return float(half * np.sum(w * f(mid + half * x)))
-
-
-def w2_brute(x, y):
-    """Exact quadratic transport distance by permutation enumeration (n <= 8)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    assert n <= 8
-    cost = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
-    best = min(
-        float(cost[np.arange(n), perm].sum()) for perm in itertools.permutations(range(n))
-    )
-    return math.sqrt(best / n)
 
 
 def scaled_quadratic_sum(scales, d=2):

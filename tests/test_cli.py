@@ -69,12 +69,14 @@ def test_plan_output_independent_of_the_integer_digit_limit(capsys):
 
 
 def _modules_after(code: str, prefix: str) -> str:
-    """The modules of package ``prefix`` that a fresh interpreter has loaded
-    after running ``code``."""
+    """The modules of package ``prefix`` (a dotted name, such as
+    ``numpy.polynomial``, or a top-level one) that a fresh interpreter has
+    loaded after running ``code``."""
     src = str(Path(mollmc.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="1")
-    probe = code + f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {prefix!r}))"
+    probe = code + ("\nprint(sorted(m for m in sys.modules"
+                    f" if (m + '.').startswith({prefix + '.'!r})))")
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -83,8 +85,8 @@ def _modules_after(code: str, prefix: str) -> str:
 
 @pytest.mark.parametrize("prefix", ["numpy", "mpmath", "scipy"])
 def test_import_leaves_heavy_modules_unloaded(prefix):
-    # each subcommand imports what it runs; scipy is an optional extra that
-    # only w2_exact loads
+    # each subcommand imports what it runs; scipy is a reference of the
+    # tests only, which no command loads
     assert _modules_after("import sys, mollmc.cli", prefix) == "[]"
 
 
@@ -113,7 +115,7 @@ _SAMPLE_CONFIGS = {
 @pytest.mark.parametrize(
     "command,prefix",
     [("plan", "scipy"), ("bound", "scipy"), ("sample", "scipy"),
-     ("plan", "numpy"), ("sample", "mpmath")],
+     ("plan", "numpy"), ("sample", "mpmath"), ("sample", "numpy.polynomial")],
 )
 def test_commands_leave_modules_unloaded(command, prefix, tmp_path):
     path = tmp_path / "cfg.json"

@@ -1,131 +1,127 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from mollmc.metrics import (
-    SampleSet,
-    moment_report,
-    w2_1d,
-    w2_exact,
-    w2_sliced,
-)
-from mollmc.potentials import builtin
-from mollmc.samplers import ChainConfig, ExactGradient, run
+from mollmc import metrics
+from mollmc.metrics import law_w2, moment_report
+from mollmc.potentials import FiniteSumPotential, builtin
+from mollmc.samplers import ChainConfig, ExactGradient, FiniteSumSpherical, SphericalSmoothed, run
 
-from conftest import w2_brute
+from conftest import scaled_quadratic_sum
+
+HOELDER = builtin("hoelder_mix", 1, alpha=0.5)
 
 
-def _sets(rng, n, d):
-    return SampleSet(rng.standard_normal((n, d))), SampleSet(rng.standard_normal((n, d)))
+def _grid_law(oracle, cfg):
+    """The grid and the chain's 1-D density on it after ``cfg.k`` steps."""
+    t, transition, _ = metrics._law_grid(oracle, cfg)
+    law = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    for _ in range(cfg.k):
+        law = transition @ law
+    return t, law
 
 
-class TestExact:
-    def test_missing_scipy_names_the_extra(self, rng, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-        a = SampleSet(rng.standard_normal((4, 2)))
-        with pytest.raises(ImportError, match=r"mollmc\[exact\]"):
-            w2_exact(a, a)
+class TestLawW2:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quadratic_matches_the_variance_recursion(self, d):
+        # Law(Y_k) = N(0, v_k I) with v_{k+1} = (1 - eta)^2 v_k + 2 eta / beta,
+        # and W2 between centred isotropic Gaussians is sqrt(d) |sqrt(v) - sqrt(v')|
+        beta, eta = 1.0, 0.05
+        w2 = law_w2(ExactGradient(builtin("quadratic", d)),
+                    ChainConfig(beta, eta, 1000, record_stride=10))
+        assert len(w2) == 101
+        v = 1.0
+        for k in range(1, 1001):
+            v = (1.0 - eta) ** 2 * v + 2.0 * eta / beta
+            if k in (10, 100, 1000):
+                exact = math.sqrt(d) * abs(math.sqrt(v) - 1.0 / math.sqrt(beta))
+                assert w2[k // 10] == pytest.approx(exact, rel=1e-3)
 
-    def test_identity(self, rng):
-        a = SampleSet(rng.standard_normal((16, 3)))
-        assert w2_exact(a, a) == 0.0
+    def test_hoelder_reference_values(self):
+        # W2_1 of LMC on hoelder_mix at alpha = 0.5, beta = 1, eta = 0.05, from a
+        # dense transition on a 4,001-point grid over [-10, 10]
+        w2 = law_w2(ExactGradient(HOELDER), ChainConfig(1.0, 0.05, 400, record_stride=10))
+        assert w2[[1, 5, 40]] == pytest.approx([0.0733, 0.0214, 0.0213], rel=0.02)
 
-    def test_two_point_example(self):
-        a = SampleSet(np.array([[0.0], [1.0]]))
-        b = SampleSet(np.array([[1.0], [2.0]]))
-        # both 2-permutations enumerated: monotone matching wins with cost 1
-        assert w2_exact(a, b) == pytest.approx(1.0, abs=1e-15)
-        assert w2_brute(a.points, b.points) == pytest.approx(1.0, abs=1e-15)
-
-    def test_against_enumeration(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            d = int(rng.integers(1, 4))
-            a, b = _sets(rng, n, d)
-            worst = max(worst, abs(w2_exact(a, b) - w2_brute(a.points, b.points)))
-        assert worst <= 1e-12
-
-    def test_translation(self, rng):
-        base = SampleSet(rng.standard_normal((4, 2)))
-        for shift in (-1.5, 0.25, 3.0):
-            c = np.array([shift, 0.0])
-            val = w2_exact(base, SampleSet(base.points + c))
-            assert val == pytest.approx(abs(shift), abs=1e-10)
-            assert w2_brute(base.points, base.points + c) == pytest.approx(
-                abs(shift), abs=1e-10
-            )
-
-    def test_symmetry_and_triangle(self, rng):
+    def test_smoothed_quadratic_follows_its_variance_recursion(self):
+        # on |x|^2/2 the oracle is Y + r zeta, and E zeta^2 = E Beta(1/2, 4) = 1/9
+        # at d = 1, so v_{k+1} = (1 - eta)^2 v_k + (eta r)^2 / 9 + 2 eta / beta
+        beta, eta, r = 1.0, 0.5, 1.0
+        oracle = SphericalSmoothed(builtin("quadratic", 1), r=r)
+        t, law = _grid_law(oracle, ChainConfig(beta, eta, 20))
+        v = 1.0
         for _ in range(20):
-            a, b = _sets(rng, 6, 2)
-            c = SampleSet(rng.standard_normal((6, 2)))
-            dab, dba = w2_exact(a, b), w2_exact(b, a)
-            assert dab == pytest.approx(dba, abs=1e-12)
-            assert w2_exact(a, c) <= dab + w2_exact(b, c) + 1e-12
+            v = (1.0 - eta) ** 2 * v + (eta * r) ** 2 / 9.0 + 2.0 * eta / beta
+        assert (t[1] - t[0]) * np.sum(t * t * law) == pytest.approx(v, rel=1e-10)
 
-    def test_scale_equivariance(self, rng):
-        a, b = _sets(rng, 12, 3)
-        base = w2_exact(a, b)
-        for c in (0.5, 2.0, 7.0):
-            scaled = w2_exact(SampleSet(c * a.points), SampleSet(c * b.points))
-            assert scaled == pytest.approx(c * base, rel=1e-12)
+    def test_equal_split_has_the_smoothed_law(self):
+        cfg = ChainConfig(1.0, 0.05, 30)
+        split = FiniteSumSpherical(FiniteSumPotential.equal_split(HOELDER, 4), r=0.5)
+        assert np.array_equal(law_w2(split, cfg), law_w2(SphericalSmoothed(HOELDER, r=0.5), cfg))
 
-    def test_size_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            w2_exact(SampleSet(rng.standard_normal((3, 1))), SampleSet(rng.standard_normal((4, 1))))
+    @pytest.mark.parametrize("oracle", [ExactGradient(HOELDER), SphericalSmoothed(HOELDER, r=0.5)],
+                             ids=["lmc", "ss_lmc"])
+    def test_mass_is_conserved(self, oracle):
+        t, law = _grid_law(oracle, ChainConfig(1.0, 0.05, 1000))
+        assert abs((t[1] - t[0]) * law.sum() - 1.0) <= 1e-11
 
-    def test_budget(self, rng):
-        big = SampleSet(rng.standard_normal((600, 1)))
-        with pytest.raises(ValueError):
-            w2_exact(big, big)
+    @pytest.mark.parametrize(
+        "oracle,refined",
+        [
+            (ExactGradient(HOELDER), {"LAW_SPACING": 0.5, "LAW_RESOLUTION": 0.5, "LAW_BOX": 1.5}),
+            (SphericalSmoothed(HOELDER, r=0.5),
+             {"LAW_SPACING": 0.5, "LAW_RESOLUTION": 0.5, "LAW_BOX": 1.5}),
+            (SphericalSmoothed(HOELDER, r=0.5), {"LAW_NODES": 2}),
+        ],
+        ids=["lmc_grid", "ss_lmc_grid", "ss_lmc_nodes"],
+    )
+    def test_refinement_moves_w2_by_under_1e_3(self, oracle, refined, monkeypatch):
+        # half the spacing and a 1.5 times wider box, or twice the nodes
+        cfg = ChainConfig(1.0, 0.05, 50, record_stride=5)
+        base = law_w2(oracle, cfg)
+        for name, factor in refined.items():
+            monkeypatch.setattr(metrics, name, getattr(metrics, name) * factor)
+        assert law_w2(oracle, cfg) == pytest.approx(base, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [ExactGradient(builtin("hoelder_mix", 2, alpha=0.5)), SphericalSmoothed(HOELDER, r=0.5)],
+        ids=["lmc_d2", "ss_lmc_d1"],
+    )
+    def test_lockstep_ensemble_within_dkw_band(self, oracle):
+        # every coordinate of every chain is an independent draw of the 1-D
+        # law, so the empirical CDF of all of them is within the DKW band of
+        # the grid's with probability 1 - 1e-3
+        cfg = ChainConfig(1.0, 0.05, 20)
+        t, law = _grid_law(oracle, cfg)
+        traces = run(oracle, cfg, range(2000))
+        x = np.sort(np.concatenate([tr.iterates[-1] for tr in traces]))
+        band = math.sqrt(math.log(2.0 / 1e-3) / (2 * x.size))
 
-class TestSorted1D:
-    def test_matches_exact(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            a, b = _sets(rng, n, 1)
-            worst = max(worst, abs(w2_1d(a, b) - w2_exact(a, b)))
-        assert worst <= 1e-12
+        def ks(dens):
+            cdf = np.interp(x, t, metrics._cdf(dens))
+            upper = np.arange(1, x.size + 1) / x.size
+            return max(np.max(upper - cdf), np.max(cdf - upper + 1.0 / x.size))
 
-    def test_shuffle_invariance(self, rng):
-        a = SampleSet(rng.standard_normal((50, 1)))
-        shuffled = SampleSet(a.points[rng.permutation(50)])
-        assert w2_1d(a, shuffled) == 0.0
+        assert ks(law) <= band
+        assert ks(np.exp(-0.5 * t * t)) > band  # the test tells the start from step 20
 
-    def test_requires_dimension_one(self, rng):
-        a, b = _sets(rng, 8, 2)
-        with pytest.raises(ValueError):
-            w2_1d(a, b)
-
-
-class TestSliced:
-    def test_identity(self, rng):
-        a = SampleSet(rng.standard_normal((100, 4)))
-        assert w2_sliced(a, a, 16, rng) == 0.0
-
-    def test_d1_reduces_to_sorted(self, rng):
-        a, b = _sets(rng, 64, 1)
-        val = w2_sliced(a, b, 1, np.random.default_rng(0))
-        assert val == pytest.approx(w2_1d(a, b), abs=1e-12)
-
-    def test_never_exceeds_exact(self, rng):
-        for _ in range(10):
-            a, b = _sets(rng, 32, 3)
-            assert w2_sliced(a, b, 64, rng) <= w2_exact(a, b) + 1e-12
-
-    def test_gaussian_scale_gap(self):
-        # N(0, I) vs N(0, 4 I) in d=2: every projection is N(0,1) vs N(0,4),
-        # whose 1-D distance is |sigma1 - sigma2| = 1 exactly
-        rng = np.random.default_rng(21)
-        a = SampleSet(rng.standard_normal((10_000, 2)))
-        b = SampleSet(2.0 * rng.standard_normal((10_000, 2)))
-        val = w2_sliced(a, b, 128, rng)
-        assert abs(val - 1.0) <= 0.1
+    @pytest.mark.parametrize(
+        "oracle,cfg",
+        [
+            (ExactGradient(builtin("double_well", 1)), ChainConfig(1.0, 0.05, 10)),
+            (SphericalSmoothed(builtin("quadratic", 2), r=0.5), ChainConfig(1.0, 0.05, 10)),
+            (SphericalSmoothed(HOELDER, r=0.5, n_batch=2), ChainConfig(1.0, 0.05, 10)),
+            (ExactGradient(HOELDER), ChainConfig(1.0, 0.05, 10, x0=(0.0,))),
+            (FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0], d=1), r=0.5),
+             ChainConfig(1.0, 0.05, 10)),
+            (ExactGradient(HOELDER), ChainConfig(1.0, 1e-5, 10)),
+        ],
+        ids=["double_well", "smoothed_d2", "n_batch_2", "point_x0", "distinct_sum", "big_grid"],
+    )
+    def test_no_reference_is_none(self, oracle, cfg):
+        assert law_w2(oracle, cfg) is None
 
 
 class TestMomentReport:
@@ -155,21 +151,3 @@ class TestMomentReport:
         (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         with pytest.raises(ValueError):
             moment_report(t, burn_in=t.n_recorded)
-
-
-class TestSampleSet:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.array([[math.nan]]))
-
-    def test_from_trace_burn_in(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=9)
-        (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
-        s = SampleSet.from_trace(t)
-        assert s.n == 5
-        s_all = SampleSet.from_trace(t, burn_in=0)
-        assert s_all.n == 10
-
-    def test_one_dim_vector_promoted(self):
-        s = SampleSet(np.array([1.0, 2.0, 3.0]))
-        assert s.points.shape == (3, 1)

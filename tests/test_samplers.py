@@ -105,9 +105,15 @@ class TestRunBasics:
         assert t.diverged_at is not None and t.diverged_at < 200
         assert t.steps[-1] < t.diverged_at and len(t.steps) == t.n_recorded
 
-    def test_eta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ChainConfig(beta=1.0, eta=0.0, k=10)
+    @pytest.mark.parametrize(
+        "field,value",
+        [("eta", 0.0), ("k", 10.0), ("k", math.inf), ("record_stride", 1.5),
+         ("record_stride", 2.0), ("record_stride", math.nan)],
+    )
+    def test_eta_must_be_positive(self, field, value):
+        # and k and record_stride positive integers; the message names the field
+        with pytest.raises(ValueError, match=field):
+            ChainConfig(**({"beta": 1.0, "eta": 0.1, "k": 10} | {field: value}))
 
     @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64]], ids=["empty", "negative", "65-bit"])
     def test_rejects_no_seeds_and_seeds_outside_64_bits(self, seeds):
