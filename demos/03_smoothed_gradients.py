@@ -9,7 +9,7 @@ compares the Monte Carlo mean with a quadrature of the smoothed gradient.
 
 import numpy as np
 
-from mollmc.mollifier import Mollifier, density
+from mollmc.mollifier import density
 from mollmc.potentials import FiniteSumPotential, builtin
 from mollmc.samplers import FiniteSumSpherical, SphericalSmoothed, ss_gradient_batch
 
@@ -32,7 +32,7 @@ hm = builtin("hoelder_mix", 1, alpha=0.5)
 r = 0.3
 orc = SphericalSmoothed(hm, r=r, n_batch=2)
 nodes, weights = np.polynomial.legendre.leggauss(200)
-kern = density(nodes[:, None], Mollifier(1, 1.0))
+kern = density(nodes[:, None], 1)
 for x0 in (-1.0, 0.0, 0.7):
     quad = float(np.sum(weights * kern * hm.weak_grad(np.array([x0]) + r * nodes[:, None])[:, 0]))
     draws = ss_gradient_batch(orc, np.array([x0]), 60_000, rng)[:, 0]

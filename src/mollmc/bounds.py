@@ -33,7 +33,6 @@ from .continuity import ModulusSpec
 __all__ = [
     "BoundInputs",
     "TheoremBound",
-    "DegenerateModulusError",
     "eta_max",
     "kappa_inf",
     "c_zero",
@@ -48,10 +47,6 @@ __all__ = [
     "gaussian_log_p0_sup",
     "inputs_from",
 ]
-
-class DegenerateModulusError(ValueError):
-    """The gradient modulus vanishes at the requested radius."""
-
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -82,8 +77,8 @@ class BoundInputs:
 
     def __post_init__(self):
         # each comparison is written so that NaN fails it
-        if not self.d >= 1:
-            raise ValueError("d must be a positive integer")
+        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise ValueError(f"d must be a positive integer, got {self.d!r}")
         for name in ("beta", "m", "m_tilde", "a_abs"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -175,8 +170,8 @@ def log_sobolev_bound(inputs: BoundInputs, r: float) -> float:
     if not (0.0 < r <= 1.0):
         raise ValueError(f"radius must lie in (0, 1], got {r}")
     w = inputs.omega_grad_u.eval(r)
-    if w <= 0.0:
-        raise DegenerateModulusError(f"gradient modulus vanishes at r={r}")
+    if w <= 0.0:  # an omega(r) that underflows
+        raise ValueError(f"gradient modulus vanishes at r={r}")
     cp = poincare_bound(inputs)
     s = inputs.d + (inputs.b + inputs.m) * inputs.beta
     mb = inputs.m * inputs.beta
@@ -373,8 +368,8 @@ def gaussian_kappa0(d: int) -> float:
     positive, and the sum is evaluated at 40 digits whatever precision the
     caller has set.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
     with mp.workdps(40):
         a = mp.mpf(d) / 2
         half = mp.mpf(1) / 2

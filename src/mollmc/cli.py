@@ -68,6 +68,7 @@ _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
 _POSITIVE = ("a positive number", lambda v: _is_real(v) and v > 0.0)
 _COUNT = ("a positive integer", lambda v: _is_real(v) and v >= 1 and v == int(v))
+_RADIUS = ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0)
 # the seed derivation reads the root modulo 2**64, so -5 would rerun the
 # experiment of 2**64 - 5
 _SEED = ("in [0, 2**64)", lambda v: _is_real(v) and 0 <= v < 2**64 and v == int(v))
@@ -93,7 +94,7 @@ _KEYS = {
     ("chain", "init", "x0"):
         ("a list of real numbers", lambda v: isinstance(v, list) and all(map(_is_real, v))),
     ("smoothing",): _OBJECT,
-    ("smoothing", "r"): ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0),
+    ("smoothing", "r"): _RADIUS,
     ("smoothing", "n_batch"): _COUNT,
     ("finite_sum",): _OBJECT,
     ("finite_sum", "n_components"): _COUNT,
@@ -388,6 +389,7 @@ def cmd_bound(args) -> int:
     cfg = load_config(args.config)
     oracle = build_oracle(cfg)
     if args.r is not None:
+        _check(args.r, "--r", _RADIUS)
         r = float(args.r)
     elif "r" in cfg.get("smoothing", {}):
         r = float(cfg["smoothing"]["r"])

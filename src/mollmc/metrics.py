@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .mollifier import Mollifier, density
+from .mollifier import density
 from .samplers import LOCKSTEP_BLOCK_BYTES, ChainConfig, Trace, _recorded_steps
 
 __all__ = ["law_w2", "moment_report"]
@@ -46,7 +46,7 @@ def _law_grid(oracle, cfg: ChainConfig):
     zeta, weight = np.zeros(1), np.ones(1)
     if oracle.n_batch:
         zeta, weight = np.polynomial.legendre.leggauss(LAW_NODES)
-        weight *= density(zeta[:, None], Mollifier(1))
+        weight *= density(zeta[:, None], 1)
         zeta *= oracle.r
     line = np.zeros((t.size, p.dim))  # the points t e_0
     transition = np.zeros((t.size, t.size))

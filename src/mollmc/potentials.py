@@ -112,8 +112,8 @@ class FiniteSumPotential:
     @classmethod
     def equal_split(cls, p: PotentialSpec, n: int) -> "FiniteSumPotential":
         """Split ``p`` into ``n`` identical components ``U / n``."""
-        if n < 1:
-            raise ValueError("need at least one component")
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         w = 1.0 / n
         return cls(
             name=f"{p.name}/split{n}",
@@ -262,11 +262,8 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
         b1 = float(np.max(u * _sig_prod(u) - lam1 * u))
         b1 = max(b1, 0.0)
 
-        # affine modulus: sign jumps contribute 2 lam1 sqrt(d) at any scale,
-        # the smooth part is (lam2 + max|d sig_prod|)-Lipschitz
-        jump = 2.0 * lam1 * math.sqrt(d)
-        slope = lam2 + _SIG_CURVATURE
-        r_hi = 128.0
+        # sign jumps contribute 2 lam1 sqrt(d) at any scale, and the smooth
+        # part is (lam2 + max|d sig_prod|)-Lipschitz
         return PotentialSpec(
             name="elastic_net_logistic",
             dim=d,
@@ -274,7 +271,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
             weak_grad=en_grad,
             m=lam2,
             b=d * b1,
-            modulus=ModulusSpec.table([(0.0, jump), (r_hi, jump + slope * r_hi)]),
+            modulus=ModulusSpec.lipschitz(lam2 + _SIG_CURVATURE, jump=2.0 * lam1 * math.sqrt(d)),
             grad_at_zero=0.25 * math.sqrt(d),
             u0=d * float(_sigmoid(1.0 / math.sqrt(d))) + lam1 * math.sqrt(d) + 0.5 * lam2,
             separable=True,

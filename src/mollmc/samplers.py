@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as _rng
-from .mollifier import Mollifier, sample as _kernel_sample
+from .mollifier import sample as _kernel_sample
 from .potentials import FiniteSumPotential, PotentialSpec
 
 __all__ = [
@@ -159,16 +159,15 @@ class SphericalSmoothed:
     def __init__(self, potential: PotentialSpec, r: float, n_batch: int = 1):
         if not (0.0 < r <= 1.0):
             raise ValueError(f"smoothing radius must lie in (0, 1], got {r}")
-        if n_batch < 1:
-            raise ValueError("n_batch must be at least 1")
+        if not isinstance(n_batch, (int, np.integer)) or n_batch < 1:
+            raise ValueError(f"n_batch must be a positive integer, got {n_batch!r}")
         self.potential = potential
         self.r = float(r)
         self.n_batch = int(n_batch)
         self.dim = potential.dim
-        self._unit = Mollifier(self.dim, 1.0)
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
-        return _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
+        return _smoothing_block(self.dim, self.r, n_steps, self.n_batch, zeta_rngs)
 
     def grad_at(self, x, block, j):
         pts = (x[:, None, :] + block[:, j]).reshape(-1, self.dim)
@@ -194,7 +193,7 @@ class FiniteSumSpherical(SphericalSmoothed):
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
         # _smoothing_block, not super().prep_block: a wrapper around the
         # parent's method would see this block twice
-        zeta = _smoothing_block(self._unit, self.r, n_steps, self.n_batch, zeta_rngs)
+        zeta = _smoothing_block(self.dim, self.r, n_steps, self.n_batch, zeta_rngs)
         lam = np.empty((len(lam_rngs), n_steps, self.n_batch), dtype=np.int64)
         for c, g in enumerate(lam_rngs):
             lam[c] = g.integers(0, self.fsum.n_components, size=lam.shape[1:])
@@ -210,16 +209,16 @@ class FiniteSumSpherical(SphericalSmoothed):
         return g * (self.fsum.n_components / self.n_batch)
 
 
-def _smoothing_block(unit: Mollifier, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
+def _smoothing_block(d: int, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
     """``r`` times kernel draws, chain-major: shape ``(C, n_steps, n_batch, d)``.
 
     Chain ``c`` takes its ``n_steps * n_batch`` draws from ``rngs[c]`` in one
     call, as a lone chain would, straight into ``block[c]``; the block is then
     scaled in place.
     """
-    block = np.empty((len(rngs), n_steps, n_batch, unit.dim))
+    block = np.empty((len(rngs), n_steps, n_batch, d))
     for c, g in enumerate(rngs):
-        _kernel_sample(unit, g, size=n_steps * n_batch, out=block[c].reshape(-1, unit.dim))
+        _kernel_sample(d, g, size=n_steps * n_batch, out=block[c].reshape(-1, d))
     block *= r
     return block
 

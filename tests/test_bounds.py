@@ -11,7 +11,6 @@ from scipy import integrate, stats
 
 from mollmc.bounds import (
     BoundInputs,
-    DegenerateModulusError,
     c_zero,
     eta_max,
     exp_moment_bound,
@@ -163,9 +162,11 @@ class TestLogSobolev:
         assert b > a
 
     def test_degenerate_modulus(self):
-        flat0 = ModulusSpec.table([(0.0, 0.0), (1.0, 0.0)])
-        with pytest.raises(DegenerateModulusError):
-            log_sobolev_bound(make_inputs(omega_grad_u=flat0), 0.5)
+        # omega(r) = 1e-300 * 1e-30 underflows to 0, and lambda / r with it
+        tiny = ModulusSpec.lipschitz(1e-300)
+        assert tiny.eval(1e-30) == 0.0
+        with pytest.raises(ValueError, match="gradient modulus vanishes at r=1e-30"):
+            log_sobolev_bound(make_inputs(omega_grad_u=tiny), 1e-30)
 
     def test_overflow_noted_when_poincare_is_finite(self):
         # log bound 707.77: c_P is 2.4e307, but c_LS, a multiple of it, is inf
@@ -205,9 +206,10 @@ class TestGaussianKappa0:
                 values.add(gaussian_kappa0(d))
         assert len(values) == 1
 
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            gaussian_kappa0(0)
+    @pytest.mark.parametrize("d", [0, 1.5, 2.0])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            gaussian_kappa0(d)
 
 
 class TestKlPieces:
@@ -324,6 +326,11 @@ class TestTheoremBound:
         gap = dk * eta / (2.0 * inputs.beta * a.c_ls_bound)
         if a.exp_term > 1e-300 and gap > 1e-9:
             assert b.exp_term < a.exp_term
+
+    @pytest.mark.parametrize("d", [0, 1.5])
+    def test_inputs_need_an_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            make_inputs(d=d)
 
     def test_eta_precondition_named(self):
         inputs = make_inputs()

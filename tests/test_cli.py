@@ -432,6 +432,18 @@ def test_non_finite_reals_are_rejected_by_name(tmp_path, capsys, monkeypatch, ar
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("r", ["0", "-1", "nan", "inf", "1.5"])
+def test_bound_names_a_bad_radius_flag(tmp_path, capsys, monkeypatch, r):
+    # the messages came from the modulus ("modulus argument must be ...") or
+    # the envelope ("radius must lie in ..."), neither of which named --r
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(_LMC_D1))
+    assert main([*_BOUND, "--r", r]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"error: --r must be a number in (0, 1], got {float(r)!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_integral_floats_pass_and_keep_the_config_hash(tmp_path, capsys):
     # the hash is of the config as written: validation must not normalise 2.0 to 2
     cfg = {

@@ -111,6 +111,18 @@ class TestElasticNet:
         inner = np.einsum("ij,ij->i", xs, p.weak_grad(xs))
         assert np.all(inner >= p.m * xs[:, 0] ** 2 - p.b - 1e-12)
 
+    @pytest.mark.parametrize("d,want", [
+        (1, [0.20109622504486496, 0.30962250448649375, 0.7481125224324687,
+             1.2962250448649375, 109.82250448649376]),
+        (10, [0.633551757078541, 0.7420780365201698, 1.1805680544661448,
+              1.7286805768986135, 110.25496001852743]),
+    ])
+    def test_modulus_pinned(self, d, want):
+        # 2 lam1 sqrt(d) + (lam2 + max|d sig_prod|) r, frozen from the
+        # two-knot table that described it before
+        m = builtin("elastic_net_logistic", d).modulus
+        assert [m.eval(r) for r in (1e-3, 0.1, 0.5, 1.0, 100.0)] == want
+
     def test_value_nonnegative_and_u0(self):
         p = builtin("elastic_net_logistic", 2)
         rng = np.random.default_rng(0)
@@ -249,9 +261,10 @@ class TestFiniteSum:
         (item,) = [it for it in rep.items if it.name == "component_gradient_modulus"]
         assert not item.passed
 
-    def test_needs_positive_count(self):
-        with pytest.raises(ValueError):
-            FiniteSumPotential.equal_split(builtin("quadratic", 1), 0)
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_needs_positive_integer_count(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            FiniteSumPotential.equal_split(builtin("quadratic", 1), n)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mollmc.continuity import ModulusSpec
-from mollmc.mollifier import Mollifier, density
+from mollmc.mollifier import density
 from mollmc.potentials import FiniteSumPotential, PotentialSpec, builtin
 from mollmc import samplers
 from mollmc.rng import chain_streams, derive_seed, replica_seed
@@ -115,6 +115,11 @@ class TestRunBasics:
         with pytest.raises(ValueError, match=field):
             ChainConfig(**({"beta": 1.0, "eta": 0.1, "k": 10} | {field: value}))
 
+    @pytest.mark.parametrize("n_batch", [0, 2.5, 2.0])
+    def test_n_batch_must_be_a_positive_integer(self, n_batch):
+        with pytest.raises(ValueError, match="n_batch must be a positive integer"):
+            SphericalSmoothed(builtin("quadratic", 1), 0.1, n_batch=n_batch)
+
     @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64]], ids=["empty", "negative", "65-bit"])
     def test_rejects_no_seeds_and_seeds_outside_64_bits(self, seeds):
         with pytest.raises(ValueError, match="chain|64 bits"):
@@ -200,11 +205,10 @@ class TestSmoothedGradient:
         p = builtin("hoelder_mix", 1, alpha=0.5)
         r = 0.3
         orc = SphericalSmoothed(p, r=r, n_batch=2)
-        kernel = Mollifier(1, 1.0)
         rng = np.random.default_rng(2)
         for x0 in np.linspace(-2, 2, 10):
             quad = gl_interval(
-                lambda z: density(z[:, None], kernel) * p.weak_grad(np.array([x0]) + r * z[:, None])[:, 0],
+                lambda z: density(z[:, None], 1) * p.weak_grad(np.array([x0]) + r * z[:, None])[:, 0],
                 -1.0,
                 1.0,
                 300,
