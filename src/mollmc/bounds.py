@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 import mpmath as mp
 import numpy as np
 
+from . import _args
 from .continuity import ModulusSpec
 
 __all__ = [
@@ -76,20 +77,15 @@ class BoundInputs:
     a_abs: float = 1.0
 
     def __post_init__(self):
-        # each comparison is written so that NaN fails it
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        _args.count("d", self.d)
         for name in ("beta", "m", "m_tilde", "a_abs"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+            _args.positive(name, getattr(self, name))
         for name in ("b", "b_tilde", "kappa0", "grad_u_mnorm", "g_tilde_mnorm",
                      "omega_g_tilde_one", "u0"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            _args.nonnegative(name, getattr(self, name))
         if not math.isfinite(self.p0_sup_log):
             raise ValueError(f"p0_sup_log must be finite, got {self.p0_sup_log}")
+        # written so that NaN fails it
         if len(self.delta) != 4 or not all(0.0 <= v < math.inf for v in self.delta):
             raise ValueError(f"delta must be four finite nonnegative reals, got {self.delta}")
         object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
@@ -167,9 +163,7 @@ def poincare_log_bound(inputs: BoundInputs) -> float:
 
 def log_sobolev_bound(inputs: BoundInputs, r: float) -> float:
     """Upper bound for the log-Sobolev constant of the smoothed Gibbs measure."""
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"radius must lie in (0, 1], got {r}")
-    w = inputs.omega_grad_u.eval(r)
+    w = inputs.omega_grad_u.eval(_args.unit("r", r))
     if w <= 0.0:  # an omega(r) that underflows
         raise ValueError(f"gradient modulus vanishes at r={r}")
     cp = poincare_bound(inputs)
@@ -188,10 +182,8 @@ def kl_discretization(inputs: BoundInputs, r: float, eta: float, k: int) -> floa
 
     ``(C0 omega(r)/r eta + beta (delta_{r,2} kappa_inf + delta_{r,0})) k eta``.
     """
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"radius must lie in (0, 1], got {r}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _args.unit("r", r)
+    _args.count("k", k, least=0)
     db0, db2, dv0, dv2 = inputs.delta
     ki = kappa_inf(inputs, eta)
     c0 = c_zero(inputs, eta)
@@ -252,10 +244,8 @@ class TheoremBound:
 def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremBound:
     """Evaluate the full error envelope for a run of ``k`` steps at ``(r, eta)``."""
     eta = _check_eta(inputs, eta)
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"radius must lie in (0, 1], got {r}")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _args.unit("r", r)
+    _args.count("k", k)
 
     notes = []
     ki = kappa_inf(inputs, eta)
@@ -368,8 +358,7 @@ def gaussian_kappa0(d: int) -> float:
     positive, and the sum is evaluated at 40 digits whatever precision the
     caller has set.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _args.count("d", d)
     with mp.workdps(40):
         a = mp.mpf(d) / 2
         half = mp.mpf(1) / 2

@@ -322,6 +322,7 @@ def cmd_plan(args) -> int:
 
     from .planner import PRECISION_DPS, PlanRequest, plan_lmc, plan_ss_sg_lmc, verify_plan
 
+    _check(args.cap, "--cap", _COUNT)
     req = PlanRequest(
         epsilon=args.epsilon,
         d=args.d,
@@ -386,6 +387,7 @@ def cmd_plan(args) -> int:
 def cmd_bound(args) -> int:
     from .bounds import inputs_from, theorem_bound
 
+    _check(args.a_abs, "--a-abs", _POSITIVE)
     cfg = load_config(args.config)
     oracle = build_oracle(cfg)
     if args.r is not None:

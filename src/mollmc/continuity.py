@@ -18,8 +18,9 @@ zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from . import _args
 
 __all__ = ["ModulusSpec"]
 
@@ -38,14 +39,9 @@ class ModulusSpec:
 
     @classmethod
     def hoelder(cls, scale: float, alpha: float, jump: float = 0.0) -> "ModulusSpec":
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        # each comparison is written so that NaN fails it
-        if not (0.0 < scale < math.inf):
-            raise ValueError(f"scale must be finite and positive, got {scale}")
-        if not (0.0 <= jump < math.inf):
-            raise ValueError(f"jump must be finite and nonnegative, got {jump}")
-        return cls(scale=float(scale), alpha=float(alpha), jump=float(jump))
+        return cls(alpha=float(_args.unit("alpha", alpha)),
+                   scale=float(_args.positive("scale", scale)),
+                   jump=float(_args.nonnegative("jump", jump)))
 
     @classmethod
     def lipschitz(cls, scale: float, jump: float = 0.0) -> "ModulusSpec":
@@ -53,7 +49,5 @@ class ModulusSpec:
 
     def eval(self, r: float) -> float:
         """omega(r) for r > 0."""
-        r = float(r)
-        if not (r > 0.0) or not math.isfinite(r):
-            raise ValueError(f"modulus argument must be a positive real, got {r}")
+        r = _args.positive("r", float(r))
         return self.jump + self.scale * max(r**self.alpha, r)

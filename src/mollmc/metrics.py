@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import _args
 from .mollifier import density
 from .samplers import LOCKSTEP_BLOCK_BYTES, ChainConfig, Trace, _recorded_steps
 
@@ -124,8 +125,8 @@ def moment_report(trace: Trace, burn_in: int | None = None, m: float | None = No
     for envelope checks with generous cushions.  A standard error of one
     point, and an exponential moment or error beyond float range, is None.
     """
-    burn = trace.n_recorded // 2 if burn_in is None else int(burn_in)
-    if not (0 <= burn < trace.n_recorded):
+    burn = trace.n_recorded // 2 if burn_in is None else _args.count("burn_in", burn_in, least=0)
+    if burn >= trace.n_recorded:
         raise ValueError("burn_in must be smaller than the recorded length")
     pts = trace.iterates[burn:]
     n = pts.shape[0]

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from . import _args
+
 __all__ = ["density", "grad_density", "grad_l1_norm", "sample"]
 
 _NORM_ROWS = 8192  # rows squared at a time by _row_norms
@@ -84,9 +86,7 @@ def grad_l1_norm(d: int) -> float:
     Equals ``(d+6)(d+4)(d+2)d / ((d+5)(d+3)(d+1))`` and always lies in
     ``[d, d+4]``.
     """
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    d = int(d)
+    d = int(_args.count("d", d))
     return (d + 6) * (d + 4) * (d + 2) * d / ((d + 5) * (d + 3) * (d + 1))
 
 
@@ -119,11 +119,9 @@ def sample(
     the same bits, and ``out`` is returned; a wrong shape raises
     ``ValueError`` before any draw.
     """
-    for name, value in (("d", d), ("size", 1 if size is None else size)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _args.count("d", d)
     single = size is None
-    n = 1 if single else int(size)
+    n = 1 if single else int(_args.count("size", size))
     g = rng.standard_normal((n, d), out=out)  # numpy checks out's shape first
     norms = _row_norms(g)
     while np.any(norms == 0.0):  # pragma: no cover - probability zero

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from . import _args
+
 __all__ = [
     "PlanRequest",
     "Plan",
@@ -72,18 +74,14 @@ class PlanRequest:
     omega_one: float = 1.0
 
     def __post_init__(self):
-        # each comparison is written so that NaN fails it
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not (1 <= self.d < math.inf) or int(self.d) != self.d:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
+        _args.unit("epsilon", self.epsilon)
+        _args.count("d", self.d)
+        # written so that NaN fails it
         if not (1.0 <= self.c_const < math.inf):
             raise ValueError(f"c_const must be a finite envelope constant of at least 1, "
                              f"got {self.c_const}")
-        for name in ("m", "omega_one"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        _args.positive("m", self.m)
+        _args.positive("omega_one", self.omega_one)
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
 
@@ -117,7 +115,7 @@ class Plan:
 
 def _inputs(req: PlanRequest):
     """``(epsilon, C, d)`` as mpmath numbers, for use at ``PRECISION_DPS``."""
-    return mp.mpf(req.epsilon), mp.mpf(req.c_const), mp.mpf(req.d)
+    return mp.mpf(req.epsilon), mp.mpf(req.c_const), mp.mpf(int(req.d))
 
 
 def _cap(req: PlanRequest) -> mp.mpf:

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _args
 from .continuity import ModulusSpec
 
 __all__ = [
@@ -60,12 +61,9 @@ class PotentialSpec:
     separable: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        # each comparison is written so that NaN fails it
-        if not (0.0 < self.m < math.inf and 0.0 <= self.b < math.inf):
-            raise ValueError(f"dissipativity requires finite m > 0 and b >= 0, "
-                             f"got m = {self.m}, b = {self.b}")
+        _args.count("dim", self.dim)
+        _args.positive("m", self.m)
+        _args.nonnegative("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,9 @@ class FiniteSumPotential:
     omega_hat: ModulusSpec
     base: PotentialSpec | None = None
 
+    def __post_init__(self):
+        _args.count("n_components", self.n_components)
+
     def _total(self, fun, x):
         # one component at a time in index order: the summation order, and so
         # the bits of a total, do not depend on how the points are batched
@@ -112,9 +113,7 @@ class FiniteSumPotential:
     @classmethod
     def equal_split(cls, p: PotentialSpec, n: int) -> "FiniteSumPotential":
         """Split ``p`` into ``n`` identical components ``U / n``."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        w = 1.0 / n
+        w = 1.0 / _args.count("n", n)
         return cls(
             name=f"{p.name}/split{n}",
             dim=p.dim,
@@ -150,9 +149,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
     hoelder_mix          |x|^2/2 + sum_i |x_i|^{1+alpha}/(1+alpha) (alpha in (0,1])
     elastic_net_logistic sum_i sigma(-x_i) + lam1 ||x||_1 + lam2 |x|^2 / 2
     """
-    if d < 1 or int(d) != d:
-        raise ValueError("d must be a positive integer")
-    d = int(d)
+    d = int(_args.count("d", d))
 
     if name == "quadratic":
         if params:
@@ -174,8 +171,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
         c = float(params.pop("c", 1.0))
         if params:
             raise ValueError(f"unknown double_well parameters {params}")
-        if not (0.0 < c < math.inf):
-            raise ValueError("c must be positive")
+        _args.positive("c", c)
 
         def dw_value(x, c=c):
             s = np.sum(np.square(x), axis=-1)
@@ -208,8 +204,7 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
         alpha = float(params.pop("alpha", 0.5))
         if params:
             raise ValueError(f"unknown hoelder_mix parameters {params}")
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        _args.unit("alpha", alpha)
 
         def hm_value(x, alpha=alpha):
             x = np.asarray(x, dtype=float)
@@ -241,8 +236,8 @@ def builtin(name: str, d: int, **params) -> PotentialSpec:
         lam2 = float(params.pop("lam2", 1.0))
         if params:
             raise ValueError(f"unknown elastic_net_logistic parameters {params}")
-        if not (0.0 <= lam1 < math.inf and 0.0 < lam2 < math.inf):
-            raise ValueError("need lam1 >= 0 and lam2 > 0")
+        _args.nonnegative("lam1", lam1)
+        _args.positive("lam2", lam2)
 
         def en_value(x, lam1=lam1, lam2=lam2):
             x = np.asarray(x, dtype=float)
@@ -314,9 +309,7 @@ def _sample_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     Dissipativity violations show up at large radius and modulus violations
     at small scales, so radii span [1e-3, 1e2] logarithmically.
     """
-    if n < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n}")
-    radii = np.geomspace(1e-3, 1e2, n)
+    radii = np.geomspace(1e-3, 1e2, _args.count("n_samples", n))
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radii[:, None] * dirs

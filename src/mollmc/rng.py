@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _args
+
 __all__ = ["splitmix64", "derive_seed", "generator", "chain_streams", "replica_seed"]
 
 _MASK64 = (1 << 64) - 1
@@ -34,8 +36,7 @@ def splitmix64(value: int) -> int:
 
 def derive_seed(root: int, index: int) -> int:
     """The ``index``-th derived 64-bit seed of the splitmix64 stream at ``root``."""
-    if index < 0:
-        raise ValueError("stream index must be nonnegative")
+    _args.count("index", index, least=0)
     return splitmix64((int(root) + (int(index) + 1) * _GOLDEN) & _MASK64)
 
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _args
 from . import rng as _rng
 from .mollifier import sample as _kernel_sample
 from .potentials import FiniteSumPotential, PotentialSpec
@@ -101,15 +102,10 @@ class ChainConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        for name in ("k", "record_stride"):
-            value = getattr(self, name)
-            # an integral float such as 10.0 is refused too: range() needs an int
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        _args.positive("beta", self.beta)
+        _args.positive("eta", self.eta)
+        _args.count("k", self.k)
+        _args.count("record_stride", self.record_stride)
 
 
 @dataclass
@@ -157,13 +153,9 @@ class SphericalSmoothed:
     """
 
     def __init__(self, potential: PotentialSpec, r: float, n_batch: int = 1):
-        if not (0.0 < r <= 1.0):
-            raise ValueError(f"smoothing radius must lie in (0, 1], got {r}")
-        if not isinstance(n_batch, (int, np.integer)) or n_batch < 1:
-            raise ValueError(f"n_batch must be a positive integer, got {n_batch!r}")
         self.potential = potential
-        self.r = float(r)
-        self.n_batch = int(n_batch)
+        self.r = float(_args.unit("r", r))
+        self.n_batch = int(_args.count("n_batch", n_batch))
         self.dim = potential.dim
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
@@ -242,11 +234,13 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
     :data:`LOCKSTEP_BLOCK_BYTES`; every trace's ``elapsed`` is the wall time
     of its group.
     """
-    chain_seeds = [int(s) for s in seeds]
+    chain_seeds = list(seeds)
     if not chain_seeds:
         raise ValueError("need at least one chain")
     if not all(0 <= s < 2**64 for s in chain_seeds):
         raise ValueError("seeds must fit in 64 bits")
+    for s in chain_seeds:
+        _args.count("seed", s, least=0)
     if cfg.x0 is not None and len(cfg.x0) != oracle.dim:
         raise ValueError(f"x0 has {len(cfg.x0)} coordinates, the chain has dim {oracle.dim}")
     # one chain's block per step: d Gaussians, n_batch * d smoothing draws and,

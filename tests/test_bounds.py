@@ -206,7 +206,7 @@ class TestGaussianKappa0:
                 values.add(gaussian_kappa0(d))
         assert len(values) == 1
 
-    @pytest.mark.parametrize("d", [0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [0, 1.5, 2.0, 2.5])
     def test_rejects_a_dimension_that_is_not_a_positive_integer(self, d):
         with pytest.raises(ValueError, match="d must be a positive integer"):
             gaussian_kappa0(d)
@@ -327,10 +327,23 @@ class TestTheoremBound:
         if a.exp_term > 1e-300 and gap > 1e-9:
             assert b.exp_term < a.exp_term
 
-    @pytest.mark.parametrize("d", [0, 1.5])
-    def test_inputs_need_an_integer_dimension(self, d):
-        with pytest.raises(ValueError, match="d must be a positive integer"):
-            make_inputs(d=d)
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: make_inputs(d=0), "d must be a positive integer"),
+            (lambda: make_inputs(d=1.5), "d must be a positive integer"),
+            (lambda: make_inputs(d=2.5), "d must be a positive integer"),
+            (lambda: theorem_bound(make_inputs(), 0.5, 0.1, 2.0), "k must be a positive integer"),
+            (lambda: theorem_bound(make_inputs(), 0.5, 0.1, 2.5), "k must be a positive integer"),
+            (lambda: kl_discretization(make_inputs(), 0.5, 0.1, 0.5),
+             "k must be a nonnegative integer"),
+        ],
+        ids=["d-0", "d-1.5", "d-2.5", "theorem_bound-k-2.0", "theorem_bound-k-2.5",
+             "kl_discretization-k-0.5"],
+    )
+    def test_counts_must_be_integers(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_eta_precondition_named(self):
         inputs = make_inputs()

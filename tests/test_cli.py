@@ -413,13 +413,11 @@ _PLAN = ["plan", "--epsilon", "0.5", "--d", "1", "--alpha", "1.0"]
 @pytest.mark.parametrize(
     "argv,field",
     [
-        ([*_BOUND, "--a-abs", "nan"], "a_abs"),
-        ([*_BOUND, "--a-abs", "inf"], "a_abs"),
         ([*_PLAN, "--c-const", "nan"], "c_const"),
         ([*_PLAN, "--m", "inf"], "m"),
         ([*_PLAN, "--omega-one", "inf"], "omega_one"),
     ],
-    ids=["a_abs-nan", "a_abs-inf", "c_const-nan", "m-inf", "omega_one-inf"],
+    ids=["c_const-nan", "m-inf", "omega_one-inf"],
 )
 def test_non_finite_reals_are_rejected_by_name(tmp_path, capsys, monkeypatch, argv, field):
     # NaN passed the `x <= 0.0` checks: bound printed a NaN bound with exit 0,
@@ -432,15 +430,31 @@ def test_non_finite_reals_are_rejected_by_name(tmp_path, capsys, monkeypatch, ar
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("r", ["0", "-1", "nan", "inf", "1.5"])
-def test_bound_names_a_bad_radius_flag(tmp_path, capsys, monkeypatch, r):
-    # the messages came from the modulus ("modulus argument must be ...") or
-    # the envelope ("radius must lie in ..."), neither of which named --r
+@pytest.mark.parametrize(
+    "flag,value",
+    [*(("--r", r) for r in ("0", "-1", "nan", "inf", "1.5")),
+     *(("--a-abs", a) for a in ("-1", "nan", "inf"))],
+)
+def test_bound_names_a_bad_flag(tmp_path, capsys, monkeypatch, flag, value):
+    # the messages came from the modulus ("modulus argument must be ..."), the
+    # envelope ("radius must lie in ...") or the inputs ("a_abs must be ..."),
+    # none of which named the flag
     monkeypatch.chdir(tmp_path)
     Path("cfg.json").write_text(json.dumps(_LMC_D1))
-    assert main([*_BOUND, "--r", r]) == EXIT_ERROR
+    assert main([*_BOUND, flag, value]) == EXIT_ERROR
     captured = capsys.readouterr()
-    assert f"error: --r must be a number in (0, 1], got {float(r)!r}" in captured.err
+    what = {"--r": "a number in (0, 1]", "--a-abs": "a positive number"}[flag]
+    assert f"error: {flag} must be {what}, got {float(value)!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_plan_names_a_cap_below_one(capsys, cap):
+    # a cap below 1 was taken, and the plan printed and refused with exit 4
+    # because its k exceeded the cap
+    assert main([*_LMC_PLAN, "--cap", cap]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"error: --cap must be a positive integer, got {int(cap)}" in captured.err
     assert captured.out == ""
 
 

@@ -51,3 +51,19 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     module = importlib.import_module("mollmc" if path.stem == "__init__" else f"mollmc.{path.stem}")
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+RULE_TEXTS = ("np.integer", "must be a positive integer", "must lie in (0, 1]",
+              "must be finite and positive", "must be finite and nonnegative")
+
+
+def test_argument_rules_are_stated_only_in_args():
+    # mollmc._args states each argument rule once; a second statement of one
+    # elsewhere lets the package's rules for a count or a radius drift apart
+    stated = [
+        f"{path.name}:{number}"
+        for path in SOURCES if path.name != "_args.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if any(text in line for text in RULE_TEXTS)
+    ]
+    assert stated == []

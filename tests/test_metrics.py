@@ -146,8 +146,10 @@ class TestMomentReport:
         assert rep["exp_moment_alpha"] == pytest.approx(0.25)
         assert math.isfinite(rep["exp_moment"])
 
-    def test_burn_in_bounds(self):
+    @pytest.mark.parametrize("burn_in", [11, -1, 0.5, 2.0, 2.5])
+    def test_burn_in_bounds(self, burn_in):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=10)
         (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
-        with pytest.raises(ValueError):
-            moment_report(t, burn_in=t.n_recorded)
+        assert t.n_recorded == 11
+        with pytest.raises(ValueError, match="burn_in must be"):
+            moment_report(t, burn_in=burn_in)

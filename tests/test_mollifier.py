@@ -85,9 +85,10 @@ class TestGradL1Norm:
         for d in range(1, 101):
             assert d <= grad_l1_norm(d) <= d + 4
 
-    def test_invalid_dimension(self):
-        with pytest.raises(ValueError):
-            grad_l1_norm(0)
+    @pytest.mark.parametrize("d", [0, 2.0, 2.5])
+    def test_invalid_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            grad_l1_norm(d)
 
 
 class TestSampler:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from mollmc.planner import (
@@ -28,6 +29,8 @@ class TestLmcAlphaOne:
         # independent arithmetic for the k floor: 16 e^2 log(2)^2
         with mp.workdps(40):
             assert plan.k == int(mp.ceil(16 * mp.e**2 * mp.log(2) ** 2))
+        # a numpy integer is a dimension too; mpmath refused np.int64
+        assert plan_lmc(PlanRequest(epsilon=1.0, d=np.int64(1), c_const=1.0, alpha=1.0)) == plan
 
     def test_envelope_below_target(self):
         req = PlanRequest(epsilon=1.0, d=1, c_const=1.0, alpha=1.0)
@@ -265,11 +268,11 @@ class TestStepSizeCap:
 
 
 class TestRequestValidation:
-    def test_epsilon_range(self):
-        with pytest.raises(ValueError):
-            PlanRequest(epsilon=0.0, d=1)
-        with pytest.raises(ValueError):
-            PlanRequest(epsilon=1.5, d=1)
+    @pytest.mark.parametrize("field,value", [("epsilon", 0.0), ("epsilon", 1.5), ("d", 0),
+                                             ("d", 2.0), ("d", 2.5)])
+    def test_epsilon_range_and_integer_d(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            PlanRequest(**({"epsilon": 0.5, "d": 1} | {field: value}))
 
     def test_c_at_least_one(self):
         with pytest.raises(ValueError):

@@ -201,9 +201,10 @@ class TestCheckAssumptions:
         (check_assumptions, builtin("quadratic", 1)),
         (check_finite_sum, FiniteSumPotential.equal_split(builtin("quadratic", 1), 2)),
     ], ids=["check_assumptions", "check_finite_sum"])
-    def test_needs_a_sample(self, check, target):
-        with pytest.raises(ValueError, match="n_samples"):
-            check(target, n_samples=0)
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_needs_a_sample(self, check, target, n):
+        with pytest.raises(ValueError, match="n_samples must be a positive integer"):
+            check(target, n_samples=n)
 
 
 class TestSmoothedGradientSymmetry:
@@ -265,6 +266,25 @@ class TestFiniteSum:
     def test_needs_positive_integer_count(self, n):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             FiniteSumPotential.equal_split(builtin("quadratic", 1), n)
+
+    def test_built_directly_needs_an_integer_count(self):
+        # it built, and its total_grad raised TypeError in range()
+        fsum = FiniteSumPotential.equal_split(builtin("quadratic", 1), 2)
+        with pytest.raises(ValueError, match="n_components must be a positive integer, got 2.5"):
+            dataclasses.replace(fsum, n_components=2.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: dataclasses.replace(builtin("quadratic", 2), dim=1.5),
+     lambda: builtin("quadratic", 2.0),
+     lambda: builtin("quadratic", 2.5)],
+    ids=["spec-1.5", "builtin-2.0", "builtin-2.5"],
+)
+def test_dimension_must_be_a_positive_integer(make):
+    # PotentialSpec checked only dim < 1, and builtin took 2.0 as 2
+    with pytest.raises(ValueError, match="d(im)? must be a positive integer"):
+        make()
 
 
 @pytest.mark.parametrize(

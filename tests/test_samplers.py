@@ -120,10 +120,20 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="n_batch must be a positive integer"):
             SphericalSmoothed(builtin("quadratic", 1), 0.1, n_batch=n_batch)
 
-    @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64]], ids=["empty", "negative", "65-bit"])
+    @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64], [1.5], [2.0]],
+                             ids=["empty", "negative", "65-bit", "fractional", "integral-float"])
     def test_rejects_no_seeds_and_seeds_outside_64_bits(self, seeds):
-        with pytest.raises(ValueError, match="chain|64 bits"):
+        # int() ran 1.5 as seed 1
+        with pytest.raises(ValueError, match="chain|64 bits|seed must be a nonnegative integer"):
             run(ExactGradient(builtin("quadratic", 1)), ChainConfig(1.0, 0.1, 10), seeds)
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        oracle = SphericalSmoothed(builtin("quadratic", 2), 0.5, n_batch=2)
+        want = run(oracle, ChainConfig(1.0, 0.1, 10, record_stride=5), [3, 4])
+        oracle = SphericalSmoothed(builtin("quadratic", np.int64(2)), 0.5, n_batch=np.int64(2))
+        cfg = ChainConfig(1.0, 0.1, np.int64(10), record_stride=np.int64(5))
+        got = run(oracle, cfg, np.array([3, 4], dtype=np.uint64))
+        assert all(np.array_equal(a.iterates, b.iterates) for a, b in zip(got, want))
 
     def test_rejects_x0_of_the_wrong_length(self):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=10, x0=(1.0, 2.0, 3.0))
@@ -447,9 +457,10 @@ class TestStreamsAndReplicas:
         assert len(seeds) == len(indices)
         assert all(0 <= s < 2**64 for s in seeds)
 
-    @given(st.integers(0, 2**64 - 1), st.integers(max_value=-1))
+    @given(st.integers(0, 2**64 - 1), st.integers(max_value=-1) | st.sampled_from([1.5, 2.0]))
     def test_derive_seed_rejects_negative_index(self, root, index):
-        with pytest.raises(ValueError, match="nonnegative"):
+        # and a fractional one, which ran as its integer part
+        with pytest.raises(ValueError, match="index must be a nonnegative integer"):
             derive_seed(root, index)
 
     def test_chain_streams_independent(self):
