@@ -20,16 +20,15 @@ experiment with the same config and seed reproduces the trace files byte for
 byte regardless of worker scheduling.
 
 ``sample`` splits the replicas into one contiguous shard per worker
-(``MOLLMC_WORKERS``, default one per core).  Each worker steps its shard in
-lockstep through :func:`mollmc.samplers.run`, writes the shard's CSVs and
-returns only its summary entries; a replica's ``elapsed_s`` is the wall time
-of the lockstep group it ran in, the whole shard unless the shard is large.
-The trace files and the rest of the summary do not depend on the worker
-count.
+(``MOLLMC_WORKERS``, default one per CPU the process may run on).  At two or
+more workers each shard runs in a forked child, which steps it in lockstep
+through :func:`mollmc.samplers.run`, writes its CSVs and sends back only its
+summary entries; a replica's ``elapsed_s`` is the wall time of the lockstep
+group it ran in, the whole shard unless the shard is large.  The trace files
+and the rest of the summary do not depend on the worker count.
 
 This module imports only the standard library at the top.  Each subcommand
-imports what it runs inside the functions that run it, and the process pool
-is imported only when there is more than one worker.  ``plan`` loads mpmath
+imports what it runs inside the functions that run it.  ``plan`` loads mpmath
 and :mod:`mollmc.planner`, and numpy only when ``--execute`` runs the plan.
 ``sample`` loads numpy, :mod:`mollmc.potentials`, :mod:`mollmc.samplers` and
 :mod:`mollmc.metrics`, but not mpmath.  ``bound`` loads both numpy and mpmath
@@ -214,13 +213,14 @@ def _n_workers(replicas: int) -> int:
         except ValueError:
             raise ValueError(_must("MOLLMC_WORKERS", "an integer", env)) from None
         _check(workers, "MOLLMC_WORKERS", _COUNT)
-        return workers
-    return max(1, min(replicas, os.cpu_count() or 1))
+    else:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(workers, replicas) if hasattr(os, "fork") else 1
 
 
 def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> list[dict]:
-    """Run replicas ``lo .. hi - 1`` in lockstep, write their CSVs and return
-    their summary entries; module-level so process pools can pickle it."""
+    """Run replicas ``lo .. hi - 1`` in lockstep; write their CSVs, return their entries."""
     from .metrics import moment_report
     from .rng import replica_seed
     from .samplers import run, write_trace_csv
@@ -250,30 +250,58 @@ def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> li
     return entries
 
 
-def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
-    """Run all replicas of a validated config and write traces + summary.
+def _run_forked(cfg: dict, root_seed: int, shards: list, out_dir: Path) -> list[dict]:
+    """Run each shard ``(lo, hi)`` in a forked child, which pickles its entries or exception
+    into a pipe and leaves by ``os._exit``, never flushing stdio it shares with the parent.
+    Every child is reaped before anything is raised; one that sends nothing is an OSError."""
+    import pickle
 
-    The replicas are split into one contiguous shard per worker; each worker
-    steps its shard in lockstep and writes that shard's traces itself.
-    """
+    from . import metrics, samplers  # noqa: F401 - loaded once, before the forks
+
+    children, results = [], []
+    try:
+        for lo, hi in shards:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    try:
+                        result = _run_shard(cfg, root_seed, lo, hi, out_dir)
+                    except BaseException as err:  # the parent raises it
+                        result = err
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((lo, hi, pid, open(read_fd, "rb")))
+    finally:
+        for lo, hi, pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            results.append(pickle.loads(data) if code == 0 else OSError(
+                f"the process running replicas {lo} to {hi - 1} ended with no result ({how})"))
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return [entry for result in results for entry in result]
+
+
+def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
+    """Run all replicas of a validated config and write traces + summary, one
+    contiguous shard per worker; each worker writes its own shard's traces."""
     replicas = int(cfg.get("replicas", 1))
-    workers = min(_n_workers(replicas), replicas)
+    workers = _n_workers(replicas)
     out_dir.mkdir(parents=True, exist_ok=True)
     cuts = [replicas * w // workers for w in range(workers + 1)]
     shards = list(zip(cuts[:-1], cuts[1:]))
 
-    if workers > 1:
-        import concurrent.futures
-
-        # loaded before the pool forks, so that no worker imports them again
-        from . import metrics, samplers  # noqa: F401
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_shard, cfg, root_seed, lo, hi, out_dir)
-                       for lo, hi in shards]
-            entries = [entry for fut in futures for entry in fut.result()]
-    else:
-        entries = _run_shard(cfg, root_seed, 0, replicas, out_dir)
+    entries = (_run_forked(cfg, root_seed, shards, out_dir) if workers > 1
+               else _run_shard(cfg, root_seed, 0, replicas, out_dir))
 
     summary = {
         "config": cfg,

@@ -96,6 +96,7 @@ class FiniteSumPotential:
 
     def __post_init__(self):
         _args.count("n_components", self.n_components)
+        PotentialSpec.__post_init__(self)  # dim, m and b
 
     def _total(self, fun, x):
         # one component at a time in index order: the summation order, and so

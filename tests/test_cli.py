@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -68,13 +69,14 @@ def test_plan_output_independent_of_the_integer_digit_limit(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
-def _modules_after(code: str, prefix: str) -> str:
+def _modules_after(code: str, prefix: str, workers: int = 1) -> str:
     """The modules of package ``prefix`` (a dotted name, such as
     ``numpy.polynomial``, or a top-level one) that a fresh interpreter has
-    loaded after running ``code``."""
+    loaded after running ``code`` at ``MOLLMC_WORKERS=workers``."""
     src = str(Path(mollmc.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               MOLLMC_WORKERS=str(workers))
     probe = code + ("\nprint(sorted(m for m in sys.modules"
                     f" if (m + '.').startswith({prefix + '.'!r})))")
     out = subprocess.run(
@@ -129,6 +131,31 @@ def test_commands_leave_modules_unloaded(command, prefix, tmp_path):
     assert _modules_after(code, prefix) == "[]"
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
+@pytest.mark.parametrize("prefix", ["concurrent", "multiprocessing"])
+def test_sample_at_two_workers_loads_no_process_pool(prefix, tmp_path):
+    # the shards are plain forks: importing concurrent.futures.process costs tens of ms
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_SAMPLE_CONFIGS["lmc"], replicas=2)))
+    argv = ["sample", "--config", str(path), "--out", str(tmp_path / "out")]
+    code = f"import sys, mollmc.cli\nassert mollmc.cli.main({argv!r}) == 0"
+    assert _modules_after(code, prefix, workers=2) == "[]"
+    assert len(list((tmp_path / "out").glob("chain_*.csv"))) == 2
+
+
+def test_default_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("MOLLMC_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert [cli._n_workers(n) for n in (1, 2, 32)] == [1, 2, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._n_workers(64) == 32
+    # without fork every shard would run in this process anyway
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setenv("MOLLMC_WORKERS", "4")
+    assert cli._n_workers(64) == 1
+
+
 def _sample(tmp_path, cfg, name, workers, monkeypatch):
     """Run `sample` at a worker count; its exit code and output directory."""
     path = tmp_path / f"{name}.json"
@@ -155,6 +182,58 @@ def test_sample_csvs_independent_of_worker_count(tmp_path, monkeypatch, capsys):
         assert [e["replica"] for e in outputs[0][0]["replicas"]] == list(range(5))
         assert all(o == outputs[0] for o in outputs), algo
     capsys.readouterr()
+
+
+def _last_shard_fails(monkeypatch, fail):
+    """Make ``fail()`` run in place of the shard that holds the last replica: a
+    forked child's at two workers, the only shard at one."""
+    run_shard = cli._run_shard
+
+    def shard(cfg, root_seed, lo, hi, out_dir):
+        if hi == cfg["replicas"]:
+            fail()
+        return run_shard(cfg, root_seed, lo, hi, out_dir)
+
+    monkeypatch.setattr(cli, "_run_shard", shard)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
+def test_a_shard_error_reads_the_same_at_any_worker_count(tmp_path, monkeypatch, capsys):
+    def fail():
+        raise ValueError("potential.params: c must be finite and positive, got nan")
+
+    _last_shard_fails(monkeypatch, fail)
+    cfg = dict(_SAMPLE_CONFIGS["lmc"], replicas=4)
+    errors = []
+    for workers in ("1", "2"):
+        code, out = _sample(tmp_path, cfg, "failing", workers, monkeypatch)
+        assert code == EXIT_ERROR
+        assert not (out / "summary.json").exists()
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: potential.params: c must be finite and positive, got nan\n"] * 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
+def test_a_killed_shard_is_an_error_line_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    test_process = os.getpid()
+
+    def fail():
+        if os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _last_shard_fails(monkeypatch, fail)
+    cfg = dict(_SAMPLE_CONFIGS["lmc"], replicas=4)
+    code, out = _sample(tmp_path, cfg, "killed", "2", monkeypatch)
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == ("error: the process running replicas 2 to 3 ended with "
+                                       "no result (killed by signal 9)\n")
+    assert not (out / "summary.json").exists()
+    # the first shard's child finished and was reaped too
+    assert sorted(f.name for f in out.glob("chain_*.csv")) == ["chain_0000.csv", "chain_0001.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sample_exits_3_with_partial_traces_of_diverged_replicas(tmp_path, monkeypatch, capsys):
@@ -523,6 +602,22 @@ def test_plan_execute_runs_the_plan(tmp_path, capsys):
     chain = json.loads((out / "summary.json").read_text())["config"]["chain"]
     assert plan["k"] == chain["k"] == 57
     assert chain["eta"] == float(plan["eta"])
+
+
+def test_plan_execute_prints_the_plan_once_into_a_pipe_at_two_workers(tmp_path):
+    # piped stdout is block-buffered, so a forked child that flushed the
+    # parent's buffer on its way out would print the plan a second time
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_LMC_D1, replicas=2)))
+    paths = [str(Path(mollmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="2")
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [*_LMC_PLAN, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert set(json.loads(proc.stdout)) == {"plan", "verification"}
+    assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["replicas"]) == 2
 
 
 def test_plan_execute_names_diverged_replicas(tmp_path, capsys, monkeypatch):

@@ -278,11 +278,14 @@ class TestFiniteSum:
     "make",
     [lambda: dataclasses.replace(builtin("quadratic", 2), dim=1.5),
      lambda: builtin("quadratic", 2.0),
-     lambda: builtin("quadratic", 2.5)],
-    ids=["spec-1.5", "builtin-2.0", "builtin-2.5"],
+     lambda: builtin("quadratic", 2.5),
+     lambda: dataclasses.replace(FiniteSumPotential.equal_split(builtin("quadratic", 1), 2),
+                                 dim=1.5)],
+    ids=["spec-1.5", "builtin-2.0", "builtin-2.5", "fsum-dim-1.5"],
 )
 def test_dimension_must_be_a_positive_integer(make):
-    # PotentialSpec checked only dim < 1, and builtin took 2.0 as 2
+    # PotentialSpec checked only dim < 1, builtin took 2.0 as 2, and a
+    # FiniteSumPotential did not check its dim at all
     with pytest.raises(ValueError, match="d(im)? must be a positive integer"):
         make()
 
@@ -296,9 +299,13 @@ def test_dimension_must_be_a_positive_integer(make):
         lambda: builtin("elastic_net_logistic", 2, lam2=math.nan),
         lambda: dataclasses.replace(builtin("quadratic", 2), m=math.nan),
         lambda: dataclasses.replace(builtin("quadratic", 2), b=math.inf),
+        lambda: dataclasses.replace(FiniteSumPotential.equal_split(builtin("quadratic", 1), 2),
+                                    m=math.nan),
+        lambda: dataclasses.replace(FiniteSumPotential.equal_split(builtin("quadratic", 1), 2),
+                                    b=-1.0),
     ],
     ids=["double_well-c-nan", "double_well-c-inf", "elastic_net-lam1-nan",
-         "elastic_net-lam2-nan", "spec-m-nan", "spec-b-inf"],
+         "elastic_net-lam2-nan", "spec-m-nan", "spec-b-inf", "fsum-m-nan", "fsum-b-negative"],
 )
 def test_non_finite_constants_are_rejected(make):
     with pytest.raises(ValueError):
