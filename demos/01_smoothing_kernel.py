@@ -22,9 +22,9 @@ rng = np.random.default_rng(7)
 
 print("=== density values (d=1, r=1) ===")
 for x in (0.0, 0.5, 1.0, 2.0):
-    print(f"  rho({x:3.1f}) = {density(x, 1):.8f}")
+    print(f"  rho({x:3.1f}) = {density([[x]], 1)[0]:.8f}")
 print(f"  peak 35/32 = {35 / 32:.8f}")
-print(f"  grad at 0.5 = {grad_density(0.5, 1)[0]:+.9f}  (closed form -1.845703125)")
+print(f"  grad at 0.5 = {grad_density([[0.5]], 1)[0, 0]:+.9f}  (closed form -1.845703125)")
 
 print("\n=== normalization by tensor quadrature ===")
 for d in (1, 2, 3):

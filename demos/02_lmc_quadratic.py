@@ -10,7 +10,7 @@ import numpy as np
 
 from mollmc.metrics import moment_report
 from mollmc.potentials import builtin
-from mollmc.rng import replica_seed
+from mollmc.rng import derive_seed
 from mollmc.samplers import ChainConfig, ExactGradient, run
 
 beta, eta = 1.0, 0.05
@@ -25,7 +25,7 @@ print(f"  post-burn-in second moment = {rep['second_moment']:.5f} +- {rep['secon
 print(f"  discretised stationary value = {exact:.5f},  continuum value = {1.0 / beta:.5f}")
 print(f"  max |Y| over the run = {rep['max_norm']:.3f}")
 
-seeds = [replica_seed(3, i) for i in range(800)]
+seeds = [derive_seed(3, i) for i in range(800)]
 ensemble = run(oracle, ChainConfig(beta=beta, eta=eta, k=2000), seeds)
 steps, paths = ensemble[0].steps, np.stack([t.iterates for t in ensemble])
 v_end = paths[:, -1, :].var(axis=0, ddof=1)[0]

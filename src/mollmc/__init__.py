@@ -12,27 +12,8 @@ Submodules:
 * :mod:`mollmc.planner` - accuracy-driven parameter schedules,
 * :mod:`mollmc.cli` - the configuration-driven experiment runner.
 
-A submodule loads on first access (``mollmc.samplers`` or ``from mollmc
-import samplers``), so importing the package loads neither numpy nor mpmath.
+Import a submodule by name (``from mollmc import samplers``); importing the
+package alone loads neither numpy nor mpmath.
 """
 
-import importlib
-
-__all__ = [
-    "bounds",
-    "continuity",
-    "metrics",
-    "mollifier",
-    "planner",
-    "potentials",
-    "rng",
-    "samplers",
-]
-
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name in __all__:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,6 +16,14 @@ def count(name: str, value, least: int = 1):
     return value
 
 
+def finite(name: str, value):
+    """A finite real number that is not a ``bool``: ``float()`` would take
+    ``"2"`` and ``True``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
 def _rule(what: str, ok):
     def check(name: str, value):
         if not ok(value):

@@ -83,8 +83,7 @@ class BoundInputs:
         for name in ("b", "b_tilde", "kappa0", "grad_u_mnorm", "g_tilde_mnorm",
                      "omega_g_tilde_one", "u0"):
             _args.nonnegative(name, getattr(self, name))
-        if not math.isfinite(self.p0_sup_log):
-            raise ValueError(f"p0_sup_log must be finite, got {self.p0_sup_log}")
+        _args.finite("p0_sup_log", self.p0_sup_log)
         # written so that NaN fails it
         if len(self.delta) != 4 or not all(0.0 <= v < math.inf for v in self.delta):
             raise ValueError(f"delta must be four finite nonnegative reals, got {self.delta}")
@@ -323,8 +322,10 @@ def exp_moment_bound(
         raise ValueError(
             f"alpha must lie in (0, beta*m/2) = (0, {inputs.beta * m_bar}), got {alpha_exp}"
         )
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not t >= 0.0:  # written so that NaN fails it
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if init_exp_moment is not None:
+        _args.positive("init_exp_moment", init_exp_moment)
     rate = 2.0 * alpha_exp * (b_bar + inputs.d / inputs.beta)
     asym_log = 2.0 * alpha_exp * (b_bar + inputs.d / inputs.beta) / (
         m_bar - alpha_exp / inputs.beta
@@ -395,6 +396,7 @@ def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInput
     other initial laws need hand-built inputs because a point mass has no
     density and a custom law has no declared moments.
     """
+    _args.unit("r", r)
     p = oracle.potential
     if p is None:
         raise ValueError("component-sampling variance is only bounded for equal_split sums")

@@ -222,13 +222,13 @@ def _n_workers(replicas: int) -> int:
 def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> list[dict]:
     """Run replicas ``lo .. hi - 1`` in lockstep; write their CSVs, return their entries."""
     from .metrics import moment_report
-    from .rng import replica_seed
+    from .rng import derive_seed
     from .samplers import run, write_trace_csv
 
     digest = config_hash(cfg)
     oracle = build_oracle(cfg)
     m = oracle.potential.m
-    seeds = [replica_seed(root_seed, i) for i in range(lo, hi)]
+    seeds = [derive_seed(root_seed, i) for i in range(lo, hi)]
     traces = run(oracle, build_chain_config(cfg), seeds)
     entries = []
     for index, seed, trace in zip(range(lo, hi), seeds, traces):

@@ -140,7 +140,7 @@ def moment_report(trace: Trace, burn_in: int | None = None, m: float | None = No
         "max_norm": float(np.sqrt(np.max(np.sum(np.square(trace.iterates), axis=1)))),
     }
     if m is not None:
-        alpha = min(1.0, trace.config.beta * float(m) / 4.0)
+        alpha = min(1.0, trace.config.beta * float(_args.positive("m", m)) / 4.0)
         report["exp_moment_alpha"] = float(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             ev = np.exp(alpha * sq)

@@ -38,46 +38,33 @@ def _log_norm(d: int) -> float:
     return 0.5 * d * math.log(math.pi) + math.lgamma(4.0) - math.lgamma(0.5 * d + 4.0)
 
 
-def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
-    """Coerce ``x`` to shape (n, d); returns (points, was_single)."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        if d != 1:
-            raise ValueError(f"scalar input only valid for dim 1, kernel has dim {d}")
-        a = a.reshape(1, 1)
-        return a, True
-    if a.ndim == 1:
-        if a.shape[0] != d:
-            raise ValueError(f"point has dimension {a.shape[0]}, kernel has dim {d}")
-        return a.reshape(1, d), True
-    if a.ndim == 2 and a.shape[1] == d:
-        return a, False
-    raise ValueError(f"expected shape (d,) or (n, d) with d={d}, got {a.shape}")
+def _points(x, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x`` as finite points of shape (n, d), their ``|x|^2`` and the mask of
+    those inside the open unit ball."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"kernel points must have shape (n, d) with d={d}, got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("kernel points must be finite")
+    u2 = np.einsum("ij,ij->i", pts, pts)
+    return pts, u2, u2 < 1.0
 
 
 def density(x, d: int):
-    """Kernel density ``rho`` in dimension ``d`` at one point or a batch of points."""
-    pts, single = _as_points(x, d)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("density input must be finite")
-    u2 = np.einsum("ij,ij->i", pts, pts)
+    """Kernel density ``rho`` in dimension ``d`` at the points ``x``, shape (n, d); shape (n,)."""
+    pts, u2, inside = _points(x, d)
     out = np.zeros(pts.shape[0])
-    inside = u2 < 1.0
     out[inside] = math.exp(-_log_norm(d)) * (1.0 - u2[inside]) ** 3
-    return float(out[0]) if single else out
+    return out
 
 
 def grad_density(x, d: int):
-    """Gradient of ``rho``; zero on and outside the support boundary."""
-    pts, single = _as_points(x, d)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("grad_density input must be finite")
-    u2 = np.einsum("ij,ij->i", pts, pts)
+    """Gradient of ``rho`` at the points ``x``, shape (n, d), in that shape; zero on
+    and outside the support boundary."""
+    pts, u2, inside = _points(x, d)
     out = np.zeros_like(pts)
-    inside = u2 < 1.0
-    c = math.exp(-_log_norm(d)) * (-6.0)
-    out[inside] = c * ((1.0 - u2[inside]) ** 2)[:, None] * pts[inside]
-    return out[0] if single else out
+    out[inside] = math.exp(-_log_norm(d)) * -6.0 * ((1.0 - u2[inside]) ** 2)[:, None] * pts[inside]
+    return out
 
 
 def grad_l1_norm(d: int) -> float:
@@ -102,10 +89,8 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def sample(
-    d: int, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact draws with density ``rho`` in dimension ``d``.
+def sample(d: int, rng: np.random.Generator, size: int, out: np.ndarray | None = None):
+    """``size`` exact draws with density ``rho`` in dimension ``d``, shape ``(size, d)``.
 
     Direction is a normalised Gaussian vector (redrawn in the measure-zero
     event of a zero norm); the radius is ``sqrt(B)`` with
@@ -113,15 +98,13 @@ def sample(
     Gaussians first, then all Beta draws.  The Gaussian array is normalised
     and scaled in place, so a call holds its result and ``O(size)`` scratch.
 
-    Returns shape ``(d,)`` when ``size`` is None, else ``(size, d)``.  Given
-    ``out`` (float64, C-contiguous, shape ``(size, d)``), the Gaussians are
-    drawn into it, the draws are finished there in the same order and with
+    Given ``out`` (float64, C-contiguous, shape ``(size, d)``), the Gaussians
+    are drawn into it, the draws are finished there in the same order and with
     the same bits, and ``out`` is returned; a wrong shape raises
     ``ValueError`` before any draw.
     """
     _args.count("d", d)
-    single = size is None
-    n = 1 if single else int(_args.count("size", size))
+    n = int(_args.count("size", size))
     g = rng.standard_normal((n, d), out=out)  # numpy checks out's shape first
     norms = _row_norms(g)
     while np.any(norms == 0.0):  # pragma: no cover - probability zero
@@ -133,4 +116,4 @@ def sample(
     # the bits of g / norms[:, None] * sqrt(b)[:, None]
     g /= norms[:, None]
     g *= scale[:, None]
-    return g[0] if single else g
+    return g

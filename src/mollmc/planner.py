@@ -82,8 +82,8 @@ class PlanRequest:
                              f"got {self.c_const}")
         _args.positive("m", self.m)
         _args.positive("omega_one", self.omega_one)
-        if self.alpha is not None and not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.alpha is not None:
+            _args.finite("alpha", self.alpha)
 
 
 @dataclass

@@ -24,6 +24,7 @@ is visible instead of fatal.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -41,9 +42,6 @@ __all__ = [
     "check_finite_sum",
     "BUILTIN_NAMES",
 ]
-
-BUILTIN_NAMES = ("quadratic", "double_well", "hoelder_mix", "elastic_net_logistic")
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -142,138 +140,140 @@ def _sig_prod(u):
 _SIG_CURVATURE = 1.0 / (6.0 * math.sqrt(3.0))
 
 
+def _quadratic(d):
+    return PotentialSpec(
+        name="quadratic",
+        dim=d,
+        value=lambda x: 0.5 * np.sum(np.square(x), axis=-1),
+        weak_grad=lambda x: np.asarray(x, dtype=float),
+        m=1.0,
+        b=0.0,
+        modulus=ModulusSpec.lipschitz(1.0),
+        grad_at_zero=0.0,
+        u0=0.5,
+        separable=True,
+    )
+
+
+def _double_well(d, c=1.0):
+    _args.positive("c", c)
+
+    def value(x):
+        s = np.sum(np.square(x), axis=-1)
+        return 0.25 * (s - c) ** 2 + 0.5 * s
+
+    def weak_grad(x):
+        x = np.asarray(x, dtype=float)
+        s = np.sum(np.square(x), axis=-1)
+        return (s - c + 1.0)[..., None] * x
+
+    # Hessian norm within |x| <= R0; the global modulus is infinite
+    # (cubic gradient growth), so the assumption check is expected to
+    # flag the modulus line.  |x|^4 couples the coordinates, so the
+    # potential is not separable and its chain has no exact law.
+    r0 = 2.0 * max(1.0, math.sqrt(c))
+    k_local = 3.0 * r0 * r0 + abs(1.0 - c)
+    return PotentialSpec(
+        name="double_well",
+        dim=d,
+        value=value,
+        weak_grad=weak_grad,
+        m=1.0,
+        b=0.25 * c * c,
+        modulus=ModulusSpec.lipschitz(k_local),
+        grad_at_zero=0.0,
+        u0=max(0.25 * c * c, 0.25 * (1.0 - c) ** 2 + 0.5),
+    )
+
+
+def _hoelder_mix(d, alpha=0.5):
+    _args.unit("alpha", alpha)
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        s = np.sum(np.square(x), axis=-1)
+        return 0.5 * s + np.sum(np.abs(x) ** (1.0 + alpha), axis=-1) / (1.0 + alpha)
+
+    def weak_grad(x):
+        x = np.asarray(x, dtype=float)
+        return x + np.sign(x) * np.abs(x) ** alpha
+
+    # |sgn(u)|u|^a - sgn(v)|v|^a| <= 2^{1-a} |u-v|^a per coordinate and
+    # sum_i a_i^alpha <= d^{1-alpha} (sum_i a_i)^alpha give the constant
+    big_m = 1.0 + 2.0 ** (1.0 - alpha) * d ** (0.5 * (1.0 - alpha))
+    return PotentialSpec(
+        name="hoelder_mix",
+        dim=d,
+        value=value,
+        weak_grad=weak_grad,
+        m=1.0,
+        b=0.0,
+        modulus=ModulusSpec.hoelder(big_m, alpha),
+        grad_at_zero=0.0,
+        u0=0.5 + d ** (0.5 * (1.0 - alpha)) / (1.0 + alpha),
+        separable=True,
+    )
+
+
+def _elastic_net_logistic(d, lam1=0.1, lam2=1.0):
+    _args.nonnegative("lam1", lam1)
+    _args.positive("lam2", lam2)
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return (np.sum(_sigmoid(-x), axis=-1) + lam1 * np.sum(np.abs(x), axis=-1)
+                + 0.5 * lam2 * np.sum(np.square(x), axis=-1))
+
+    def weak_grad(x):
+        x = np.asarray(x, dtype=float)
+        return -_sig_prod(x) + lam1 * np.sign(x) + lam2 * x
+
+    # b = d * sup_u (u sig_prod(u) - lam1 |u|), found on a dense grid;
+    # the sup is attained below |u| = 8 since sig_prod decays like e^{-u}
+    u = np.linspace(0.0, 8.0, 20001)
+    b1 = max(float(np.max(u * _sig_prod(u) - lam1 * u)), 0.0)
+
+    # sign jumps contribute 2 lam1 sqrt(d) at any scale, and the smooth
+    # part is (lam2 + max|d sig_prod|)-Lipschitz
+    return PotentialSpec(
+        name="elastic_net_logistic",
+        dim=d,
+        value=value,
+        weak_grad=weak_grad,
+        m=lam2,
+        b=d * b1,
+        modulus=ModulusSpec.lipschitz(lam2 + _SIG_CURVATURE, jump=2.0 * lam1 * math.sqrt(d)),
+        grad_at_zero=0.25 * math.sqrt(d),
+        u0=d * float(_sigmoid(1.0 / math.sqrt(d))) + lam1 * math.sqrt(d) + 0.5 * lam2,
+        separable=True,
+    )
+
+
+_BUILTINS = {"quadratic": _quadratic, "double_well": _double_well,
+             "hoelder_mix": _hoelder_mix, "elastic_net_logistic": _elastic_net_logistic}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name: str, d: int, **params) -> PotentialSpec:
-    """A built-in potential by name.
+    """A built-in potential by name; ``params`` are keywords that its function
+    declares, each a finite real number, and an absent one takes its default.
 
     quadratic            |x|^2 / 2
-    double_well          (|x|^2 - c)^2 / 4 + |x|^2 / 2            (c > 0)
-    hoelder_mix          |x|^2/2 + sum_i |x_i|^{1+alpha}/(1+alpha) (alpha in (0,1])
+    double_well          (|x|^2 - c)^2 / 4 + |x|^2 / 2            c > 0 (1)
+    hoelder_mix          |x|^2/2 + sum_i |x_i|^{1+alpha}/(1+alpha) alpha in (0, 1] (0.5)
     elastic_net_logistic sum_i sigma(-x_i) + lam1 ||x||_1 + lam2 |x|^2 / 2
+                                                             lam1 >= 0 (0.1), lam2 > 0 (1)
     """
     d = int(_args.count("d", d))
-
-    if name == "quadratic":
-        if params:
-            raise ValueError(f"quadratic takes no parameters, got {params}")
-        return PotentialSpec(
-            name="quadratic",
-            dim=d,
-            value=lambda x: 0.5 * np.sum(np.square(x), axis=-1),
-            weak_grad=lambda x: np.asarray(x, dtype=float),
-            m=1.0,
-            b=0.0,
-            modulus=ModulusSpec.lipschitz(1.0),
-            grad_at_zero=0.0,
-            u0=0.5,
-            separable=True,
-        )
-
-    if name == "double_well":
-        c = float(params.pop("c", 1.0))
-        if params:
-            raise ValueError(f"unknown double_well parameters {params}")
-        _args.positive("c", c)
-
-        def dw_value(x, c=c):
-            s = np.sum(np.square(x), axis=-1)
-            return 0.25 * (s - c) ** 2 + 0.5 * s
-
-        def dw_grad(x, c=c):
-            x = np.asarray(x, dtype=float)
-            s = np.sum(np.square(x), axis=-1)
-            return (s - c + 1.0)[..., None] * x if x.ndim > 1 else (s - c + 1.0) * x
-
-        # Hessian norm within |x| <= R0; the global modulus is infinite
-        # (cubic gradient growth), so the assumption check is expected to
-        # flag the modulus line.  |x|^4 couples the coordinates, so the
-        # potential is not separable and its chain has no exact law.
-        r0 = 2.0 * max(1.0, math.sqrt(c))
-        k_local = 3.0 * r0 * r0 + abs(1.0 - c)
-        return PotentialSpec(
-            name="double_well",
-            dim=d,
-            value=dw_value,
-            weak_grad=dw_grad,
-            m=1.0,
-            b=0.25 * c * c,
-            modulus=ModulusSpec.lipschitz(k_local),
-            grad_at_zero=0.0,
-            u0=max(0.25 * c * c, 0.25 * (1.0 - c) ** 2 + 0.5),
-        )
-
-    if name == "hoelder_mix":
-        alpha = float(params.pop("alpha", 0.5))
-        if params:
-            raise ValueError(f"unknown hoelder_mix parameters {params}")
-        _args.unit("alpha", alpha)
-
-        def hm_value(x, alpha=alpha):
-            x = np.asarray(x, dtype=float)
-            s = np.sum(np.square(x), axis=-1)
-            return 0.5 * s + np.sum(np.abs(x) ** (1.0 + alpha), axis=-1) / (1.0 + alpha)
-
-        def hm_grad(x, alpha=alpha):
-            x = np.asarray(x, dtype=float)
-            return x + np.sign(x) * np.abs(x) ** alpha
-
-        # |sgn(u)|u|^a - sgn(v)|v|^a| <= 2^{1-a} |u-v|^a per coordinate and
-        # sum_i a_i^alpha <= d^{1-alpha} (sum_i a_i)^alpha give the constant
-        big_m = 1.0 + 2.0 ** (1.0 - alpha) * d ** (0.5 * (1.0 - alpha))
-        return PotentialSpec(
-            name="hoelder_mix",
-            dim=d,
-            value=hm_value,
-            weak_grad=hm_grad,
-            m=1.0,
-            b=0.0,
-            modulus=ModulusSpec.hoelder(big_m, alpha),
-            grad_at_zero=0.0,
-            u0=0.5 + d ** (0.5 * (1.0 - alpha)) / (1.0 + alpha),
-            separable=True,
-        )
-
-    if name == "elastic_net_logistic":
-        lam1 = float(params.pop("lam1", 0.1))
-        lam2 = float(params.pop("lam2", 1.0))
-        if params:
-            raise ValueError(f"unknown elastic_net_logistic parameters {params}")
-        _args.nonnegative("lam1", lam1)
-        _args.positive("lam2", lam2)
-
-        def en_value(x, lam1=lam1, lam2=lam2):
-            x = np.asarray(x, dtype=float)
-            return (
-                np.sum(_sigmoid(-x), axis=-1)
-                + lam1 * np.sum(np.abs(x), axis=-1)
-                + 0.5 * lam2 * np.sum(np.square(x), axis=-1)
-            )
-
-        def en_grad(x, lam1=lam1, lam2=lam2):
-            x = np.asarray(x, dtype=float)
-            return -_sig_prod(x) + lam1 * np.sign(x) + lam2 * x
-
-        # b = d * sup_u (u sig_prod(u) - lam1 |u|), found on a dense grid;
-        # the sup is attained below |u| = 8 since sig_prod decays like e^{-u}
-        u = np.linspace(0.0, 8.0, 20001)
-        b1 = float(np.max(u * _sig_prod(u) - lam1 * u))
-        b1 = max(b1, 0.0)
-
-        # sign jumps contribute 2 lam1 sqrt(d) at any scale, and the smooth
-        # part is (lam2 + max|d sig_prod|)-Lipschitz
-        return PotentialSpec(
-            name="elastic_net_logistic",
-            dim=d,
-            value=en_value,
-            weak_grad=en_grad,
-            m=lam2,
-            b=d * b1,
-            modulus=ModulusSpec.lipschitz(lam2 + _SIG_CURVATURE, jump=2.0 * lam1 * math.sqrt(d)),
-            grad_at_zero=0.25 * math.sqrt(d),
-            u0=d * float(_sigmoid(1.0 / math.sqrt(d))) + lam1 * math.sqrt(d) + 0.5 * lam2,
-            separable=True,
-        )
-
-    raise ValueError(f"unknown builtin potential {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin potential {name!r}; choose from {BUILTIN_NAMES}")
+    make = _BUILTINS[name]
+    declared = tuple(inspect.signature(make).parameters)[1:]
+    for key, value in params.items():
+        if key not in declared:
+            raise ValueError(f"unknown {name} parameter {key!r}; choose from {declared}")
+        params[key] = float(_args.finite(key, value))
+    return make(d, **params)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _args
 
-__all__ = ["splitmix64", "derive_seed", "generator", "chain_streams", "replica_seed"]
+__all__ = ["splitmix64", "derive_seed", "generator", "chain_streams"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,8 +55,3 @@ def chain_streams(chain_seed: int) -> tuple[np.random.Generator, ...]:
         generator(derive_seed(chain_seed, j))
         for j in (STREAM_BROWNIAN, STREAM_SMOOTHING, STREAM_COMPONENT, STREAM_INIT)
     )
-
-
-def replica_seed(root: int, replica: int) -> int:
-    """Seed of replica ``replica`` under root seed ``root``."""
-    return derive_seed(root, replica)

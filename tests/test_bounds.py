@@ -451,6 +451,17 @@ class TestExpMoment:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= asym
 
+    @pytest.mark.parametrize("t,init,named", [(math.nan, None, "time"),
+                                              (1.0, math.nan, "init_exp_moment"),
+                                              (1.0, -1.0, "init_exp_moment"),
+                                              (1.0, 0.0, "init_exp_moment")],
+                             ids=["t-nan", "init-nan", "init-negative", "init-zero"])
+    def test_time_and_initial_moment_are_checked(self, t, init, named):
+        # a NaN time or a nonpositive initial moment makes the bound meaningless
+        inputs = make_inputs(m=2.0, m_tilde=2.0, beta=4.0)
+        with pytest.raises(ValueError, match=named):
+            exp_moment_bound(inputs, t, 1.0, init_exp_moment=init)
+
 
 class TestInputsFrom:
     def test_exact_oracle_wiring(self):
@@ -460,6 +471,12 @@ class TestInputsFrom:
         assert inputs.g_tilde_mnorm == 1.0
         assert inputs.delta == (0.5 * 0.2**2, 0.0, 0.0, 0.0)
         assert inputs.kappa0 == pytest.approx(gaussian_kappa0(2))
+
+    @pytest.mark.parametrize("r", [0.0, 2.0, math.nan])
+    def test_exact_oracle_radius_lies_in_the_unit_interval(self, r):
+        # the analysis takes r in (0, 1]; r = 2 would give delta_b0 = omega(2)^2 / 2 = 2
+        with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+            inputs_from(ExactGradient(builtin("quadratic", 1)), 1.0, r)
 
     def test_smoothed_oracle_wiring(self):
         q = builtin("quadratic", 2)

@@ -54,7 +54,8 @@ def test_every_import_is_used(path):
 
 
 RULE_TEXTS = ("np.integer", "must be a positive integer", "must lie in (0, 1]",
-              "must be finite and positive", "must be finite and nonnegative")
+              "must be finite and positive", "must be finite and nonnegative",
+              "must be a finite real number", "must be finite, got")
 
 
 def test_argument_rules_are_stated_only_in_args():

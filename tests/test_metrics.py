@@ -153,3 +153,10 @@ class TestMomentReport:
         assert t.n_recorded == 11
         with pytest.raises(ValueError, match="burn_in must be"):
             moment_report(t, burn_in=burn_in)
+
+    @pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
+    def test_m_must_be_positive(self, m):
+        # min(1.0, nan) is 1.0, so an unchecked NaN would report an exponent of 1
+        (t,) = run(ExactGradient(builtin("quadratic", 1)), ChainConfig(1.0, 0.1, 10), [0])
+        with pytest.raises(ValueError, match="m must be finite and positive"):
+            moment_report(t, m=m)

@@ -15,18 +15,18 @@ class TestDensity:
         # oracle: int_{-1}^{1} (1-x^2)^3 dx = 32/35 by polynomial quadrature
         poly_int = gl_interval_poly()
         assert abs(poly_int - 32.0 / 35.0) < 1e-14
-        assert density(0.0, 1) == pytest.approx(35.0 / 32.0, abs=1e-12)
+        assert density([[0.0]], 1)[0] == pytest.approx(35.0 / 32.0, abs=1e-12)
 
     def test_boundary_and_outside(self):
-        assert density(1.0, 1) == 0.0
-        assert density(2.0, 1) == 0.0
-        assert density(-1.0, 1) == 0.0
+        assert density([[1.0]], 1)[0] == 0.0
+        assert density([[2.0]], 1)[0] == 0.0
+        assert density([[-1.0]], 1)[0] == 0.0
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
-            density(math.nan, 1)
+            density([[math.nan]], 1)
         with pytest.raises(ValueError):
-            grad_density(math.inf, 1)
+            grad_density([[math.inf]], 1)
 
     @pytest.mark.parametrize("d,r", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 0.5)],
                              ids=["1", "2", "3", "1-r0.5"])
@@ -39,16 +39,16 @@ class TestDensity:
 
 class TestGradient:
     def test_zero_at_boundary_and_origin(self):
-        assert grad_density(1.0, 1)[0] == 0.0
-        assert grad_density(0.0, 1)[0] == 0.0
+        assert grad_density([[1.0]], 1)[0, 0] == 0.0
+        assert grad_density([[0.0]], 1)[0, 0] == 0.0
 
     def test_value_at_half(self):
         # closed form 35/32 * (-6) * (1 - 0.25)^2 * 0.5
-        got = grad_density(0.5, 1)[0]
+        got = grad_density([[0.5]], 1)[0, 0]
         assert got == pytest.approx(-1.845703125, abs=1e-12)
         # independent route: central finite difference of the density
         h = 1e-6
-        fd = (density(0.5 + h, 1) - density(0.5 - h, 1)) / (2 * h)
+        fd = (density([[0.5 + h]], 1)[0] - density([[0.5 - h]], 1)[0]) / (2 * h)
         assert got == pytest.approx(fd, abs=1e-7)
 
     def test_matches_finite_differences(self, rng):
@@ -57,17 +57,17 @@ class TestGradient:
         pts = rng.uniform(-0.5, 0.5, size=(100, 3))
         h = 1e-6
         for x in pts:
-            g = grad_density(x / r, 3) / r**4
+            g = grad_density([x / r], 3)[0] / r**4
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                fd = (density((x + e) / r, 3) - density((x - e) / r, 3)) / r**3 / (2 * h)
+                fd = (density([(x + e) / r], 3)[0] - density([(x - e) / r], 3)[0]) / r**3 / (2 * h)
                 assert abs(g[j] - fd) < 1e-6
 
     def test_continuous_across_support_boundary(self):
         e = np.array([0.6, 0.8])
-        inner = np.linalg.norm(grad_density((1 - 1e-9) * e, 2))
-        outer = np.linalg.norm(grad_density((1 + 1e-9) * e, 2))
+        inner = np.linalg.norm(grad_density([(1 - 1e-9) * e], 2))
+        outer = np.linalg.norm(grad_density([(1 + 1e-9) * e], 2))
         assert abs(inner - outer) < 1e-8
 
 
@@ -116,25 +116,18 @@ class TestSampler:
         res = stats.kstest(np.sum(z * z, axis=1), "beta", args=(0.5, 4.0))
         assert res.pvalue >= 0.01
 
-    def test_single_draw_shape(self, rng):
-        z = sample(5, rng)
-        assert z.shape == (5,)
-
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 17])
-    @pytest.mark.parametrize("rows", [None, -1, 0, 1], ids=["single", "scratch-1", "scratch",
-                                                           "scratch+1"])
+    @pytest.mark.parametrize("rows", [-1, 0, 1], ids=["scratch-1", "scratch", "scratch+1"])
     def test_in_place_draw_has_the_bits_of_the_formula(self, d, rows):
         # sample normalises and scales in place and squares its rows a scratch
         # array at a time; the reference is the whole-array formula it replaced,
         # scaled as the smoothing oracles scale draws to radius r
-        size = None if rows is None else mollifier._NORM_ROWS + rows
+        size = mollifier._NORM_ROWS + rows
         r = 0.3
         rng, replay = np.random.default_rng(1000 + d), np.random.default_rng(1000 + d)
-        g = replay.standard_normal((1 if size is None else size, d))
+        g = replay.standard_normal((size, d))
         b = replay.beta(0.5 * d, 4.0, size=len(g))
         ref = r * (g / np.linalg.norm(g, axis=1)[:, None] * np.sqrt(b)[:, None])
-        if size is None:
-            ref = ref[0]
         z = r * sample(d, rng, size=size)
         assert z.shape == ref.shape and z.tobytes() == ref.tobytes()
         assert rng.bit_generator.state == replay.bit_generator.state
@@ -179,6 +172,14 @@ class TestValidation:
             sample(d, rng, size=size)
         assert rng.bit_generator.state == state
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            density(np.array([1.0, 2.0, 3.0]), 2)
+    def test_size_is_required(self):
+        with pytest.raises(TypeError):
+            sample(2, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("fun", [density, grad_density])
+    @pytest.mark.parametrize("x,d", [(np.array([1.0, 2.0, 3.0]), 2), (0.5, 1), (np.zeros(2), 2),
+                                     (np.zeros((4, 3)), 2)],
+                             ids=["long", "scalar", "point", "rows"])
+    def test_dimension_mismatch(self, fun, x, d):
+        with pytest.raises(ValueError, match=r"shape \(n, d\)"):
+            fun(x, d)

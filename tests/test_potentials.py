@@ -6,6 +6,7 @@ import pytest
 
 from mollmc.continuity import ModulusSpec
 from mollmc.potentials import (
+    BUILTIN_NAMES,
     FiniteSumPotential,
     PotentialSpec,
     builtin,
@@ -295,6 +296,8 @@ def test_dimension_must_be_a_positive_integer(make):
     [
         lambda: builtin("double_well", 2, c=math.nan),
         lambda: builtin("double_well", 2, c=math.inf),
+        lambda: builtin("double_well", 2, c="2"),
+        lambda: builtin("double_well", 2, c=True),
         lambda: builtin("elastic_net_logistic", 2, lam1=math.nan),
         lambda: builtin("elastic_net_logistic", 2, lam2=math.nan),
         lambda: dataclasses.replace(builtin("quadratic", 2), m=math.nan),
@@ -304,12 +307,19 @@ def test_dimension_must_be_a_positive_integer(make):
         lambda: dataclasses.replace(FiniteSumPotential.equal_split(builtin("quadratic", 1), 2),
                                     b=-1.0),
     ],
-    ids=["double_well-c-nan", "double_well-c-inf", "elastic_net-lam1-nan",
+    ids=["double_well-c-nan", "double_well-c-inf", "double_well-c-string",
+         "double_well-c-bool", "elastic_net-lam1-nan",
          "elastic_net-lam2-nan", "spec-m-nan", "spec-b-inf", "fsum-m-nan", "fsum-b-negative"],
 )
 def test_non_finite_constants_are_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_undeclared_parameter_is_named(name):
+    with pytest.raises(ValueError, match=f"unknown {name} parameter 'bogus'"):
+        builtin(name, 2, bogus=1.0)
 
 
 def test_unknown_builtin():

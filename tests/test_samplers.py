@@ -10,7 +10,7 @@ from mollmc.continuity import ModulusSpec
 from mollmc.mollifier import density
 from mollmc.potentials import FiniteSumPotential, PotentialSpec, builtin
 from mollmc import samplers
-from mollmc.rng import chain_streams, derive_seed, replica_seed
+from mollmc.rng import chain_streams, derive_seed
 from mollmc.samplers import (
     ChainConfig,
     ExactGradient,
@@ -159,7 +159,7 @@ class TestQuadraticLaw:
     def test_ensemble_matches_variance_recursion(self):
         beta, eta = 1.0, 0.05
         cfg = ChainConfig(beta=beta, eta=eta, k=1000)
-        seeds = [replica_seed(17, i) for i in range(1000)]
+        seeds = [derive_seed(17, i) for i in range(1000)]
         traces = run(ExactGradient(builtin("quadratic", 1)), cfg, seeds)
         steps, paths = traces[0].steps, np.stack([t.iterates for t in traces])
         v = 1.0
@@ -176,7 +176,7 @@ class TestQuadraticLaw:
 
     def test_mean_zero_by_symmetry(self):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=500, x0=(0.0,))
-        seeds = [replica_seed(3, i) for i in range(1000)]
+        seeds = [derive_seed(3, i) for i in range(1000)]
         traces = run(ExactGradient(builtin("quadratic", 1)), cfg, seeds)
         end = np.array([t.iterates[-1, 0] for t in traces])
         se = end.std(ddof=1) / math.sqrt(len(end))
@@ -328,7 +328,7 @@ class TestBatchedFiniteSum:
 def _assert_rows_match_solo_runs(oracle, cfg, root, n_chains):
     """Run replicas ``0 .. n_chains - 1`` of ``root`` together, and each alone;
     a diverged chain is compared by its partial trace."""
-    seeds = [replica_seed(root, i) for i in range(n_chains)]
+    seeds = [derive_seed(root, i) for i in range(n_chains)]
     traces = run(oracle, cfg, seeds)
     assert len(traces) == n_chains
     for seed, t in zip(seeds, traces):
@@ -433,7 +433,7 @@ class TestStreamsAndReplicas:
     def test_run_replicas_distinct_and_deterministic(self):
         p = builtin("quadratic", 1)
         cfg = ChainConfig(beta=1.0, eta=0.1, k=50)
-        seeds = [replica_seed(5, i) for i in range(3)]
+        seeds = [derive_seed(5, i) for i in range(3)]
         a = run(ExactGradient(p), cfg, seeds)
         b = run(ExactGradient(p), cfg, seeds)
         for x, y in zip(a, b):
@@ -445,7 +445,7 @@ class TestStreamsAndReplicas:
         # re-route every experiment
         assert derive_seed(0, 0) == 16294208416658607535
         assert derive_seed(42, 1) == 2949826092126892291
-        assert replica_seed(7, 0) != replica_seed(7, 1)
+        assert derive_seed(7, 0) != derive_seed(7, 1)
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 65),
            st.lists(st.integers(0, 2**64 - 1), max_size=20))
