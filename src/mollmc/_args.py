@@ -1,37 +1,44 @@
-"""Argument rules, each stated once for the whole package.  A rule returns ``value``
-in the caller's type or raises a ``ValueError`` that names the argument, and NaN
-fails every rule.  Only the standard library is imported: ``plan`` loads no numpy."""
+"""Argument rules, each stated once for the whole package, the CLI included.  A
+rule returns ``value`` unchanged or raises a ``ValueError`` that names the
+argument and shows the value by ``repr``.  Every rule refuses a ``bool``, which
+``float()`` and ``int()`` take, and every numeric one NaN, inf and an int beyond
+float range.  Only the standard library is imported: ``plan`` loads no numpy."""
 
-import math
 import numbers
+import sys
 
 
-def count(name: str, value, least: int = 1):
-    """An ``int`` or numpy integer of at least ``least`` (1 or 0).  An integral
-    float such as ``10.0`` is refused too: ``range()`` needs an int, and
-    ``int()`` would run ``2.5`` as some other count."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        what = "a positive integer" if least else "a nonnegative integer"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def finite(name: str, value):
-    """A finite real number that is not a ``bool``: ``float()`` would take
-    ``"2"`` and ``True``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return value
-
-
-def _rule(what: str, ok):
+def rule(what: str, ok):
+    """The check ``(name, value)`` that raises ``"{name} {what}"`` unless ``ok(value)``."""
     def check(name: str, value):
         if not ok(value):
-            raise ValueError(f"{name} {what}, got {value}")
+            raise ValueError(f"{name} {what}, got {value!r}")
         return value
     return check
 
 
-positive = _rule("must be finite and positive", lambda v: 0.0 < v < math.inf)
-nonnegative = _rule("must be finite and nonnegative", lambda v: 0.0 <= v < math.inf)
-unit = _rule("must lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# an integral float such as 10.0 is no integer: range() needs an int, and int()
+# would run 2.5 as some other count
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and _real(v)
+
+
+_COUNTS = {1: rule("must be a positive integer", lambda v: _integer(v) and v >= 1),
+           0: rule("must be a nonnegative integer", lambda v: _integer(v) and v >= 0)}
+
+
+def count(name: str, value, least: int = 1):
+    """An integer of at least ``least``, which is 1 or 0."""
+    return _COUNTS[least](name, value)
+
+
+finite = rule("must be a finite real number", _real)
+positive = rule("must be finite and positive", lambda v: _real(v) and v > 0)
+nonnegative = rule("must be finite and nonnegative", lambda v: _real(v) and v >= 0)
+unit = rule("must lie in (0, 1]", lambda v: _real(v) and 0 < v <= 1)
+# the seed derivation reads a root modulo 2**64: -5 would rerun the experiment of 2**64 - 5
+seed = rule("must be in [0, 2**64)", lambda v: _integer(v) and 0 <= v < 2**64)

@@ -84,9 +84,10 @@ class BoundInputs:
                      "omega_g_tilde_one", "u0"):
             _args.nonnegative(name, getattr(self, name))
         _args.finite("p0_sup_log", self.p0_sup_log)
-        # written so that NaN fails it
-        if len(self.delta) != 4 or not all(0.0 <= v < math.inf for v in self.delta):
+        if len(self.delta) != 4:
             raise ValueError(f"delta must be four finite nonnegative reals, got {self.delta}")
+        for v in self.delta:
+            _args.nonnegative("delta", v)
         object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
 
 
@@ -157,7 +158,8 @@ def poincare_bound(inputs: BoundInputs) -> float:
 def poincare_log_bound(inputs: BoundInputs) -> float:
     """log of the Poincare bound, finite even when the bound itself overflows."""
     first, log_second = _poincare_pieces(inputs)
-    return float(np.logaddexp(math.log(first), log_second))
+    # a first summand below float range is no summand
+    return float(np.logaddexp(math.log(first) if first > 0.0 else -math.inf, log_second))
 
 
 def log_sobolev_bound(inputs: BoundInputs, r: float) -> float:
@@ -169,8 +171,14 @@ def log_sobolev_bound(inputs: BoundInputs, r: float) -> float:
     s = inputs.d + (inputs.b + inputs.m) * inputs.beta
     mb = inputs.m * inputs.beta
     lam = (inputs.d + 4) * w / r
+    try:
+        curvature = 32.0 / (inputs.m**2 * inputs.beta**2)
+    except OverflowError:  # (m beta)^2 above float range
+        curvature = 0.0
+    except ZeroDivisionError:  # and below it
+        curvature = math.inf
     return (
-        lam * (32.0 / (inputs.m**2 * inputs.beta**2) + 12.0 * s * cp / mb)
+        lam * (curvature + 12.0 * s * cp / mb)
         + 2.0 * r / lam
         + 2.0 * cp
     )
@@ -250,8 +258,9 @@ def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremB
     ki = kappa_inf(inputs, eta)
     c0 = c_zero(inputs, eta)
 
-    tail = 32.0 * (inputs.b + inputs.m + inputs.d / inputs.beta) / inputs.m + 10.0 / min(
-        1.0, inputs.beta * inputs.m / 4.0
+    floor = min(1.0, inputs.beta * inputs.m / 4.0)  # 0 where beta m is below float range
+    tail = 32.0 * (inputs.b + inputs.m + inputs.d / inputs.beta) / inputs.m + (
+        10.0 / floor if floor else math.inf
     )
     c1 = 2.0 * math.sqrt(4.0 * inputs.kappa0 + tail)
     c1p = 2.0 * math.sqrt(tail)

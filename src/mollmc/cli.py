@@ -9,15 +9,17 @@ Subcommands:
 * ``bound`` evaluates every envelope constant for a configured run.
 
 The config is one JSON file with nested keys.  ``_KEYS`` is the reference for
-its format: it maps each key path to what the value must be, and
-``_REQUIRED`` lists the keys each algorithm needs.  Every key is checked
-wherever it appears, whatever the algorithm.  Unknown keys are errors, not
-warnings, because a silently ignored misspelling is the main failure mode of
-numerical experiments.  Every output embeds the config hash and the seed it
-was produced from.  Replica ``i`` runs under the seed derived from the root
-seed by the splitmix64 scheme in :mod:`mollmc.rng`, so re-running any
-experiment with the same config and seed reproduces the trace files byte for
-byte regardless of worker scheduling.
+its format: it maps each key path to its rule, which takes ``(name, value)``
+and raises a ``ValueError`` unless the value is what the key must be, and
+``_REQUIRED`` lists the keys each algorithm needs.  The numeric rules, for
+keys and flags alike, are :mod:`mollmc._args`'; only the JSON shapes are
+stated here.  Every key is checked wherever it appears, whatever the
+algorithm.  Unknown keys are errors, not warnings, because a silently ignored
+misspelling is the main failure mode of numerical experiments.  Every output
+embeds the config hash and the seed it was produced from.  Replica ``i`` runs
+under the seed derived from the root seed by the splitmix64 scheme in
+:mod:`mollmc.rng`, so re-running any experiment with the same config and seed
+reproduces the trace files byte for byte regardless of worker scheduling.
 
 ``sample`` splits the replicas into one contiguous shard per worker
 (``MOLLMC_WORKERS``, default one per CPU the process may run on).  At two or
@@ -27,12 +29,13 @@ summary entries; a replica's ``elapsed_s`` is the wall time of the lockstep
 group it ran in, the whole shard unless the shard is large.  The trace files
 and the rest of the summary do not depend on the worker count.
 
-This module imports only the standard library at the top.  Each subcommand
-imports what it runs inside the functions that run it.  ``plan`` loads mpmath
-and :mod:`mollmc.planner`, and numpy only when ``--execute`` runs the plan.
-``sample`` loads numpy, :mod:`mollmc.potentials`, :mod:`mollmc.samplers` and
-:mod:`mollmc.metrics`, but not mpmath.  ``bound`` loads both numpy and mpmath
-for :mod:`mollmc.bounds`.  None of them loads scipy.
+This module imports only the standard library and :mod:`mollmc._args` at the
+top.  Each subcommand imports what it runs inside the functions that run it.
+``plan`` loads mpmath and :mod:`mollmc.planner`, and numpy only when
+``--execute`` runs the plan.  ``sample`` loads numpy,
+:mod:`mollmc.potentials`, :mod:`mollmc.samplers` and :mod:`mollmc.metrics`,
+but not mpmath.  ``bound`` loads both numpy and mpmath for
+:mod:`mollmc.bounds`.  None of them loads scipy.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import _args
+
 ALGORITHMS = ("lmc", "ss_lmc", "ss_sg_lmc")
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,25 +57,33 @@ EXIT_DIVERGED = 3
 EXIT_REFUSED = 4
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a finite JSON number.  JSON ``1`` counts as 1.0;
-    ``true`` and ``"0.1"`` do not, though ``float()`` takes them, and neither
-    does an integer beyond float range, which ``float()`` rejects."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
+# The JSON-shape rules; the numeric ones are mollmc._args'.
+_OBJECT = _args.rule("must be an object", lambda v: isinstance(v, dict))
+_TEXT = _args.rule("must be a non-empty string", lambda v: isinstance(v, str) and v != "")
+_LIST = _args.rule("must be a list", lambda v: isinstance(v, list))
 
 
-# A rule is what a value must be, as text for the message, and its predicate.
-# A count is an integral number, so JSON 2.0 counts as 2, but 2.7 does not,
-# because int() would run it as some other integer.
-_OBJECT = ("an object", lambda v: isinstance(v, dict))
-_TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
-_POSITIVE = ("a positive number", lambda v: _is_real(v) and v > 0.0)
-_COUNT = ("a positive integer", lambda v: _is_real(v) and v >= 1 and v == int(v))
-_RADIUS = ("a number in (0, 1]", lambda v: _is_real(v) and 0.0 < v <= 1.0)
-# the seed derivation reads the root modulo 2**64, so -5 would rerun the
-# experiment of 2**64 - 5
-_SEED = ("in [0, 2**64)", lambda v: _is_real(v) and 0 <= v < 2**64 and v == int(v))
+def _integral(check):
+    """``check`` for a JSON count or seed.  An integral number such as ``2.0`` is
+    checked as ``int(2.0)`` and anything else as it is, so ``2.7``, ``true``
+    and ``"3"`` fail, though ``int()`` would take each of them."""
+    def integral(name: str, value):
+        try:
+            check(name, int(value) if isinstance(value, float) and value.is_integer() else value)
+        except ValueError:
+            check(name, value)  # no float passes: this names the value as written
+        return value
+    return integral
+
+
+def _reals(name: str, value):
+    """A list of finite real numbers."""
+    for i, entry in enumerate(_LIST(name, value)):
+        _args.finite(f"{name}[{i}]", entry)
+    return value
+
+
+_COUNT = _integral(_args.count)
 
 # Every key a config may hold; ("potential", "params", "*") stands for any
 # parameter name.  A key is checked against its rule wherever it appears,
@@ -80,20 +93,20 @@ _KEYS = {
     ("potential", "name"): _TEXT,
     ("potential", "d"): _COUNT,
     ("potential", "params"): _OBJECT,
-    ("potential", "params", "*"): ("a real number", _is_real),
-    ("algorithm",): (f"one of {ALGORITHMS}", lambda v: v in ALGORITHMS),
+    ("potential", "params", "*"): _args.finite,
+    ("algorithm",): _args.rule(f"must be one of {ALGORITHMS}", lambda v: v in ALGORITHMS),
     ("chain",): _OBJECT,
-    ("chain", "beta"): _POSITIVE,
-    ("chain", "eta"): _POSITIVE,
+    ("chain", "beta"): _args.positive,
+    ("chain", "eta"): _args.positive,
     ("chain", "k"): _COUNT,
-    ("chain", "seed"): _SEED,
+    ("chain", "seed"): _integral(_args.seed),
     ("chain", "record_stride"): _COUNT,
     ("chain", "init"): _OBJECT,
-    ("chain", "init", "kind"): ("'gaussian' or 'point'", lambda v: v in ("gaussian", "point")),
-    ("chain", "init", "x0"):
-        ("a list of real numbers", lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    ("chain", "init", "kind"):
+        _args.rule("must be 'gaussian' or 'point'", lambda v: v in ("gaussian", "point")),
+    ("chain", "init", "x0"): _reals,
     ("smoothing",): _OBJECT,
-    ("smoothing", "r"): _RADIUS,
+    ("smoothing", "r"): _args.unit,
     ("smoothing", "n_batch"): _COUNT,
     ("finite_sum",): _OBJECT,
     ("finite_sum", "n_components"): _COUNT,
@@ -110,16 +123,6 @@ _REQUIRED = {"lmc": _LMC_KEYS, "ss_lmc": _SMOOTHED_KEYS,
              "ss_sg_lmc": (*_SMOOTHED_KEYS, ("finite_sum",), ("finite_sum", "n_components"))}
 
 
-def _must(name: str, what: str, value) -> str:
-    return f"{name} must be {what}, got {value!r}"
-
-
-def _check(value, name: str, rule) -> None:
-    what, ok = rule
-    if not ok(value):
-        raise ValueError(_must(name, what, value))
-
-
 def _walk(node: dict, path: tuple) -> None:
     """Check each key under ``node`` against its rule in ``_KEYS``."""
     for key, value in node.items():
@@ -127,7 +130,7 @@ def _walk(node: dict, path: tuple) -> None:
         rule = _KEYS.get(sub, _KEYS.get((*path, "*")))
         if rule is None:
             raise ValueError(f"unknown key {key!r} in {'.'.join(path) or 'config'}")
-        _check(value, ".".join(sub), rule)
+        rule(".".join(sub), value)
         if rule is _OBJECT:
             _walk(value, sub)
 
@@ -138,7 +141,7 @@ def validate_config(cfg: dict) -> dict:
     any output exists."""
     from .potentials import BUILTIN_NAMES, builtin
 
-    _check(cfg, "config", _OBJECT)
+    _OBJECT("config", cfg)
     _walk(cfg, ())
     # an absent algorithm is reported as missing by the lmc list
     for *head, key in _REQUIRED.get(cfg.get("algorithm"), _LMC_KEYS):
@@ -150,11 +153,12 @@ def validate_config(cfg: dict) -> dict:
 
     pot, init = cfg["potential"], cfg["chain"].get("init", {"kind": "gaussian"})
     if pot["name"] not in BUILTIN_NAMES:
-        raise ValueError(_must("potential.name", f"one of {BUILTIN_NAMES}", pot["name"]))
+        raise ValueError(f"potential.name must be one of {BUILTIN_NAMES}, got {pot['name']!r}")
     if (init["kind"] == "point") != ("x0" in init):
         raise ValueError("chain.init.x0 must be given exactly when chain.init.kind is 'point'")
     if "x0" in init and len(init["x0"]) != pot["d"]:
-        raise ValueError(_must("chain.init.x0", f"of length potential.d = {pot['d']}", init["x0"]))
+        raise ValueError(f"chain.init.x0 must be of length potential.d = {pot['d']}, "
+                         f"got {init['x0']!r}")
     try:
         builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
     except ValueError as err:
@@ -211,8 +215,8 @@ def _n_workers(replicas: int) -> int:
         try:
             workers = int(env)
         except ValueError:
-            raise ValueError(_must("MOLLMC_WORKERS", "an integer", env)) from None
-        _check(workers, "MOLLMC_WORKERS", _COUNT)
+            raise ValueError(f"MOLLMC_WORKERS must be an integer, got {env!r}") from None
+        _args.count("MOLLMC_WORKERS", workers)
     else:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -350,7 +354,7 @@ def cmd_plan(args) -> int:
 
     from .planner import PRECISION_DPS, PlanRequest, plan_lmc, plan_ss_sg_lmc, verify_plan
 
-    _check(args.cap, "--cap", _COUNT)
+    _args.count("--cap", args.cap)
     req = PlanRequest(
         epsilon=args.epsilon,
         d=args.d,
@@ -415,12 +419,11 @@ def cmd_plan(args) -> int:
 def cmd_bound(args) -> int:
     from .bounds import inputs_from, theorem_bound
 
-    _check(args.a_abs, "--a-abs", _POSITIVE)
+    _args.positive("--a-abs", args.a_abs)
     cfg = load_config(args.config)
     oracle = build_oracle(cfg)
     if args.r is not None:
-        _check(args.r, "--r", _RADIUS)
-        r = float(args.r)
+        r = _args.unit("--r", args.r)
     elif "r" in cfg.get("smoothing", {}):
         r = float(cfg["smoothing"]["r"])
     else:
@@ -491,7 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:
-            _check(args.seed, "--seed", _SEED)
+            _args.seed("--seed", args.seed)
         return args.func(args)
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

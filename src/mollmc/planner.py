@@ -122,6 +122,16 @@ def _cap(req: PlanRequest) -> mp.mpf:
     return mp.mpf(req.m) / (2 * mp.mpf(req.omega_one) ** 2)
 
 
+def _ceil_k(k: mp.mpf) -> int:
+    """``ceil(k)`` as an int; a ``ValueError`` giving ``log10 k`` beyond integer range.
+    Every planned ``k`` becomes an int here; ``n_batch``, below ``sqrt(k) + 1``, fits."""
+    try:
+        return int(mp.ceil(k))
+    except (OverflowError, MemoryError):
+        log10_k = mp.nstr(mp.log10(k), 8)
+        raise ValueError(f"k is beyond integer range (log10 k = {log10_k})") from None
+
+
 def _capped(req: PlanRequest, k: int, eta_raw: mp.mpf):
     """``(k, eta)`` with ``eta`` capped at ``m / (2 omega_one^2)``.
 
@@ -131,7 +141,7 @@ def _capped(req: PlanRequest, k: int, eta_raw: mp.mpf):
     """
     eta = min(eta_raw, _cap(req))
     if eta < eta_raw:
-        k = int(mp.ceil(k * eta_raw / eta))
+        k = _ceil_k(k * eta_raw / eta)
     return k, eta
 
 
@@ -160,7 +170,7 @@ def plan_lmc(req: PlanRequest) -> Plan:
         q = eps**4 / (48 * c**4 * d**2)
 
         if req.alpha == 1.0:
-            k = int(mp.ceil(16 * c**8 * d**16 * mp.e ** (2 * c * d) * logt**2 / eps**4))
+            k = _ceil_k(16 * c**8 * d**16 * mp.e ** (2 * c * d) * logt**2 / eps**4)
             eta_raw = mp.sqrt(eps**4 / (16 * c**4 * d**4 * k))
         else:
             growth = (3 * a + 1) / (3 * a - 1)
@@ -172,7 +182,7 @@ def plan_lmc(req: PlanRequest) -> Plan:
             if req.alpha > 2.0 / 3.0:
                 extra = d ** ((5 + 3 * a) / 2) * (48 * c**4 * d**2 / eps**4) ** (3 * a)
                 k_min = max(k_min, extra)
-            k = int(mp.ceil(k_min))
+            k = _ceil_k(k_min)
             eta_raw = d ** (-4 * a / (1 + 3 * a)) * (q / k) ** ((1 + a) / (1 + 3 * a))
         k, eta = _capped(req, k, eta_raw)
         r = None if req.alpha == 1.0 else (q / (k * eta)) ** (1 / (2 * a))
@@ -194,7 +204,7 @@ def plan_ss_sg_lmc(req: PlanRequest) -> Plan:
         logt = mp.log(2 * c * d / eps)
 
         k_min = 48**4 * c**18 * d ** mp.mpf("17.5") * mp.e ** (2 * c * d) * logt**2 / eps**16
-        k = int(mp.ceil(k_min))
+        k = _ceil_k(k_min)
         # proof-consistent step size; see the module docstring
         eta_raw = eps**4 / (48 * c**4 * d ** mp.mpf("3.25") * mp.sqrt(k))
         k, eta = _capped(req, k, eta_raw)

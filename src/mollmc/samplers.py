@@ -106,6 +106,8 @@ class ChainConfig:
         _args.positive("eta", self.eta)
         _args.count("k", self.k)
         _args.count("record_stride", self.record_stride)
+        for i, v in enumerate(() if self.x0 is None else self.x0):
+            _args.finite(f"x0[{i}]", v)
 
 
 @dataclass
@@ -237,10 +239,8 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
     chain_seeds = list(seeds)
     if not chain_seeds:
         raise ValueError("need at least one chain")
-    if not all(0 <= s < 2**64 for s in chain_seeds):
-        raise ValueError("seeds must fit in 64 bits")
     for s in chain_seeds:
-        _args.count("seed", s, least=0)
+        _args.seed("seed", s)
     if cfg.x0 is not None and len(cfg.x0) != oracle.dim:
         raise ValueError(f"x0 has {len(cfg.x0)} coordinates, the chain has dim {oracle.dim}")
     # one chain's block per step: d Gaussians, n_batch * d smoothing draws and,
@@ -295,7 +295,7 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
             i += 1
             if not float(np.vdot(x, x)) <= screen:
                 for c in range(n_chains):
-                    s = float(x[c] @ x[c])
+                    s = float(np.vdot(x[c], x[c]))  # no overflow warning, unlike @
                     if not math.isfinite(s) or s > limit2:
                         if diverged_at[c] is None:
                             diverged_at[c], n_recorded[c] = i, rec_pos

@@ -345,6 +345,13 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("entry", [True, math.inf, math.nan, -1.0],
+                             ids=["bool", "inf", "nan", "negative"])
+    def test_delta_entries_must_be_finite_and_nonnegative(self, entry):
+        # True was taken as 1.0
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            make_inputs(delta=(0.0, entry, 0.0, 0.0))
+
     def test_eta_precondition_named(self):
         inputs = make_inputs()
         with pytest.raises(ValueError, match="m_tilde"):

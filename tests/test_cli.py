@@ -336,6 +336,8 @@ def test_sample_rejects_non_integer_counts(tmp_path, capsys, path, value):
 
 
 _REAL_KEYS = [("chain", "beta"), ("chain", "eta"), ("smoothing", "r")]
+_REAL_RULES = {"chain.beta": "must be finite and positive",
+               "chain.eta": "must be finite and positive", "smoothing.r": "must lie in (0, 1]"}
 
 
 @pytest.mark.parametrize("value", [True, "0.1", -0.1, math.nan],
@@ -349,7 +351,8 @@ def test_sample_rejects_non_numeric_and_non_positive_reals(tmp_path, capsys, pat
     cfg_path.write_text(json.dumps(_with(base, path, value)))
     out = tmp_path / "out"
     assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
-    assert f"{'.'.join(path)} must be" in capsys.readouterr().err
+    name = ".".join(path)
+    assert f"{name} {_REAL_RULES[name]}, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -428,7 +431,7 @@ def test_bound_rejects_a_bad_radius_in_an_lmc_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_with(_LMC_D1, ("smoothing", "r"), True)))
     assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
-    assert "smoothing.r must be" in capsys.readouterr().err
+    assert "smoothing.r must lie in (0, 1], got True" in capsys.readouterr().err
 
 
 def test_bound_asks_for_r_when_an_lmc_config_has_smoothing_without_r(tmp_path, capsys):
@@ -442,10 +445,16 @@ def test_bound_asks_for_r_when_an_lmc_config_has_smoothing_without_r(tmp_path, c
     assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
 
 
-def test_bound_writes_overflowed_values_as_null(tmp_path, capsys):
-    # the Poincare bound of the quadratic at d = 100 is beyond float range
+@pytest.mark.parametrize("d,beta", [(100, 1.0), (2, 1e-300), (2, 1e160), (2, 1e300)],
+                         ids=["d-100", "beta-1e-300", "beta-1e160", "beta-1e300"])
+def test_bound_writes_overflowed_values_as_null(tmp_path, capsys, d, beta):
+    # the Poincare bound of the quadratic at d = 100 or at an extreme beta is
+    # beyond float range; at beta = 1e-300, (m beta)^2 underflowed to 0, a
+    # ZeroDivisionError, and at 1e160 the first Poincare summand did, so
+    # log(0) was a math domain error
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("potential", "d"), 100)))
+    cfg_path.write_text(json.dumps(_with(_with(_LMC_D1, ("potential", "d"), d),
+                                         ("chain", "beta"), beta)))
     assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out, parse_constant=_not_json)
     assert out["c_p_bound"] is None and out["c_ls_bound"] is None
@@ -522,8 +531,8 @@ def test_bound_names_a_bad_flag(tmp_path, capsys, monkeypatch, flag, value):
     Path("cfg.json").write_text(json.dumps(_LMC_D1))
     assert main([*_BOUND, flag, value]) == EXIT_ERROR
     captured = capsys.readouterr()
-    what = {"--r": "a number in (0, 1]", "--a-abs": "a positive number"}[flag]
-    assert f"error: {flag} must be {what}, got {float(value)!r}" in captured.err
+    what = {"--r": "must lie in (0, 1]", "--a-abs": "must be finite and positive"}[flag]
+    assert f"error: {flag} {what}, got {float(value)!r}" in captured.err
     assert captured.out == ""
 
 
@@ -535,6 +544,19 @@ def test_plan_names_a_cap_below_one(capsys, cap):
     captured = capsys.readouterr()
     assert f"error: --cap must be a positive integer, got {int(cap)}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "1"], ["--alpha", "0.5"],
+                                  ["--algorithm", "ss_sg_lmc"]],
+                         ids=["alpha-1", "alpha-0.5", "ss_sg_lmc"])
+def test_plan_names_a_k_beyond_integer_range(capsys, argv):
+    # k = e^(2e300) has more digits than an int can hold: int() raised an
+    # OverflowError from inside mpmath, a traceback
+    assert main(["plan", "--epsilon", "0.5", "--d", "1", "--c-const", "1e300", *argv]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: k is beyond integer range (log10 k = ")
+    assert captured.err.count("\n") == 1
 
 
 def test_integral_floats_pass_and_keep_the_config_hash(tmp_path, capsys):

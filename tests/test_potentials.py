@@ -298,6 +298,7 @@ def test_dimension_must_be_a_positive_integer(make):
         lambda: builtin("double_well", 2, c=math.inf),
         lambda: builtin("double_well", 2, c="2"),
         lambda: builtin("double_well", 2, c=True),
+        lambda: builtin("double_well", 2, c=10**400),
         lambda: builtin("elastic_net_logistic", 2, lam1=math.nan),
         lambda: builtin("elastic_net_logistic", 2, lam2=math.nan),
         lambda: dataclasses.replace(builtin("quadratic", 2), m=math.nan),
@@ -308,7 +309,7 @@ def test_dimension_must_be_a_positive_integer(make):
                                     b=-1.0),
     ],
     ids=["double_well-c-nan", "double_well-c-inf", "double_well-c-string",
-         "double_well-c-bool", "elastic_net-lam1-nan",
+         "double_well-c-bool", "double_well-c-beyond-float-range", "elastic_net-lam1-nan",
          "elastic_net-lam2-nan", "spec-m-nan", "spec-b-inf", "fsum-m-nan", "fsum-b-negative"],
 )
 def test_non_finite_constants_are_rejected(make):

@@ -62,7 +62,8 @@ class TestStep:
         assert np.all(np.abs(per_coord - target) <= 3 * se)
 
     def test_rejects_non_finite(self):
-        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, x0=(math.nan,))
+        # |x|^2 is beyond float range at step 1; ChainConfig refuses a NaN x0
+        cfg = ChainConfig(beta=1.0, eta=0.1, k=1, x0=(1e200,))
         (t,) = run(ExactGradient(builtin("quadratic", 1)), cfg, [0])
         assert t.diverged_at == 1 and t.n_recorded == 1
 
@@ -108,7 +109,8 @@ class TestRunBasics:
     @pytest.mark.parametrize(
         "field,value",
         [("eta", 0.0), ("k", 10.0), ("k", math.inf), ("record_stride", 1.5),
-         ("record_stride", 2.0), ("record_stride", math.nan)],
+         ("record_stride", 2.0), ("record_stride", math.nan), ("beta", True), ("k", True),
+         ("record_stride", True), pytest.param("beta", 10**400, id="beta-beyond-float-range")],
     )
     def test_eta_must_be_positive(self, field, value):
         # and k and record_stride positive integers; the message names the field
@@ -120,11 +122,12 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="n_batch must be a positive integer"):
             SphericalSmoothed(builtin("quadratic", 1), 0.1, n_batch=n_batch)
 
-    @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64], [1.5], [2.0]],
-                             ids=["empty", "negative", "65-bit", "fractional", "integral-float"])
+    @pytest.mark.parametrize("seeds", [[], [-1], [0, 2**64], [1.5], [2.0], [True], ["3"], [None]],
+                             ids=["empty", "negative", "65-bit", "fractional", "integral-float",
+                                  "bool", "string", "none"])
     def test_rejects_no_seeds_and_seeds_outside_64_bits(self, seeds):
-        # int() ran 1.5 as seed 1
-        with pytest.raises(ValueError, match="chain|64 bits|seed must be a nonnegative integer"):
+        # int() ran 1.5 as seed 1 and True as seed 1; "3" and None were TypeErrors
+        with pytest.raises(ValueError, match=r"chain|seed must be in \[0, 2\*\*64\)"):
             run(ExactGradient(builtin("quadratic", 1)), ChainConfig(1.0, 0.1, 10), seeds)
 
     def test_numpy_integers_are_counts_and_seeds(self):
@@ -134,6 +137,13 @@ class TestRunBasics:
         cfg = ChainConfig(1.0, 0.1, np.int64(10), record_stride=np.int64(5))
         got = run(oracle, cfg, np.array([3, 4], dtype=np.uint64))
         assert all(np.array_equal(a.iterates, b.iterates) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("entry", ["1", True, math.nan, 10**400],
+                             ids=["string", "bool", "nan", "beyond-float-range"])
+    def test_x0_entries_must_be_finite_reals(self, entry):
+        # "1" and True ran from 1.0, NaN diverged at step 1 and 10**400 overflowed
+        with pytest.raises(ValueError, match=r"x0\[1\] must be a finite real number"):
+            ChainConfig(beta=1.0, eta=0.1, k=10, x0=(0.0, entry))
 
     def test_rejects_x0_of_the_wrong_length(self):
         cfg = ChainConfig(beta=1.0, eta=0.1, k=10, x0=(1.0, 2.0, 3.0))
