@@ -2,8 +2,10 @@
 rule returns ``value`` unchanged or raises a ``ValueError`` that names the
 argument and shows the value by ``repr``.  Every rule refuses a ``bool``, which
 ``float()`` and ``int()`` take, and every numeric one NaN, inf and an int beyond
-float range.  Only the standard library is imported: ``plan`` loads no numpy."""
+float range; only ``upper`` takes inf.  Only the standard library is imported:
+``plan`` loads no numpy."""
 
+import math
 import numbers
 import sys
 
@@ -39,6 +41,8 @@ def count(name: str, value, least: int = 1):
 finite = rule("must be a finite real number", _real)
 positive = rule("must be finite and positive", lambda v: _real(v) and v > 0)
 nonnegative = rule("must be finite and nonnegative", lambda v: _real(v) and v >= 0)
+# an upper bound that overflowed float range is inf, and what is built on it vacuous
+upper = rule("must be a nonnegative real or inf", lambda v: _real(v) and v >= 0 or v == math.inf)
 unit = rule("must lie in (0, 1]", lambda v: _real(v) and 0 < v <= 1)
 # the seed derivation reads a root modulo 2**64: -5 would rerun the experiment of 2**64 - 5
 seed = rule("must be in [0, 2**64)", lambda v: _integer(v) and 0 <= v < 2**64)

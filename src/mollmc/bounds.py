@@ -57,7 +57,9 @@ class BoundInputs:
     b_tilde`` those of the oracle's mean gradient; ``kappa0`` is the log
     exponential moment of the initial law and ``p0_sup_log`` the log of its
     density sup; ``a_abs`` is the absolute constant of the Poincare bound,
-    configurable because the analysis only asserts it exists.
+    configurable because the analysis only asserts it exists.  A ``delta``
+    entry may be inf, a bias or variance bound beyond float range such as
+    ``omega(r)^2 / 2`` at a huge modulus; the envelope is then vacuous.
     """
 
     d: int
@@ -85,18 +87,25 @@ class BoundInputs:
             _args.nonnegative(name, getattr(self, name))
         _args.finite("p0_sup_log", self.p0_sup_log)
         if len(self.delta) != 4:
-            raise ValueError(f"delta must be four finite nonnegative reals, got {self.delta}")
+            raise ValueError(f"delta must have four entries, got {self.delta}")
         for v in self.delta:
-            _args.nonnegative("delta", v)
+            _args.upper("delta", v)
         object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
 
 
+def _square(x: float) -> float:
+    """``x**2``, or inf where that overflows (``**`` raises there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def eta_max(inputs: BoundInputs) -> float:
-    """Largest admissible step size, ``1 and m_tilde / (2 (omega_G(1)^2 + delta_v2))``."""
-    w2 = inputs.omega_g_tilde_one**2 + inputs.delta[3]
-    if w2 == 0.0:
-        return 1.0
-    return min(1.0, inputs.m_tilde / (2.0 * w2))
+    """Largest admissible step size, ``1 and m_tilde / (2 (omega_G(1)^2 + delta_v2))``.
+    The root of the sum is taken by ``hypot``, so it is a float wherever the bound is."""
+    h = math.hypot(inputs.omega_g_tilde_one, math.sqrt(inputs.delta[3]))
+    return min(1.0, inputs.m_tilde / h / h / 2.0) if h else 1.0
 
 
 def _check_eta(inputs: BoundInputs, eta: float) -> float:
@@ -117,15 +126,16 @@ def kappa_inf(inputs: BoundInputs, eta: float) -> float:
     eta = _check_eta(inputs, eta)
     lever = max(1.0, 1.0 / inputs.m_tilde)
     return inputs.kappa0 + 2.0 * lever * (
-        inputs.b_tilde + eta * inputs.g_tilde_mnorm**2 + inputs.delta[2] + inputs.d / inputs.beta
+        inputs.b_tilde + eta * _square(inputs.g_tilde_mnorm) + inputs.delta[2]
+        + inputs.d / inputs.beta
     )
 
 
 def c_zero(inputs: BoundInputs, eta: float) -> float:
     """Coefficient of the step-size term in the discretisation divergence."""
     ki = kappa_inf(inputs, eta)
-    core = inputs.delta[2] + inputs.g_tilde_mnorm**2 + (
-        inputs.omega_g_tilde_one**2 + inputs.delta[3]
+    core = inputs.delta[2] + _square(inputs.g_tilde_mnorm) + (
+        _square(inputs.omega_g_tilde_one) + inputs.delta[3]
     ) * ki
     return (inputs.d + 4) * (inputs.beta / 3.0 * core + inputs.d / 2.0)
 
@@ -255,6 +265,8 @@ def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremB
     _args.count("k", k)
 
     notes = []
+    if math.inf in inputs.delta:
+        notes.append(f"delta = {inputs.delta} has an entry beyond float range (vacuous bound)")
     ki = kappa_inf(inputs, eta)
     c0 = c_zero(inputs, eta)
 

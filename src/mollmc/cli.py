@@ -32,16 +32,27 @@ and the rest of the summary do not depend on the worker count.
 This module imports only the standard library and :mod:`mollmc._args` at the
 top.  Each subcommand imports what it runs inside the functions that run it.
 ``plan`` loads mpmath and :mod:`mollmc.planner`, and numpy only when
-``--execute`` runs the plan.  ``sample`` loads numpy,
-:mod:`mollmc.potentials`, :mod:`mollmc.samplers` and :mod:`mollmc.metrics`,
-but not mpmath.  ``bound`` loads both numpy and mpmath for
-:mod:`mollmc.bounds`.  None of them loads scipy.
+``--execute`` runs the plan; it loads neither ``dataclasses`` (whose import of
+``inspect`` costs about 13 ms) nor ``hashlib``, which only a config's hash
+needs.  ``sample`` loads numpy, :mod:`mollmc.potentials`,
+:mod:`mollmc.samplers` and :mod:`mollmc.metrics`, but not mpmath.  ``bound``
+loads both numpy and mpmath for :mod:`mollmc.bounds`.  None of them loads
+scipy.
+
+The ``mollmc`` script and ``python -m mollmc.cli`` run :func:`entry`, which
+flushes stdout and stderr once :func:`main` returns and ends the process by
+``os._exit``, as a forked shard does.  Tearing the interpreter down would cost
+25-37 ms and serves no output: every file is closed by ``with`` and every shard
+reaped before :func:`main` returns.  A profiler, tracer or monitoring tool
+(cProfile, coverage) writes its results at exit, so with one installed, or when
+a flush raises, the process ends by ``sys.exit`` as before.  :func:`main` itself
+returns its code, and an exception or argparse's ``SystemExit`` leaves the
+normal way.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -176,6 +187,8 @@ def canonical_json(cfg: dict) -> str:
 
 
 def config_hash(cfg: dict) -> str:
+    import hashlib  # here, not at the top: plan without --execute hashes nothing
+
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
 
 
@@ -501,5 +514,25 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def entry() -> None:
+    """Run :func:`main` as a command: flush stdout and stderr, then end the process
+    by ``os._exit``, skipping the interpreter's teardown.  ``sys.exit`` ends it
+    instead when a flush raises or a profiler, tracer or monitoring tool is
+    installed, since those write their results at exit."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage
+    if (sys.getprofile() is None and sys.gettrace() is None
+            and not (monitoring and any(monitoring.get_tool(i) for i in range(6)))):
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

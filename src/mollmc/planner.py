@@ -31,12 +31,19 @@ lower bound on ``k``, which matches them exactly) require
 
 The displayed pair violates the envelope the proposition asserts, so this
 module implements the proof-consistent pair.
+
+The records are ``typing.NamedTuple`` classes, not dataclasses: ``mollmc plan``
+imports this module, and ``dataclasses`` would load ``inspect`` with it, about
+13 ms of a 150 ms process that nothing else in ``plan`` needs.  ``PlanRequest``
+checks its inputs in ``__new__``; its ``_replace`` and ``_make`` do not.  A
+``k`` of more than ``K_DIGITS`` digits is refused before it is built, since
+printing an int takes time quadratic in its digits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -52,20 +59,19 @@ __all__ = [
     "plan_ss_sg_lmc",
     "verify_plan",
     "PRECISION_DPS",
+    "K_DIGITS",
 ]
 
 PRECISION_DPS = 60
+# the most digits a planned k may have; str() of an int takes time quadratic in them
+K_DIGITS = 100_000
 
 
 class UnsupportedRegimeError(ValueError):
     """The gradient regularity exponent lies outside the analysed range."""
 
 
-@dataclass(frozen=True)
-class PlanRequest:
-    """Inputs of a schedule: accuracy, dimension, envelope constant, and the
-    step-size cap data ``m / (2 omega_one^2)``."""
-
+class _Request(NamedTuple):
     epsilon: float
     d: int
     c_const: float = 1.0
@@ -73,7 +79,16 @@ class PlanRequest:
     m: float = 1.0
     omega_one: float = 1.0
 
-    def __post_init__(self):
+
+class PlanRequest(_Request):
+    """Inputs of a schedule: accuracy, dimension, envelope constant, and the
+    step-size cap data ``m / (2 omega_one^2)``.  Checked when built; ``_replace``
+    skips the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _args.unit("epsilon", self.epsilon)
         _args.count("d", self.d)
         # written so that NaN fails it
@@ -84,10 +99,10 @@ class PlanRequest:
         _args.positive("omega_one", self.omega_one)
         if self.alpha is not None:
             _args.finite("alpha", self.alpha)
+        return self
 
 
-@dataclass
-class Plan:
+class Plan(NamedTuple):
     """One finished schedule; eta/r/envelope are mpmath values."""
 
     algorithm: str
@@ -123,13 +138,16 @@ def _cap(req: PlanRequest) -> mp.mpf:
 
 
 def _ceil_k(k: mp.mpf) -> int:
-    """``ceil(k)`` as an int; a ``ValueError`` giving ``log10 k`` beyond integer range.
-    Every planned ``k`` becomes an int here; ``n_batch``, below ``sqrt(k) + 1``, fits."""
-    try:
-        return int(mp.ceil(k))
-    except (OverflowError, MemoryError):
-        log10_k = mp.nstr(mp.log10(k), 8)
-        raise ValueError(f"k is beyond integer range (log10 k = {log10_k})") from None
+    """``ceil(k)`` as an int, or a ``ValueError`` giving ``log10 k`` where ``k``
+    has more than ``K_DIGITS`` digits.  The test comes before ``int()``, which
+    cannot hold ``e^(2e300)`` and builds a million digits quickly, though printing
+    them takes minutes.  Every planned ``k`` becomes an int here; ``n_batch``,
+    below ``sqrt(k) + 1``, fits."""
+    log10_k = mp.log10(k)
+    if log10_k >= K_DIGITS:
+        raise ValueError(f"k has more than {K_DIGITS:,} digits "
+                         f"(log10 k = {mp.nstr(log10_k, 8)})")
+    return int(mp.ceil(k))
 
 
 def _capped(req: PlanRequest, k: int, eta_raw: mp.mpf):
@@ -256,8 +274,7 @@ def _envelope(req: PlanRequest, algorithm: str, k, eta, r, n_batch):
 _EQUALITY_SLACK = mp.mpf("1e-30")
 
 
-@dataclass(frozen=True)
-class PlanItem:
+class PlanItem(NamedTuple):
     name: str
     lhs: mp.mpf
     rhs: mp.mpf
@@ -286,8 +303,7 @@ class PlanItem:
         }
 
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(NamedTuple):
     algorithm: str
     items: tuple
 

@@ -345,12 +345,34 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match=message):
             call()
 
-    @pytest.mark.parametrize("entry", [True, math.inf, math.nan, -1.0],
-                             ids=["bool", "inf", "nan", "negative"])
-    def test_delta_entries_must_be_finite_and_nonnegative(self, entry):
+    @pytest.mark.parametrize("entry", [True, -math.inf, math.nan, -1.0],
+                             ids=["bool", "minus-inf", "nan", "negative"])
+    def test_delta_entries_must_be_nonnegative_reals_or_inf(self, entry):
         # True was taken as 1.0
-        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="delta must be a nonnegative real or inf"):
             make_inputs(delta=(0.0, entry, 0.0, 0.0))
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_an_overflowed_delta_makes_the_envelope_vacuous(self, axis):
+        # omega(r)^2 / 2 overflows for a modulus near float range; the inf was refused
+        delta = [0.0] * 4
+        delta[axis] = math.inf
+        inputs = make_inputs(delta=tuple(delta))
+        if axis == 3:  # delta_v2 enters the step-size cap, which is then 0
+            assert eta_max(inputs) == 0.0
+            return
+        tb = theorem_bound(inputs, r=0.5, eta=0.1, k=10)
+        assert tb.vacuous and not math.isfinite(tb.w2_bound)
+        assert any(note.startswith("delta = ") for note in tb.notes)
+
+    def test_a_modulus_whose_square_overflows_keeps_its_step_size_cap(self):
+        # m_tilde / (2 omega_G(1)^2) is 5e-301 here though omega_G(1)^2 overflows
+        inputs = make_inputs(m=1e300, m_tilde=1e300, omega_g_tilde_one=1e300,
+                             g_tilde_mnorm=1e300)
+        assert eta_max(inputs) == pytest.approx(5e-301)
+        # omega_G(1)^2 raised an OverflowError; it is inf now, and the envelope vacuous
+        assert kappa_inf(inputs, 1e-302) == math.inf
+        assert theorem_bound(inputs, r=0.5, eta=1e-302, k=10).vacuous
 
     def test_eta_precondition_named(self):
         inputs = make_inputs()

@@ -60,23 +60,27 @@ def test_plan_output_independent_of_the_integer_digit_limit(capsys):
     # k has 1,888 digits here
     argv = ["plan", "--epsilon", "0.5", "--d", "20", "--alpha", "0.34"]
     assert main(argv) == EXIT_OK
-    paths = [str(Path(mollmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
-               PYTHONINTMAXSTRDIGITS="640")
-    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv],
+                          env=_env(PYTHONINTMAXSTRDIGITS="640"),
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     assert proc.stdout == capsys.readouterr().out
+
+
+def _env(**extra) -> dict:
+    """This environment with the checkout's sources first on the path, ``extra``
+    set and ``PYTHONUNBUFFERED`` unset, so that a piped stdout is block-buffered."""
+    paths = [str(Path(mollmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _modules_after(code: str, prefix: str, workers: int = 1) -> str:
     """The modules of package ``prefix`` (a dotted name, such as
     ``numpy.polynomial``, or a top-level one) that a fresh interpreter has
     loaded after running ``code`` at ``MOLLMC_WORKERS=workers``."""
-    src = str(Path(mollmc.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
-               MOLLMC_WORKERS=str(workers))
+    env = _env(MOLLMC_WORKERS=str(workers))
     probe = code + ("\nprint(sorted(m for m in sys.modules"
                     f" if (m + '.').startswith({prefix + '.'!r})))")
     out = subprocess.run(
@@ -117,7 +121,9 @@ _SAMPLE_CONFIGS = {
 @pytest.mark.parametrize(
     "command,prefix",
     [("plan", "scipy"), ("bound", "scipy"), ("sample", "scipy"),
-     ("plan", "numpy"), ("sample", "mpmath"), ("sample", "numpy.polynomial")],
+     ("plan", "numpy"), ("sample", "mpmath"), ("sample", "numpy.polynomial"),
+     # dataclasses loads inspect, 13 ms that only plan would pay: numpy loads it anyway
+     ("plan", "dataclasses"), ("plan", "inspect"), ("plan", "hashlib")],
 )
 def test_commands_leave_modules_unloaded(command, prefix, tmp_path):
     path = tmp_path / "cfg.json"
@@ -236,16 +242,18 @@ def test_a_killed_shard_is_an_error_line_and_leaves_no_child(tmp_path, monkeypat
         os.waitpid(-1, os.WNOHANG)
 
 
+# on the double well at eta = 0.3, replicas 0 and 3 of root seed 1 blow up
+# within 200 steps and the other three stay bounded
+_DIVERGING = {
+    "potential": {"name": "double_well", "d": 1},
+    "algorithm": "lmc",
+    "chain": {"beta": 1.0, "eta": 0.3, "k": 200, "seed": 1, "record_stride": 3},
+    "replicas": 5,
+}
+
+
 def test_sample_exits_3_with_partial_traces_of_diverged_replicas(tmp_path, monkeypatch, capsys):
-    # on the double well at eta = 0.3, replicas 0 and 3 of root seed 1 blow
-    # up within 200 steps and the other three stay bounded
-    cfg = {
-        "potential": {"name": "double_well", "d": 1},
-        "algorithm": "lmc",
-        "chain": {"beta": 1.0, "eta": 0.3, "k": 200, "seed": 1, "record_stride": 3},
-        "replicas": 5,
-    }
-    code, out = _sample(tmp_path, cfg, "diverging", "2", monkeypatch)
+    code, out = _sample(tmp_path, _DIVERGING, "diverging", "2", monkeypatch)
     assert code == EXIT_DIVERGED
     err = capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
@@ -546,17 +554,33 @@ def test_plan_names_a_cap_below_one(capsys, cap):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [["--alpha", "1"], ["--alpha", "0.5"],
-                                  ["--algorithm", "ss_sg_lmc"]],
-                         ids=["alpha-1", "alpha-0.5", "ss_sg_lmc"])
-def test_plan_names_a_k_beyond_integer_range(capsys, argv):
+@pytest.mark.parametrize("argv", [["--c-const", "1e300", "--alpha", "1"],
+                                  ["--c-const", "1e300", "--alpha", "0.5"],
+                                  ["--c-const", "1e300", "--algorithm", "ss_sg_lmc"],
+                                  ["--c-const", "1e6", "--alpha", "1"]],
+                         ids=["alpha-1", "alpha-0.5", "ss_sg_lmc", "c-1e6"])
+def test_plan_refuses_a_k_of_more_than_100000_digits(capsys, argv):
     # k = e^(2e300) has more digits than an int can hold: int() raised an
-    # OverflowError from inside mpmath, a traceback
-    assert main(["plan", "--epsilon", "0.5", "--d", "1", "--c-const", "1e300", *argv]) == EXIT_ERROR
+    # OverflowError from inside mpmath, a traceback.  At C = 1e6, k has 868,642
+    # digits, which took minutes to print
+    assert main(["plan", "--epsilon", "0.5", "--d", "1", *argv]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: k is beyond integer range (log10 k = ")
+    assert captured.err.startswith("error: k has more than 100,000 digits (log10 k = ")
     assert captured.err.count("\n") == 1
+
+
+def test_plan_prints_a_k_of_86904_digits_in_full(capsys):
+    argv = ["plan", "--epsilon", "0.5", "--d", "1", "--alpha", "1", "--c-const", "1e5"]
+    assert main(argv) == EXIT_OK
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        k = json.loads(capsys.readouterr().out)["plan"]["k"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert k == plan_lmc(PlanRequest(epsilon=0.5, d=1, alpha=1.0, c_const=1e5)).k
+    assert 10**86903 < k < 10**86904
 
 
 def test_integral_floats_pass_and_keep_the_config_hash(tmp_path, capsys):
@@ -631,12 +655,9 @@ def test_plan_execute_prints_the_plan_once_into_a_pipe_at_two_workers(tmp_path):
     # parent's buffer on its way out would print the plan a second time
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(_LMC_D1, replicas=2)))
-    paths = [str(Path(mollmc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="2")
-    env.pop("PYTHONUNBUFFERED", None)
     argv = [*_LMC_PLAN, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv],
+                          env=_env(MOLLMC_WORKERS="2"), capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     assert set(json.loads(proc.stdout)) == {"plan", "verification"}
     assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["replicas"]) == 2
@@ -722,13 +743,137 @@ def test_benchmark_tracer_sees_every_oracle(tmp_path, algo):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_SAMPLE_CONFIGS[algo]))
     spans = tmp_path / "spans.npz"
-    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), MOLLMC_WORKERS="1")
     argv = [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), "--",
             "sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    proc = subprocess.run(argv, env=_env(MOLLMC_WORKERS="1"), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     with np.load(spans) as data:
         names = data["names"][data["name"]].tolist()
     assert names.count("samplers.prep_block") == 1  # k = 300 is one noise block
     assert names.count("samplers.grad_at") == _SAMPLE_CONFIGS[algo]["chain"]["k"]
+
+
+
+@pytest.mark.parametrize("case", ["plan", "bound", "error", "refused", "diverged", "usage"])
+def test_a_command_prints_and_exits_as_main_returns(tmp_path, capsys, monkeypatch, case):
+    # the process ends by os._exit once stdout and stderr are flushed: a piped,
+    # block-buffered stdout must still reach the reader whole
+    bound_cfg, sample_cfg = tmp_path / "bound.json", tmp_path / "sample.json"
+    bound_cfg.write_text(json.dumps(_SAMPLE_CONFIGS["ss_lmc"]))
+    sample_cfg.write_text(json.dumps(_DIVERGING))
+    argv = {
+        "plan": ["plan", "--epsilon", "0.5", "--d", "2", "--alpha", "0.7"],
+        "bound": ["bound", "--config", str(bound_cfg)],
+        "error": ["plan", "--epsilon", "2", "--d", "1", "--alpha", "1"],
+        "refused": ["plan", "--epsilon", "0.5", "--d", "2", "--alpha", "0.4", "--execute",
+                    "--cap", "10"],
+        "diverged": ["sample", "--config", str(sample_cfg), "--out", str(tmp_path / "out")],
+        "usage": ["plan", "--d", "1"],  # argparse's SystemExit leaves the normal way
+    }[case]
+    monkeypatch.setenv("MOLLMC_WORKERS", "1")
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == {"plan": EXIT_OK, "bound": EXIT_OK, "error": EXIT_ERROR,
+                    "refused": EXIT_REFUSED, "diverged": EXIT_DIVERGED, "usage": 2}[case]
+    expected = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv],
+                          env=_env(MOLLMC_WORKERS="1"), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    if case == "error":
+        assert proc.stderr == "error: epsilon must lie in (0, 1], got 2.0\n"
+
+
+@pytest.mark.parametrize("watch", ["", "sys.setprofile(lambda *args: None)",
+                                   "sys.settrace(lambda *args: None)"],
+                         ids=["plain", "profiler", "tracer"])
+def test_entry_skips_teardown_unless_watched(watch):
+    # a profiler or tracer writes its results at exit, so the process then ends by
+    # sys.exit and runs its atexit callbacks
+    code = ("import atexit, sys\n"
+            "atexit.register(print, 'teardown', file=sys.stderr)\n"
+            f"{watch}\n"
+            "sys.argv = ['mollmc', 'plan', '--epsilon', '0.5', '--d', '1', '--alpha', '1']\n"
+            "from mollmc.cli import entry\n"
+            "entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["plan"]["k"] == 3636
+    assert proc.stderr == ("teardown\n" if watch else "")
+
+
+def test_a_profiled_command_still_prints_its_profile():
+    argv = ["-m", "cProfile", "-m", "mollmc.cli", "plan", "--epsilon", "0.5", "--d", "1",
+            "--alpha", "1"]
+    proc = subprocess.run([sys.executable, *argv], env=_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("{") and '"verification"' in proc.stdout
+    assert "function calls" in proc.stdout and "Ordered by:" in proc.stdout
+
+
+class _Left(Exception):
+    pass
+
+
+class _Stream:
+    def __init__(self, error=None):
+        self.error, self.flushed = error, False
+
+    def flush(self):
+        if self.error:
+            raise self.error
+        self.flushed = True
+
+
+class _Monitoring:
+    """``sys.monitoring`` (Python 3.12+) with cProfile's tool registered."""
+
+    @staticmethod
+    def get_tool(tool_id):
+        return "cProfile" if tool_id == 2 else None
+
+
+@pytest.mark.parametrize("error,monitoring", [
+    (None, None), (BrokenPipeError(32, "Broken pipe"), None),
+    (ValueError("I/O operation on closed file."), None), (None, _Monitoring())],
+    ids=["flushed", "broken-pipe", "closed", "monitored"])
+def test_entry_ends_by_sys_exit_when_a_flush_raises_or_a_tool_watches(monkeypatch, error,
+                                                                      monitoring):
+    def leave(how):
+        def exit_(code):
+            raise _Left(how, code)
+        return exit_
+
+    stdout, stderr = _Stream(error), _Stream()
+    for name, value in [("stdout", stdout), ("stderr", stderr), ("exit", leave("sys.exit")),
+                        ("getprofile", lambda: None), ("gettrace", lambda: None),
+                        ("monitoring", monitoring)]:
+        monkeypatch.setattr(sys, name, value, raising=False)
+    monkeypatch.setattr(os, "_exit", leave("os._exit"))
+    monkeypatch.setattr(cli, "main", lambda: EXIT_DIVERGED)
+    with pytest.raises(_Left) as left:
+        cli.entry()
+    plain = error is None and monitoring is None
+    assert left.value.args == ("os._exit" if plain else "sys.exit", EXIT_DIVERGED)
+    assert stderr.flushed is plain
+
+
+def test_bound_makes_an_overflowed_delta_vacuous(tmp_path, capsys):
+    # omega(r)^2 / 2 overflows at lam2 = 1e300: the inf was refused, and bound
+    # exited 1 with "error: delta must be finite and nonnegative, got inf"
+    cfg = dict(_SAMPLE_CONFIGS["ss_lmc"],
+               potential={"name": "elastic_net_logistic", "d": 2, "params": {"lam2": 1e300}})
+    cfg_path = tmp_path / "cfg.json"
+    # the step-size cap m_tilde / (2 omega_G(1)^2) is 2.5e-301
+    cfg_path.write_text(json.dumps(_with(cfg, ("chain", "eta"), 1e-302)))
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    assert out["vacuous"] is True and out["w2_bound"] is None
+    assert out["notes"][0] == "delta = (0.0, 0.0, inf, 0.0) has an entry beyond float range " \
+                              "(vacuous bound)"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(
+        "error: step size 0.02 outside the admissible range (0, 2.5e-301)")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -194,7 +193,7 @@ class TestAmbientPrecision:
     def test_violated_inequality_fails_at_every_ambient_precision(self):
         req = PlanRequest(epsilon=1.0, d=1, c_const=1.0, alpha=1.0)
         plan = plan_lmc(req)
-        crippled = dataclasses.replace(plan, k=plan.k // 2)
+        crippled = plan._replace(k=plan.k // 2)
         readings = _verify_at_each_ambient_precision(crippled, req)
         for passed, failures, serialized in readings:
             assert not passed and not serialized["passed"]
