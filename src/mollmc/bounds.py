@@ -10,8 +10,10 @@ with ``f`` collecting the discretisation, bias/variance, and smoothing
 contributions.  The bounds are faithful, not useful-by-construction: with
 realistic inputs the functional-inequality constants contain factors like
 ``exp(beta * U0)`` and the envelope can be astronomically larger than any
-target accuracy.  Values that overflow float range are reported as ``inf``
-together with their logarithm; nothing is clamped.
+target accuracy.  Each constant is evaluated in mpmath at 40 digits, whatever
+precision the caller has set, and rounded once to the nearest float, so one
+beyond float range reads ``inf``; nothing is clamped.  Only the Poincare bound
+also gives its log, ``c_p_log``, which says how far it overflowed.
 
 Inputs live in :class:`BoundInputs`; the bias/variance quadruple ``delta``
 follows the quadratic-growth convention
@@ -23,10 +25,10 @@ follows the quadratic-growth convention
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 
 import mpmath as mp
-import numpy as np
 
 from . import _args
 from .continuity import ModulusSpec
@@ -93,141 +95,138 @@ class BoundInputs:
         object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
 
 
-def _square(x: float) -> float:
-    """``x**2``, or inf where that overflows (``**`` raises there)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
+_DPS = 40  # digits of every evaluation here, whatever precision the caller has set
 
 
-def eta_max(inputs: BoundInputs) -> float:
-    """Largest admissible step size, ``1 and m_tilde / (2 (omega_G(1)^2 + delta_v2))``.
-    The root of the sum is taken by ``hypot``, so it is a float wherever the bound is."""
-    h = math.hypot(inputs.omega_g_tilde_one, math.sqrt(inputs.delta[3]))
-    return min(1.0, inputs.m_tilde / h / h / 2.0) if h else 1.0
+def _exact(inputs: BoundInputs) -> SimpleNamespace:
+    """``inputs`` with each int and float an mpmath number, exact at ``_DPS`` digits,
+    so that no sum or product of two inputs is taken in floats."""
+    x = SimpleNamespace(**{
+        name: mp.mpf(value) if isinstance(value, (int, float)) else value
+        for name, value in vars(inputs).items()
+    })
+    x.delta = tuple(map(mp.mpf, inputs.delta))
+    return x
 
 
-def _check_eta(inputs: BoundInputs, eta: float) -> float:
-    hi = eta_max(inputs)
-    if not (0.0 < eta < hi):
-        raise ValueError(
-            f"step size {eta} outside the admissible range (0, {hi}); "
-            "the moment bound needs eta < m_tilde / (2 (omega_G(1)^2 + delta_v2))"
-        )
-    return float(eta)
+def _rounded(evaluate):
+    """The public form of the mpmath function ``evaluate(x, ...)``: it takes a
+    :class:`BoundInputs` for ``x``, evaluates at ``_DPS`` digits and rounds once,
+    by ``float``, which rounds an mpmath number to the nearest float or to inf.
+    A constant that another needs, such as ``ki``, is passed by keyword if known."""
+    def public(inputs: BoundInputs, *args, **kwargs) -> float:
+        with mp.workdps(_DPS):
+            return float(evaluate(_exact(inputs), *args, **kwargs))
+
+    public.__name__ = public.__qualname__ = evaluate.__name__.lstrip("_")
+    public.__doc__ = evaluate.__doc__
+    return public
 
 
-def kappa_inf(inputs: BoundInputs, eta: float) -> float:
+def _times(coefficient, value):
+    """``coefficient * value``, where a zero coefficient drops the term even
+    at an inf value, whose product with 0 is NaN."""
+    return coefficient * value if coefficient else coefficient
+
+
+def _eta_max(x):
+    """Largest admissible step size, ``min(1, m_tilde / (2 (omega_G(1)^2 + delta_v2)))``."""
+    return 1 / max(1, 2 * (x.omega_g_tilde_one**2 + x.delta[3]) / x.m_tilde)
+
+
+def _kappa_inf(x, eta):
     """Uniform-in-time second-moment bound of the chain.
 
     ``kappa0 + 2 (1 or 1/m_tilde) (b_tilde + eta ||G||^2 + delta_v0 + d/beta)``.
     """
-    eta = _check_eta(inputs, eta)
-    lever = max(1.0, 1.0 / inputs.m_tilde)
-    return inputs.kappa0 + 2.0 * lever * (
-        inputs.b_tilde + eta * _square(inputs.g_tilde_mnorm) + inputs.delta[2]
-        + inputs.d / inputs.beta
+    cap = _eta_max(x)
+    if not 0 < eta < cap:
+        raise ValueError(
+            f"step size {eta} outside the admissible range (0, {float(cap)}); "
+            "the moment bound needs eta < m_tilde / (2 (omega_G(1)^2 + delta_v2))"
+        )
+    return x.kappa0 + 2 * max(1, 1 / x.m_tilde) * (
+        x.b_tilde + eta * x.g_tilde_mnorm**2 + x.delta[2] + x.d / x.beta
     )
 
 
-def c_zero(inputs: BoundInputs, eta: float) -> float:
+def _c_zero(x, eta, *, ki=None):
     """Coefficient of the step-size term in the discretisation divergence."""
-    ki = kappa_inf(inputs, eta)
-    core = inputs.delta[2] + _square(inputs.g_tilde_mnorm) + (
-        _square(inputs.omega_g_tilde_one) + inputs.delta[3]
-    ) * ki
-    return (inputs.d + 4) * (inputs.beta / 3.0 * core + inputs.d / 2.0)
+    ki = _kappa_inf(x, eta) if ki is None else ki
+    core = x.delta[2] + x.g_tilde_mnorm**2 + _times(x.omega_g_tilde_one**2 + x.delta[3], ki)
+    return (x.d + 4) * (x.beta / 3 * core + x.d / 2)
 
 
-def _poincare_pieces(inputs: BoundInputs) -> tuple[float, float]:
-    """(first summand, log of second summand)."""
-    s = inputs.d + (inputs.b + inputs.m) * inputs.beta
-    mb = inputs.m * inputs.beta
-    first = 4.0 / (mb * s)
-    arg = inputs.beta * (
-        25.0 / 16.0 * inputs.grad_u_mnorm * (1.0 + 8.0 * s / mb) + inputs.u0
-    )
-    log_second = math.log(8.0 * inputs.a_abs * s / mb) + arg
-    return first, log_second
-
-
-def poincare_bound(inputs: BoundInputs) -> float:
+def _poincare_bound(x):
     """Upper bound for the Poincare constant of the smoothed Gibbs measure.
 
-    Independent of the smoothing radius; ``inf`` when the exponential factor
-    leaves float range (see :func:`poincare_log_bound`).
+    Independent of the smoothing radius; ``inf`` when the bound lies beyond
+    float range (see :func:`poincare_log_bound`).
     """
-    first, log_second = _poincare_pieces(inputs)
-    try:
-        return first + math.exp(log_second)
-    except OverflowError:
-        return math.inf
+    s = x.d + (x.b + x.m) * x.beta
+    mb = x.m * x.beta
+    arg = x.beta * (25 * x.grad_u_mnorm * (1 + 8 * s / mb) / 16 + x.u0)
+    return 4 / (mb * s) + 8 * x.a_abs * s / mb * mp.exp(arg)
 
 
-def poincare_log_bound(inputs: BoundInputs) -> float:
+def _poincare_log_bound(x):
     """log of the Poincare bound, finite even when the bound itself overflows."""
-    first, log_second = _poincare_pieces(inputs)
-    # a first summand below float range is no summand
-    return float(np.logaddexp(math.log(first) if first > 0.0 else -math.inf, log_second))
+    return mp.log(_poincare_bound(x))
 
 
-def log_sobolev_bound(inputs: BoundInputs, r: float) -> float:
+def _log_sobolev_bound(x, r, *, cp=None):
     """Upper bound for the log-Sobolev constant of the smoothed Gibbs measure."""
-    w = inputs.omega_grad_u.eval(_args.unit("r", r))
+    w = x.omega_grad_u.eval(_args.unit("r", r))
     if w <= 0.0:  # an omega(r) that underflows
         raise ValueError(f"gradient modulus vanishes at r={r}")
-    cp = poincare_bound(inputs)
-    s = inputs.d + (inputs.b + inputs.m) * inputs.beta
-    mb = inputs.m * inputs.beta
-    lam = (inputs.d + 4) * w / r
-    try:
-        curvature = 32.0 / (inputs.m**2 * inputs.beta**2)
-    except OverflowError:  # (m beta)^2 above float range
-        curvature = 0.0
-    except ZeroDivisionError:  # and below it
-        curvature = math.inf
-    return (
-        lam * (curvature + 12.0 * s * cp / mb)
-        + 2.0 * r / lam
-        + 2.0 * cp
-    )
+    cp = _poincare_bound(x) if cp is None else cp
+    s = x.d + (x.b + x.m) * x.beta
+    mb = x.m * x.beta
+    lam = (x.d + 4) * w / r
+    return lam * (32 / mb**2 + 12 * s * cp / mb) + 2 * r / lam + 2 * cp
 
 
-def kl_discretization(inputs: BoundInputs, r: float, eta: float, k: int) -> float:
+def _kl_discretization(x, r, eta, k, *, ki=None, c0=None):
     """Divergence between the chain and the smoothed dynamics after k steps.
 
     ``(C0 omega(r)/r eta + beta (delta_{r,2} kappa_inf + delta_{r,0})) k eta``.
     """
     _args.unit("r", r)
     _args.count("k", k, least=0)
-    db0, db2, dv0, dv2 = inputs.delta
-    ki = kappa_inf(inputs, eta)
-    c0 = c_zero(inputs, eta)
-    w = inputs.omega_grad_u.eval(r)
-    rate = c0 * w / r * eta + inputs.beta * ((db2 + dv2) * ki + (db0 + dv0))
-    return rate * k * eta
+    ki = _kappa_inf(x, eta) if ki is None else ki
+    c0 = _c_zero(x, eta, ki=ki) if c0 is None else c0
+    db0, db2, dv0, dv2 = x.delta
+    rate = c0 * x.omega_grad_u.eval(r) / r * eta + x.beta * (_times(db2 + dv2, ki) + db0 + dv0)
+    return _times(k, rate * eta)
 
 
-def kl_initial(inputs: BoundInputs) -> float:
+def _kl_initial(x):
     """Divergence of the initial law from the smoothed Gibbs measure.
 
     This is the inner (pre square root) expression; it can be negative for
     extreme inputs, in which case the envelope constant built on it is
     undefined and flagged rather than guessed.
     """
-    w1 = inputs.omega_grad_u.eval(1.0)
     return (
-        inputs.p0_sup_log
-        + 0.5 * inputs.d * math.log(3.0 * math.pi / (inputs.m * inputs.beta))
-        + inputs.beta
-        * (
-            0.5 * w1 * inputs.kappa0
-            + 2.5 * inputs.grad_u_mnorm * math.sqrt(inputs.kappa0)
-            + inputs.u0
-            + 0.5 * inputs.b * math.log(3.0)
+        x.p0_sup_log
+        + x.d / 2 * mp.log(3 * mp.pi / (x.m * x.beta))
+        + x.beta * (
+            x.omega_grad_u.eval(1.0) * x.kappa0 / 2
+            + 5 * x.grad_u_mnorm * mp.sqrt(x.kappa0) / 2
+            + x.u0
+            + x.b * mp.log(3) / 2
         )
     )
+
+
+eta_max = _rounded(_eta_max)
+kappa_inf = _rounded(_kappa_inf)
+c_zero = _rounded(_c_zero)
+poincare_bound = _rounded(_poincare_bound)
+poincare_log_bound = _rounded(_poincare_log_bound)
+log_sobolev_bound = _rounded(_log_sobolev_bound)
+kl_discretization = _rounded(_kl_discretization)
+kl_initial = _rounded(_kl_initial)
 
 
 @dataclass(frozen=True)
@@ -260,67 +259,36 @@ class TheoremBound:
 
 def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremBound:
     """Evaluate the full error envelope for a run of ``k`` steps at ``(r, eta)``."""
-    eta = _check_eta(inputs, eta)
-    _args.unit("r", r)
-    _args.count("k", k)
+    with mp.workdps(_DPS):
+        x = _exact(inputs)
+        ki = _kappa_inf(x, eta)
+        _args.count("k", k)  # r is checked where it is first read, in _log_sobolev_bound
+        c0 = _c_zero(x, eta, ki=ki)
+        tail = 32 * (x.b + x.m + x.d / x.beta) / x.m + 10 / min(1, x.beta * x.m / 4)
+        c1, c1p = 2 * mp.sqrt(4 * x.kappa0 + tail), 2 * mp.sqrt(tail)
+        inner = _kl_initial(x)
+        c2 = mp.sqrt(inner) if inner >= 0 else mp.nan
+        cp = _poincare_bound(x)
+        cls = _log_sobolev_bound(x, r, cp=cp)
+        f = _kl_discretization(x, r, eta, k, ki=ki, c0=c0) + (
+            x.beta * r * x.grad_u_mnorm / 2 * (3 + mp.sqrt((x.b + x.d / x.beta) / x.m))
+        )
+        first = 2 * c1 * (mp.sqrt(f) + mp.root(f, 4))
+        expo = c1p * mp.sqrt(c2 + mp.sqrt(c2)) * mp.exp(-k * (eta / (2 * x.beta * cls)))
+        tb = TheoremBound(*map(float, (
+            c0, c1, c1p, c2, ki, cp, mp.log(cp), cls, f, first, expo, first + expo
+        )))
 
     notes = []
     if math.inf in inputs.delta:
         notes.append(f"delta = {inputs.delta} has an entry beyond float range (vacuous bound)")
-    ki = kappa_inf(inputs, eta)
-    c0 = c_zero(inputs, eta)
-
-    floor = min(1.0, inputs.beta * inputs.m / 4.0)  # 0 where beta m is below float range
-    tail = 32.0 * (inputs.b + inputs.m + inputs.d / inputs.beta) / inputs.m + (
-        10.0 / floor if floor else math.inf
-    )
-    c1 = 2.0 * math.sqrt(4.0 * inputs.kappa0 + tail)
-    c1p = 2.0 * math.sqrt(tail)
-
-    inner = kl_initial(inputs)
-    if inner < 0.0:
-        c2 = math.nan
+    if inner < 0:
         notes.append("initial-divergence expression negative; C2 undefined (vacuous bound)")
-    else:
-        c2 = math.sqrt(inner)
-
-    cp = poincare_bound(inputs)
-    cp_log = poincare_log_bound(inputs)
-    if not math.isfinite(cp):
-        notes.append(f"Poincare bound overflows float range; log value {cp_log:.6g}")
-    cls = log_sobolev_bound(inputs, r)
-    if math.isfinite(cp) and not math.isfinite(cls):
+    if not math.isfinite(tb.c_p_bound):
+        notes.append(f"Poincare bound overflows float range; log value {tb.c_p_log:.6g}")
+    elif not math.isfinite(tb.c_ls_bound):
         notes.append("log-Sobolev bound overflows float range; exponential term taken undecayed")
-
-    f = kl_discretization(inputs, r, eta, k) + (
-        0.5
-        * inputs.beta
-        * r
-        * inputs.grad_u_mnorm
-        * (3.0 + math.sqrt((inputs.b + inputs.d / inputs.beta) / inputs.m))
-    )
-    first = 2.0 * c1 * (math.sqrt(f) + f**0.25)
-    if math.isfinite(cls):
-        decay = math.exp(-k * eta / (2.0 * inputs.beta * cls))
-    else:
-        decay = 1.0
-    expo = c1p * math.sqrt(c2 + math.sqrt(c2)) * decay if not math.isnan(c2) else math.nan
-    total = first + expo
-    return TheoremBound(
-        c0=c0,
-        c1=c1,
-        c1_prime=c1p,
-        c2=c2,
-        kappa_inf=ki,
-        c_p_bound=cp,
-        c_ls_bound=cls,
-        f_value=f,
-        first_term=first,
-        exp_term=expo,
-        w2_bound=total,
-        c_p_log=cp_log,
-        notes=tuple(notes),
-    )
+    return replace(tb, notes=tuple(notes))
 
 
 def exp_moment_bound(
@@ -381,7 +349,7 @@ def gaussian_kappa0(d: int) -> float:
     caller has set.
     """
     _args.count("d", d)
-    with mp.workdps(40):
+    with mp.workdps(_DPS):
         a = mp.mpf(d) / 2
         half = mp.mpf(1) / 2
         gamma_ratio = mp.exp(mp.loggamma(a + half) - mp.loggamma(a))

@@ -36,8 +36,8 @@ top.  Each subcommand imports what it runs inside the functions that run it.
 ``inspect`` costs about 13 ms) nor ``hashlib``, which only a config's hash
 needs.  ``sample`` loads numpy, :mod:`mollmc.potentials`,
 :mod:`mollmc.samplers` and :mod:`mollmc.metrics`, but not mpmath.  ``bound``
-loads both numpy and mpmath for :mod:`mollmc.bounds`.  None of them loads
-scipy.
+loads mpmath for :mod:`mollmc.bounds`, which imports no numpy, and numpy
+through :mod:`mollmc.potentials`.  None of them loads scipy.
 
 The ``mollmc`` script and ``python -m mollmc.cli`` run :func:`entry`, which
 flushes stdout and stderr once :func:`main` returns and ends the process by

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from mollmc import bounds
 from mollmc.bounds import (
     BoundInputs,
     c_zero,
@@ -24,11 +27,13 @@ from mollmc.bounds import (
     poincare_bound,
     theorem_bound,
 )
+from mollmc.cli import build_chain_config, build_oracle, validate_config
 from mollmc.continuity import ModulusSpec
 from mollmc.potentials import BUILTIN_NAMES, FiniteSumPotential, builtin
 from mollmc.samplers import ExactGradient, FiniteSumSpherical, SphericalSmoothed
 
 from conftest import scaled_quadratic_sum
+import test_golden
 
 LIP1 = ModulusSpec.lipschitz(1.0)
 
@@ -364,14 +369,16 @@ class TestTheoremBound:
         tb = theorem_bound(inputs, r=0.5, eta=0.1, k=10)
         assert tb.vacuous and not math.isfinite(tb.w2_bound)
         assert any(note.startswith("delta = ") for note in tb.notes)
+        # inf, not the NaN of 0 * inf where a zero delta coefficient meets kappa_inf = inf
+        assert tb.f_value == tb.first_term == tb.w2_bound == math.inf
 
     def test_a_modulus_whose_square_overflows_keeps_its_step_size_cap(self):
         # m_tilde / (2 omega_G(1)^2) is 5e-301 here though omega_G(1)^2 overflows
         inputs = make_inputs(m=1e300, m_tilde=1e300, omega_g_tilde_one=1e300,
                              g_tilde_mnorm=1e300)
         assert eta_max(inputs) == pytest.approx(5e-301)
-        # omega_G(1)^2 raised an OverflowError; it is inf now, and the envelope vacuous
-        assert kappa_inf(inputs, 1e-302) == math.inf
+        # eta ||G||^2 = 1e-302 * 1e600 is a float though ||G||^2 is not
+        assert kappa_inf(inputs, 1e-302) == pytest.approx(2e298, rel=1e-15)
         assert theorem_bound(inputs, r=0.5, eta=1e-302, k=10).vacuous
 
     def test_eta_precondition_named(self):
@@ -560,3 +567,60 @@ class TestInputsFrom:
         orc = FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0]), r=0.5, n_batch=2)
         with pytest.raises(ValueError, match="equal_split"):
             inputs_from(orc, beta=1.0, r=0.5)
+
+
+def _golden_run(name):
+    """``(oracle, beta, r, eta, k)`` of a golden ``bound`` config as ``bound`` reads
+    it, or of demo 04's envelope."""
+    if name == "demo_04":
+        return ExactGradient(builtin("quadratic", 1)), 1.0, 0.1, 0.01, 100_000
+    cfg = {**test_golden.SAMPLES, **test_golden.BOUNDS}[name]
+    cfg = validate_config(json.loads(json.dumps(cfg)))
+    chain = build_chain_config(cfg)
+    r = cfg.get("smoothing", {}).get("r", float(test_golden.BOUND_R))
+    return build_oracle(cfg), chain.beta, r, chain.eta, chain.k
+
+
+def _envelope(oracle, beta, r, eta, k):
+    return theorem_bound(inputs_from(oracle, beta, r), r, eta, k)
+
+
+class TestOneArithmetic:
+    RUNS = [*test_golden.SAMPLES, *test_golden.BOUNDS, "demo_04"]
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_every_field_is_correctly_rounded(self, name, monkeypatch):
+        # 40 digits round every field as 100 do: the float is the nearest to the exact value
+        run = _golden_run(name)
+        at_40 = _envelope(*run)
+        monkeypatch.setattr(bounds, "_DPS", 100)
+        assert _envelope(*run) == at_40
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_independent_of_ambient_precision(self, name):
+        run = _golden_run(name)
+        at_40 = _envelope(*run)
+        for dps in (5, 100):
+            with mp.workdps(dps):
+                assert _envelope(*run) == at_40
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_extreme_inputs_raise_only_the_step_size_check(self, name):
+        # beta from the least subnormal to near the largest float, at three radii
+        p = builtin(name, 2)
+        oracles = (lambda r: ExactGradient(p),
+                   lambda r: SphericalSmoothed(p, r, 4),
+                   lambda r: FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), r, 2))
+        for make, beta, r in itertools.product(
+                oracles, (5e-324, 1e-300, 1.0, 1e160, 1.7e308), (1e-3, 0.1, 1.0)):
+            inputs = inputs_from(make(r), beta, r)
+            for eta in (0.01, eta_max(inputs) / 2):
+                try:
+                    tb = theorem_bound(inputs, r, eta, 1000)
+                except ValueError as err:
+                    assert str(err).startswith(f"step size {eta} outside the admissible range")
+                    continue
+                nan = {key for key, value in tb.to_dict().items()
+                       if isinstance(value, float) and math.isnan(value)}
+                undefined = any("C2 undefined" in note for note in tb.notes)
+                assert nan <= ({"c2", "exp_term", "w2_bound"} if undefined else set())
