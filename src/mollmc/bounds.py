@@ -12,8 +12,11 @@ realistic inputs the functional-inequality constants contain factors like
 ``exp(beta * U0)`` and the envelope can be astronomically larger than any
 target accuracy.  Each constant is evaluated in mpmath at 40 digits, whatever
 precision the caller has set, and rounded once to the nearest float, so one
-beyond float range reads ``inf``; nothing is clamped.  Only the Poincare bound
-also gives its log, ``c_p_log``, which says how far it overflowed.
+beyond float range reads ``inf``; nothing is clamped.  What enters it is formed
+in floats: the inputs, ``delta`` among them, and the gradient modulus values
+``omega(r)`` and ``omega(1)``, which :class:`ModulusSpec` evaluates in floats.
+Only the Poincare bound also gives its log, ``c_p_log``, which says how far it
+overflowed.
 
 Inputs live in :class:`BoundInputs`; the bias/variance quadruple ``delta``
 follows the quadratic-growth convention
@@ -25,7 +28,7 @@ follows the quadratic-growth convention
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -112,8 +115,7 @@ def _exact(inputs: BoundInputs) -> SimpleNamespace:
 def _rounded(evaluate):
     """The public form of the mpmath function ``evaluate(x, ...)``: it takes a
     :class:`BoundInputs` for ``x``, evaluates at ``_DPS`` digits and rounds once,
-    by ``float``, which rounds an mpmath number to the nearest float or to inf.
-    A constant that another needs, such as ``ki``, is passed by keyword if known."""
+    by ``float``, which rounds an mpmath number to the nearest float or to inf."""
     def public(inputs: BoundInputs, *args, **kwargs) -> float:
         with mp.workdps(_DPS):
             return float(evaluate(_exact(inputs), *args, **kwargs))
@@ -150,9 +152,9 @@ def _kappa_inf(x, eta):
     )
 
 
-def _c_zero(x, eta, *, ki=None):
+def _c_zero(x, eta):
     """Coefficient of the step-size term in the discretisation divergence."""
-    ki = _kappa_inf(x, eta) if ki is None else ki
+    ki = _kappa_inf(x, eta)
     core = x.delta[2] + x.g_tilde_mnorm**2 + _times(x.omega_g_tilde_one**2 + x.delta[3], ki)
     return (x.d + 4) * (x.beta / 3 * core + x.d / 2)
 
@@ -174,27 +176,27 @@ def _poincare_log_bound(x):
     return mp.log(_poincare_bound(x))
 
 
-def _log_sobolev_bound(x, r, *, cp=None):
+def _log_sobolev_bound(x, r):
     """Upper bound for the log-Sobolev constant of the smoothed Gibbs measure."""
     w = x.omega_grad_u.eval(_args.unit("r", r))
     if w <= 0.0:  # an omega(r) that underflows
         raise ValueError(f"gradient modulus vanishes at r={r}")
-    cp = _poincare_bound(x) if cp is None else cp
+    cp = _poincare_bound(x)
     s = x.d + (x.b + x.m) * x.beta
     mb = x.m * x.beta
     lam = (x.d + 4) * w / r
     return lam * (32 / mb**2 + 12 * s * cp / mb) + 2 * r / lam + 2 * cp
 
 
-def _kl_discretization(x, r, eta, k, *, ki=None, c0=None):
+def _kl_discretization(x, r, eta, k):
     """Divergence between the chain and the smoothed dynamics after k steps.
 
     ``(C0 omega(r)/r eta + beta (delta_{r,2} kappa_inf + delta_{r,0})) k eta``.
     """
     _args.unit("r", r)
     _args.count("k", k, least=0)
-    ki = _kappa_inf(x, eta) if ki is None else ki
-    c0 = _c_zero(x, eta, ki=ki) if c0 is None else c0
+    ki = _kappa_inf(x, eta)
+    c0 = _c_zero(x, eta)
     db0, db2, dv0, dv2 = x.delta
     rate = c0 * x.omega_grad_u.eval(r) / r * eta + x.beta * (_times(db2 + dv2, ki) + db0 + dv0)
     return _times(k, rate * eta)
@@ -263,32 +265,47 @@ def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremB
         x = _exact(inputs)
         ki = _kappa_inf(x, eta)
         _args.count("k", k)  # r is checked where it is first read, in _log_sobolev_bound
-        c0 = _c_zero(x, eta, ki=ki)
+        c0 = _c_zero(x, eta)
         tail = 32 * (x.b + x.m + x.d / x.beta) / x.m + 10 / min(1, x.beta * x.m / 4)
-        c1, c1p = 2 * mp.sqrt(4 * x.kappa0 + tail), 2 * mp.sqrt(tail)
+        c1 = 2 * mp.sqrt(4 * x.kappa0 + tail)
+        c1p = 2 * mp.sqrt(tail)
         inner = _kl_initial(x)
         c2 = mp.sqrt(inner) if inner >= 0 else mp.nan
         cp = _poincare_bound(x)
-        cls = _log_sobolev_bound(x, r, cp=cp)
-        f = _kl_discretization(x, r, eta, k, ki=ki, c0=c0) + (
+        cls = _log_sobolev_bound(x, r)
+        f = _kl_discretization(x, r, eta, k) + (
             x.beta * r * x.grad_u_mnorm / 2 * (3 + mp.sqrt((x.b + x.d / x.beta) / x.m))
         )
         first = 2 * c1 * (mp.sqrt(f) + mp.root(f, 4))
         expo = c1p * mp.sqrt(c2 + mp.sqrt(c2)) * mp.exp(-k * (eta / (2 * x.beta * cls)))
-        tb = TheoremBound(*map(float, (
-            c0, c1, c1p, c2, ki, cp, mp.log(cp), cls, f, first, expo, first + expo
-        )))
 
-    notes = []
-    if math.inf in inputs.delta:
-        notes.append(f"delta = {inputs.delta} has an entry beyond float range (vacuous bound)")
-    if inner < 0:
-        notes.append("initial-divergence expression negative; C2 undefined (vacuous bound)")
-    if not math.isfinite(tb.c_p_bound):
-        notes.append(f"Poincare bound overflows float range; log value {tb.c_p_log:.6g}")
-    elif not math.isfinite(tb.c_ls_bound):
-        notes.append("log-Sobolev bound overflows float range; exponential term taken undecayed")
-    return replace(tb, notes=tuple(notes))
+        c_p_log = float(mp.log(cp))
+        notes = []
+        if math.inf in inputs.delta:
+            notes.append(f"delta = {inputs.delta} has an entry beyond float range (vacuous bound)")
+        if inner < 0:
+            notes.append("initial-divergence expression negative; C2 undefined (vacuous bound)")
+        if float(cp) == math.inf:
+            notes.append(f"Poincare bound overflows float range; log value {c_p_log:.6g}")
+        elif float(cls) == math.inf:
+            notes.append(
+                "log-Sobolev bound overflows float range; exponential term taken undecayed"
+            )
+        return TheoremBound(
+            c0=float(c0),
+            c1=float(c1),
+            c1_prime=float(c1p),
+            c2=float(c2),
+            kappa_inf=float(ki),
+            c_p_bound=float(cp),
+            c_p_log=c_p_log,
+            c_ls_bound=float(cls),
+            f_value=float(f),
+            first_term=float(first),
+            exp_term=float(expo),
+            w2_bound=float(first + expo),
+            notes=tuple(notes),
+        )
 
 
 def exp_moment_bound(

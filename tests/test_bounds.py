@@ -382,9 +382,13 @@ class TestTheoremBound:
         assert theorem_bound(inputs, r=0.5, eta=1e-302, k=10).vacuous
 
     def test_eta_precondition_named(self):
+        # every public function of eta checks it, called by position or by keyword
         inputs = make_inputs()
-        with pytest.raises(ValueError, match="m_tilde"):
-            theorem_bound(inputs, r=0.5, eta=0.9, k=10)
+        for call in (lambda: theorem_bound(inputs, r=0.5, eta=0.9, k=10),
+                     lambda: kappa_inf(inputs, eta=0.9), lambda: c_zero(inputs, eta=0.9),
+                     lambda: kl_discretization(inputs, 0.5, 0.9, 10)):
+            with pytest.raises(ValueError, match="m_tilde"):
+                call()
 
     def test_negative_c2_flagged_not_guessed(self):
         inputs = make_inputs(p0_sup_log=-50.0)
@@ -590,7 +594,8 @@ class TestOneArithmetic:
 
     @pytest.mark.parametrize("name", RUNS)
     def test_every_field_is_correctly_rounded(self, name, monkeypatch):
-        # 40 digits round every field as 100 do: the float is the nearest to the exact value
+        # 40 digits round every field as 100 do: the float is the nearest to the exact
+        # value of the float inputs and float omega values
         run = _golden_run(name)
         at_40 = _envelope(*run)
         monkeypatch.setattr(bounds, "_DPS", 100)
