@@ -12,11 +12,10 @@ realistic inputs the functional-inequality constants contain factors like
 ``exp(beta * U0)`` and the envelope can be astronomically larger than any
 target accuracy.  Each constant is evaluated in mpmath at 40 digits, whatever
 precision the caller has set, and rounded once to the nearest float, so one
-beyond float range reads ``inf``; nothing is clamped.  What enters it is formed
-in floats: the inputs, ``delta`` among them, and the gradient modulus values
-``omega(r)`` and ``omega(1)``, which :class:`ModulusSpec` evaluates in floats.
-Only the Poincare bound also gives its log, ``c_p_log``, which says how far it
-overflowed.
+beyond float range reads ``inf``; nothing is clamped.  The gradient modulus
+``omega`` is evaluated at those digits too; only the inputs, ``delta`` among
+them, are formed in floats.  Only the Poincare bound also gives its log,
+``c_p_log``, which says how far it overflowed.
 
 Inputs live in :class:`BoundInputs`; the bias/variance quadruple ``delta``
 follows the quadratic-growth convention
@@ -178,9 +177,7 @@ def _poincare_log_bound(x):
 
 def _log_sobolev_bound(x, r):
     """Upper bound for the log-Sobolev constant of the smoothed Gibbs measure."""
-    w = x.omega_grad_u.eval(_args.unit("r", r))
-    if w <= 0.0:  # an omega(r) that underflows
-        raise ValueError(f"gradient modulus vanishes at r={r}")
+    w = x.omega_grad_u.eval(mp.mpf(_args.unit("r", r)))
     cp = _poincare_bound(x)
     s = x.d + (x.b + x.m) * x.beta
     mb = x.m * x.beta
@@ -193,7 +190,7 @@ def _kl_discretization(x, r, eta, k):
 
     ``(C0 omega(r)/r eta + beta (delta_{r,2} kappa_inf + delta_{r,0})) k eta``.
     """
-    _args.unit("r", r)
+    r = mp.mpf(_args.unit("r", r))
     _args.count("k", k, least=0)
     ki = _kappa_inf(x, eta)
     c0 = _c_zero(x, eta)
@@ -213,7 +210,7 @@ def _kl_initial(x):
         x.p0_sup_log
         + x.d / 2 * mp.log(3 * mp.pi / (x.m * x.beta))
         + x.beta * (
-            x.omega_grad_u.eval(1.0) * x.kappa0 / 2
+            x.omega_grad_u.eval(mp.mpf(1)) * x.kappa0 / 2
             + 5 * x.grad_u_mnorm * mp.sqrt(x.kappa0) / 2
             + x.u0
             + x.b * mp.log(3) / 2
@@ -308,12 +305,7 @@ def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremB
         )
 
 
-def exp_moment_bound(
-    inputs: BoundInputs,
-    t: float,
-    alpha_exp: float,
-    init_exp_moment: float | None = None,
-) -> float:
+def _exp_moment_bound(x, t, alpha_exp, init_exp_moment=None):
     """Bound on ``E exp(alpha |X_t|^2)`` along the smoothed dynamics.
 
     Uses the smoothed dissipativity constants ``m_bar = m/2`` and
@@ -322,24 +314,17 @@ def exp_moment_bound(
     finite ``t`` the initial moment defaults to the standard Gaussian value
     ``(1 - 2 alpha)^{-d/2}`` (only defined for ``alpha < 1/2``).
     """
-    m_bar = 0.5 * inputs.m
-    b_bar = inputs.b + inputs.m
-    if not (0.0 < alpha_exp < inputs.beta * m_bar):
+    m_bar = x.m / 2
+    if not 0 < alpha_exp < x.beta * m_bar:
         raise ValueError(
-            f"alpha must lie in (0, beta*m/2) = (0, {inputs.beta * m_bar}), got {alpha_exp}"
+            f"alpha must lie in (0, beta*m/2) = (0, {float(x.beta * m_bar)}), got {alpha_exp}"
         )
-    if not t >= 0.0:  # written so that NaN fails it
+    if not t >= 0:  # written so that NaN fails it
         raise ValueError(f"time must be nonnegative, got {t}")
     if init_exp_moment is not None:
         _args.positive("init_exp_moment", init_exp_moment)
-    rate = 2.0 * alpha_exp * (b_bar + inputs.d / inputs.beta)
-    asym_log = 2.0 * alpha_exp * (b_bar + inputs.d / inputs.beta) / (
-        m_bar - alpha_exp / inputs.beta
-    )
-    try:
-        asym = 2.0 * math.exp(asym_log)
-    except OverflowError:
-        asym = math.inf
+    rate = 2 * mp.mpf(alpha_exp) * (x.b + x.m + x.d / x.beta)
+    asym = 2 * mp.exp(rate / (m_bar - alpha_exp / x.beta))
     if math.isinf(t):
         return asym
     if init_exp_moment is None:
@@ -348,9 +333,12 @@ def exp_moment_bound(
                 "standard Gaussian initial moment undefined for alpha >= 1/2; "
                 "pass init_exp_moment explicitly"
             )
-        init_exp_moment = (1.0 - 2.0 * alpha_exp) ** (-0.5 * inputs.d)
-    w = math.exp(-rate * t)
-    return init_exp_moment * w + asym * (1.0 - w)
+        init_exp_moment = (1 - 2 * mp.mpf(alpha_exp)) ** (-x.d / 2)
+    w = mp.exp(-rate * t)
+    return init_exp_moment * w + asym * (1 - w)
+
+
+exp_moment_bound = _rounded(_exp_moment_bound)
 
 
 def gaussian_kappa0(d: int) -> float:

@@ -5,7 +5,9 @@ pairs of points at distance at most ``r``.  Finiteness of the modulus (rather
 than Lipschitz continuity) is the regularity currency of this package: it is
 what gradients of dissipative potentials are assumed to have, and the
 smoothing bias, the log-Sobolev bound and the envelope in
-:mod:`mollmc.bounds` are written in terms of it.
+:mod:`mollmc.bounds` are written in terms of it.  ``eval`` computes in the
+arithmetic of its argument, so :mod:`mollmc.bounds` evaluates the modulus in
+mpmath, at the same digits as the envelope.
 
 There is one shape, ``omega(r) = jump + M * max(r**alpha, r)``: Hoelder of
 exponent ``alpha`` below ``r = 1`` and at most linear beyond it, so that
@@ -47,7 +49,8 @@ class ModulusSpec:
     def lipschitz(cls, scale: float, jump: float = 0.0) -> "ModulusSpec":
         return cls.hoelder(scale, 1.0, jump)
 
-    def eval(self, r: float) -> float:
-        """omega(r) for r > 0."""
-        r = _args.positive("r", float(r))
+    def eval(self, r):
+        """omega(r) for r > 0, in the arithmetic of ``r``: a float gives a float,
+        an mpmath number an mpmath number at the working precision."""
+        r = _args.positive("r", r)
         return self.jump + self.scale * max(r**self.alpha, r)

@@ -215,8 +215,10 @@ def plan_ss_sg_lmc(req: PlanRequest) -> Plan:
     ``omega_one`` is the unit-scale value of the aggregate component modulus.
     Where the step-size cap ``m / (2 omega_one^2)`` binds, ``k`` grows to
     ``ceil(k eta_raw / eta)`` before ``n_batch`` is set, so ``k eta`` is at
-    least the uncapped schedule's.
+    least the uncapped schedule's.  A request that gives ``alpha`` is refused.
     """
+    if req.alpha is not None:
+        raise ValueError(f"the ss_sg_lmc schedule takes no alpha (lmc only), got {req.alpha}")
     with mp.workdps(PRECISION_DPS):
         eps, c, d = _inputs(req)
         logt = mp.log(2 * c * d / eps)

@@ -167,11 +167,11 @@ class TestLogSobolev:
         assert b > a
 
     def test_degenerate_modulus(self):
-        # omega(r) = 1e-300 * 1e-30 underflows to 0, and lambda / r with it
+        # omega(r) = 1e-300 * 1e-30 underflows to 0 in floats but not at the envelope's
+        # digits: lambda = 5 omega(r) / r is 5e-300, and 2 r / lambda dominates the bound
         tiny = ModulusSpec.lipschitz(1e-300)
         assert tiny.eval(1e-30) == 0.0
-        with pytest.raises(ValueError, match="gradient modulus vanishes at r=1e-30"):
-            log_sobolev_bound(make_inputs(omega_grad_u=tiny), 1e-30)
+        assert log_sobolev_bound(make_inputs(omega_grad_u=tiny), 1e-30) == 4e269
 
     def test_overflow_noted_when_poincare_is_finite(self):
         # log bound 707.77: c_P is 2.4e307, but c_LS, a multiple of it, is inf
@@ -585,8 +585,12 @@ def _golden_run(name):
     return build_oracle(cfg), chain.beta, r, chain.eta, chain.k
 
 
-def _envelope(oracle, beta, r, eta, k):
-    return theorem_bound(inputs_from(oracle, beta, r), r, eta, k)
+def _envelope_and_moments(oracle, beta, r, eta, k):
+    """The envelope, and the exponential-moment bound after one step and at t = inf."""
+    inputs = inputs_from(oracle, beta, r)
+    alpha = min(inputs.beta * inputs.m / 4, 0.25)
+    moments = [exp_moment_bound(inputs, t, alpha) for t in (eta, math.inf)]
+    return theorem_bound(inputs, r, eta, k), moments
 
 
 class TestOneArithmetic:
@@ -595,19 +599,19 @@ class TestOneArithmetic:
     @pytest.mark.parametrize("name", RUNS)
     def test_every_field_is_correctly_rounded(self, name, monkeypatch):
         # 40 digits round every field as 100 do: the float is the nearest to the exact
-        # value of the float inputs and float omega values
+        # value of the float inputs
         run = _golden_run(name)
-        at_40 = _envelope(*run)
+        at_40 = _envelope_and_moments(*run)
         monkeypatch.setattr(bounds, "_DPS", 100)
-        assert _envelope(*run) == at_40
+        assert _envelope_and_moments(*run) == at_40
 
     @pytest.mark.parametrize("name", RUNS)
     def test_independent_of_ambient_precision(self, name):
         run = _golden_run(name)
-        at_40 = _envelope(*run)
+        at_40 = _envelope_and_moments(*run)
         for dps in (5, 100):
             with mp.workdps(dps):
-                assert _envelope(*run) == at_40
+                assert _envelope_and_moments(*run) == at_40
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_extreme_inputs_raise_only_the_step_size_check(self, name):

@@ -544,6 +544,15 @@ def test_bound_names_a_bad_flag(tmp_path, capsys, monkeypatch, flag, value):
     assert captured.out == ""
 
 
+def test_plan_refuses_alpha_for_ss_sg_lmc(capsys):
+    # --alpha is for lmc only: ss_sg_lmc printed its plan and exited 0 without reading it
+    argv = ["plan", "--algorithm", "ss_sg_lmc", "--epsilon", "0.5", "--d", "10", "--alpha", "0.5"]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the ss_sg_lmc schedule takes no alpha (lmc only), got 0.5\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_plan_names_a_cap_below_one(capsys, cap):
     # a cap below 1 was taken, and the plan printed and refused with exit 4

@@ -108,6 +108,11 @@ class TestSsSgLmc:
             assert t3 <= q * (1 + mp.mpf("1e-30"))
             assert t1 + t2 + t3 <= 3 * q * (1 + mp.mpf("1e-30"))
 
+    def test_alpha_refused(self):
+        # the schedule never reads alpha; a request that gives one was planned as if not
+        with pytest.raises(ValueError, match=r"ss_sg_lmc schedule takes no alpha .*got 0\.5"):
+            plan_ss_sg_lmc(PlanRequest(epsilon=0.5, d=10, alpha=0.5))
+
 
 class TestVerifyPlan:
     @pytest.mark.parametrize("eps", GRID_EPS)
