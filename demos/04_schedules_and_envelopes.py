@@ -34,7 +34,7 @@ for eps, alpha, d in ((0.1, 0.5, 2), (0.25, 0.4, 3)):
 print("\n=== assembled envelope for a concrete quadratic run ===")
 q = builtin("quadratic", 1)
 inputs = inputs_from(ExactGradient(q), beta=1.0, r=0.1)
-tb = theorem_bound(inputs, r=0.1, eta=0.01, k=100_000)
+tb = theorem_bound(inputs, eta=0.01, k=100_000)
 for key, val in tb.to_dict().items():
     print(f"  {key:14s} {val}")
 print("  (the envelope is faithful, not tight: functional-inequality")

@@ -36,7 +36,7 @@ for alpha in (0.35, 0.5, 0.75, 1.0):
         k = math.ceil(15.0 / eta)
         bias.append(last_w2(oracle, eta, k))
         ok = eta < eta_max(inputs)
-        bound.append(f"{theorem_bound(inputs, R, eta, k).w2_bound:11.4g}" if ok else f"{'-':>11}")
+        bound.append(f"{theorem_bound(inputs, eta, k).w2_bound:11.4g}" if ok else f"{'-':>11}")
     slope = np.polyfit(np.log(ETAS), np.log(bias), 1)[0]
     print(f"  alpha = {alpha:<4g} W2 " + "".join(f"{b:11.4e}" for b in bias)
           + f"   ~ eta^{slope:.3f}")

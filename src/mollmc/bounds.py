@@ -17,8 +17,8 @@ beyond float range reads ``inf``; nothing is clamped.  The gradient modulus
 them, are formed in floats.  Only the Poincare bound also gives its log,
 ``c_p_log``, which says how far it overflowed.
 
-Inputs live in :class:`BoundInputs`; the bias/variance quadruple ``delta``
-follows the quadratic-growth convention
+Inputs live in :class:`BoundInputs`, the smoothing radius ``r`` among them; the
+bias/variance quadruple ``delta`` follows the quadratic-growth convention
 
     |E G - grad U_r|^2   <= 2 delta_b2 |x|^2 + 2 delta_b0,
     E |G - E G|^2        <= 2 delta_v2 |x|^2 + 2 delta_v0.
@@ -61,9 +61,10 @@ class BoundInputs:
     b_tilde`` those of the oracle's mean gradient; ``kappa0`` is the log
     exponential moment of the initial law and ``p0_sup_log`` the log of its
     density sup; ``a_abs`` is the absolute constant of the Poincare bound,
-    configurable because the analysis only asserts it exists.  A ``delta``
-    entry may be inf, a bias or variance bound beyond float range such as
-    ``omega(r)^2 / 2`` at a huge modulus; the envelope is then vacuous.
+    configurable because the analysis only asserts it exists.  ``r`` is the
+    smoothing radius at which ``delta`` is formed and the envelope evaluated.
+    A ``delta`` entry may be inf, a bias or variance bound beyond float range
+    such as ``omega(r)^2 / 2`` at a huge modulus; the envelope is then vacuous.
     """
 
     d: int
@@ -79,6 +80,7 @@ class BoundInputs:
     omega_grad_u: ModulusSpec
     omega_g_tilde_one: float
     u0: float
+    r: float
     delta: tuple = (0.0, 0.0, 0.0, 0.0)
     a_abs: float = 1.0
 
@@ -90,6 +92,7 @@ class BoundInputs:
                      "omega_g_tilde_one", "u0"):
             _args.nonnegative(name, getattr(self, name))
         _args.finite("p0_sup_log", self.p0_sup_log)
+        _args.unit("r", self.r)
         if len(self.delta) != 4:
             raise ValueError(f"delta must have four entries, got {self.delta}")
         for v in self.delta:
@@ -175,27 +178,25 @@ def _poincare_log_bound(x):
     return mp.log(_poincare_bound(x))
 
 
-def _log_sobolev_bound(x, r):
+def _log_sobolev_bound(x):
     """Upper bound for the log-Sobolev constant of the smoothed Gibbs measure."""
-    w = x.omega_grad_u.eval(mp.mpf(_args.unit("r", r)))
     cp = _poincare_bound(x)
     s = x.d + (x.b + x.m) * x.beta
     mb = x.m * x.beta
-    lam = (x.d + 4) * w / r
-    return lam * (32 / mb**2 + 12 * s * cp / mb) + 2 * r / lam + 2 * cp
+    lam = (x.d + 4) * x.omega_grad_u.eval(x.r) / x.r
+    return lam * (32 / mb**2 + 12 * s * cp / mb) + 2 * x.r / lam + 2 * cp
 
 
-def _kl_discretization(x, r, eta, k):
+def _kl_discretization(x, eta, k):
     """Divergence between the chain and the smoothed dynamics after k steps.
 
     ``(C0 omega(r)/r eta + beta (delta_{r,2} kappa_inf + delta_{r,0})) k eta``.
     """
-    r = mp.mpf(_args.unit("r", r))
     _args.count("k", k, least=0)
     ki = _kappa_inf(x, eta)
     c0 = _c_zero(x, eta)
     db0, db2, dv0, dv2 = x.delta
-    rate = c0 * x.omega_grad_u.eval(r) / r * eta + x.beta * (_times(db2 + dv2, ki) + db0 + dv0)
+    rate = c0 * x.omega_grad_u.eval(x.r) / x.r * eta + x.beta * (_times(db2 + dv2, ki) + db0 + dv0)
     return _times(k, rate * eta)
 
 
@@ -256,12 +257,12 @@ class TheoremBound:
         return {**out, "vacuous": self.vacuous, "notes": list(notes)}
 
 
-def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremBound:
-    """Evaluate the full error envelope for a run of ``k`` steps at ``(r, eta)``."""
+def theorem_bound(inputs: BoundInputs, eta: float, k: int) -> TheoremBound:
+    """The full error envelope for ``k`` steps of size ``eta`` at radius ``inputs.r``."""
     with mp.workdps(_DPS):
         x = _exact(inputs)
         ki = _kappa_inf(x, eta)
-        _args.count("k", k)  # r is checked where it is first read, in _log_sobolev_bound
+        _args.count("k", k)
         c0 = _c_zero(x, eta)
         tail = 32 * (x.b + x.m + x.d / x.beta) / x.m + 10 / min(1, x.beta * x.m / 4)
         c1 = 2 * mp.sqrt(4 * x.kappa0 + tail)
@@ -269,9 +270,9 @@ def theorem_bound(inputs: BoundInputs, r: float, eta: float, k: int) -> TheoremB
         inner = _kl_initial(x)
         c2 = mp.sqrt(inner) if inner >= 0 else mp.nan
         cp = _poincare_bound(x)
-        cls = _log_sobolev_bound(x, r)
-        f = _kl_discretization(x, r, eta, k) + (
-            x.beta * r * x.grad_u_mnorm / 2 * (3 + mp.sqrt((x.b + x.d / x.beta) / x.m))
+        cls = _log_sobolev_bound(x)
+        f = _kl_discretization(x, eta, k) + (
+            x.beta * x.r * x.grad_u_mnorm / 2 * (3 + mp.sqrt((x.b + x.d / x.beta) / x.m))
         )
         first = 2 * c1 * (mp.sqrt(f) + mp.root(f, 4))
         expo = c1p * mp.sqrt(c2 + mp.sqrt(c2)) * mp.exp(-k * (eta / (2 * x.beta * cls)))
@@ -373,9 +374,10 @@ def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInput
     """Assemble :class:`BoundInputs` for an oracle and its potential at radius r.
 
     This states what the analysis assumes of each oracle, with ``omega`` the
-    potential's gradient modulus.  The exact gradient (``n_batch == 0``) is
-    its own mean: the potential's ``(m, b)``, norm ``|grad U(0)| + omega(1)``
-    and ``omega(1)``.  It is off the radius-``r`` smoothed gradient by at most
+    potential's gradient modulus, at the radius ``r`` the inputs keep.  The
+    exact gradient (``n_batch == 0``, ``r`` the analysis radius) is its own
+    mean: the potential's ``(m, b)``, norm ``|grad U(0)| + omega(1)`` and
+    ``omega(1)``.  It is off the radius-``r`` smoothed gradient by at most
     ``omega(r)``, a squared bias ``delta_b0 = omega(r)^2 / 2``.  A smoothed
     oracle is unbiased at its own radius only, so ``r`` must be ``oracle.r``.
     Smoothing makes the mean's constants ``(m / 2, b + m)`` and adds
@@ -422,6 +424,7 @@ def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInput
         omega_grad_u=p.modulus,
         omega_g_tilde_one=w1,
         u0=p.u0,
+        r=float(r),
         delta=delta,
         a_abs=a_abs,
     )

@@ -448,16 +448,16 @@ def cmd_bound(args) -> int:
               "(a point mass has no density)", file=sys.stderr)
         return EXIT_ERROR
     inputs = inputs_from(oracle, beta=chain.beta, r=r, a_abs=args.a_abs)
-    tb = theorem_bound(inputs, r=r, eta=chain.eta, k=chain.k)
+    tb = theorem_bound(inputs, eta=chain.eta, k=chain.k)
     payload = tb.to_dict()
     payload["config_sha256"] = config_hash(cfg)
-    payload["r"] = r
+    payload["r"] = inputs.r
     payload["eta"] = chain.eta
     payload["k"] = chain.k
     # inf and nan are not JSON; c_p_log and the notes say what overflowed
     payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
                for key, value in payload.items()}
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

@@ -218,10 +218,9 @@ def _smoothing_block(d: int, r: float, n_steps: int, n_batch: int, rngs) -> np.n
 
 
 def _recorded_steps(k: int, stride: int) -> np.ndarray:
-    idx = list(range(0, k + 1, stride))
-    if idx[-1] != k:
-        idx.append(k)
-    return np.asarray(idx, dtype=np.int64)
+    idx = np.arange(0, k + stride, stride, dtype=np.int64)  # ends past k unless stride divides k
+    idx[-1] = k
+    return idx
 
 
 def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:

@@ -42,7 +42,7 @@ def make_inputs(**kw):
     base = dict(
         d=1, beta=1.0, m=1.0, b=0.0, m_tilde=1.0, b_tilde=0.0,
         kappa0=1.0, p0_sup_log=0.0, grad_u_mnorm=0.0, g_tilde_mnorm=1.0,
-        omega_grad_u=LIP1, omega_g_tilde_one=1.0, u0=0.0,
+        omega_grad_u=LIP1, omega_g_tilde_one=1.0, u0=0.0, r=0.5,
     )
     base.update(kw)
     return BoundInputs(**base)
@@ -65,6 +65,7 @@ def _admissible(draw):
         omega_grad_u=ModulusSpec.hoelder(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 1.0))),
         omega_g_tilde_one=draw(st.floats(0.0, 2.0)),
         u0=draw(st.floats(0.0, 2.0)),
+        r=1.0,
         delta=tuple(draw(st.floats(0.0, 1.0)) for _ in range(4)),
     )
     return inputs, draw(st.floats(1e-6, 0.99)) * eta_max(inputs)
@@ -145,25 +146,25 @@ class TestPoincare:
         # the log bound is log(16) + 700 = 702.77, below log(max float) = 709.78
         inputs = make_inputs(u0=700.0)
         assert 1e305 < poincare_bound(inputs) < math.inf
-        assert not theorem_bound(inputs, r=0.5, eta=0.1, k=10).notes
+        assert not theorem_bound(inputs, eta=0.1, k=10).notes
 
 
 class TestLogSobolev:
     def test_pinned_example(self):
-        assert log_sobolev_bound(make_inputs(), 1.0) == pytest.approx(2356.4, abs=1e-9)
+        assert log_sobolev_bound(make_inputs(r=1.0)) == pytest.approx(2356.4, abs=1e-9)
 
     def test_lipschitz_limit_behavior(self):
         # for a Lipschitz modulus omega(r)/r is constant: the first term is
         # flat in r, the middle term vanishes, the limit is finite
         inputs = make_inputs()
-        vals = {r: log_sobolev_bound(inputs, r) for r in (1.0, 0.1, 0.01)}
+        vals = {r: log_sobolev_bound(replace(inputs, r=r)) for r in (1.0, 0.1, 0.01)}
         first_term = 5.0 * (32.0 + 12.0 * 2.0 * 18.0)
         assert vals[0.01] == pytest.approx(first_term + 2 * 0.01 / 5.0 + 36.0, rel=1e-12)
         assert vals[0.01] < vals[0.1] < vals[1.0]
 
     def test_affine_in_poincare(self):
-        a = log_sobolev_bound(make_inputs(a_abs=1.0), 0.5)
-        b = log_sobolev_bound(make_inputs(a_abs=2.0), 0.5)
+        a = log_sobolev_bound(make_inputs(a_abs=1.0))
+        b = log_sobolev_bound(make_inputs(a_abs=2.0))
         assert b > a
 
     def test_degenerate_modulus(self):
@@ -171,18 +172,18 @@ class TestLogSobolev:
         # digits: lambda = 5 omega(r) / r is 5e-300, and 2 r / lambda dominates the bound
         tiny = ModulusSpec.lipschitz(1e-300)
         assert tiny.eval(1e-30) == 0.0
-        assert log_sobolev_bound(make_inputs(omega_grad_u=tiny), 1e-30) == 4e269
+        assert log_sobolev_bound(make_inputs(omega_grad_u=tiny, r=1e-30)) == 4e269
 
     def test_overflow_noted_when_poincare_is_finite(self):
         # log bound 707.77: c_P is 2.4e307, but c_LS, a multiple of it, is inf
-        tb = theorem_bound(make_inputs(u0=705.0), r=0.5, eta=0.1, k=10)
+        tb = theorem_bound(make_inputs(u0=705.0), eta=0.1, k=10)
         assert math.isfinite(tb.c_p_bound) and tb.c_ls_bound == math.inf
         assert len(tb.notes) == 1 and "log-Sobolev" in tb.notes[0]
         assert "undecayed" in tb.notes[0]
         assert tb.vacuous
 
     def test_poincare_overflow_keeps_its_single_note(self):
-        tb = theorem_bound(make_inputs(u0=2000.0), r=0.5, eta=0.1, k=10)
+        tb = theorem_bound(make_inputs(u0=2000.0), eta=0.1, k=10)
         assert tb.c_p_bound == math.inf and tb.c_ls_bound == math.inf
         assert tb.notes == ("Poincare bound overflows float range; log value 2002.77",)
 
@@ -222,19 +223,19 @@ class TestKlPieces:
         assert c_zero(make_inputs(), 0.1) == pytest.approx(9.5, abs=1e-14)
 
     def test_discretization_zero_steps(self):
-        assert kl_discretization(make_inputs(), 0.5, 0.1, 0) == 0.0
+        assert kl_discretization(make_inputs(), 0.1, 0) == 0.0
 
     def test_discretization_linear_in_k(self):
         inputs = make_inputs()
-        v1 = kl_discretization(inputs, 0.5, 0.1, 100)
-        v2 = kl_discretization(inputs, 0.5, 0.1, 200)
+        v1 = kl_discretization(inputs, 0.1, 100)
+        v2 = kl_discretization(inputs, 0.1, 200)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
     def test_discretization_delta_free_form(self):
-        inputs = make_inputs()
         k, eta, r = 50, 0.1, 0.5
+        inputs = make_inputs(r=r)
         expect = c_zero(inputs, eta) * (1.0 * r / r) * eta * k * eta  # omega(r)=r
-        got = kl_discretization(inputs, r, eta, k)
+        got = kl_discretization(inputs, eta, k)
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_kl_initial_gaussian_oracle(self):
@@ -278,7 +279,7 @@ class TestKlPieces:
 class TestTheoremBound:
     def test_c1_pinned(self):
         inputs = make_inputs(beta=4.0, grad_u_mnorm=1.0, u0=0.5)
-        tb = theorem_bound(inputs, r=0.5, eta=0.1, k=100)
+        tb = theorem_bound(inputs, eta=0.1, k=100)
         assert tb.c1 == pytest.approx(2.0 * math.sqrt(54.0), rel=1e-14)
         assert tb.c1_prime == pytest.approx(2.0 * math.sqrt(50.0), rel=1e-14)
 
@@ -287,7 +288,8 @@ class TestTheoremBound:
         # first envelope term) to zero; the fourth root makes the decay slow
         inputs = make_inputs(grad_u_mnorm=1.0, u0=0.5)
         knobs = (1e-6, 1e-10, 1e-14, 1e-18)
-        tbs = [theorem_bound(inputs, r=s, eta=s, k=max(int(1e-6 / s), 1)) for s in knobs]
+        tbs = [theorem_bound(replace(inputs, r=s), eta=s, k=max(int(1e-6 / s), 1))
+               for s in knobs]
         fs = [tb.f_value for tb in tbs]
         firsts = [tb.first_term for tb in tbs]
         assert all(b < a for a, b in zip(fs, fs[1:]))
@@ -302,29 +304,31 @@ class TestTheoremBound:
                 delta = [0.0] * 4
                 delta[axis] = g
                 inputs = make_inputs(grad_u_mnorm=1.0, u0=0.5, delta=tuple(delta))
-                vals.append(theorem_bound(inputs, r=0.5, eta=0.05, k=50).w2_bound)
+                vals.append(theorem_bound(inputs, eta=0.05, k=50).w2_bound)
             assert vals[0] <= vals[1] <= vals[2]
 
     @given(_admissible(), st.integers(0, 3), st.floats(1e-3, 1.0), st.floats(0.01, 1.0),
            st.integers(1, 10**6))
     def test_w2_nondecreasing_in_each_delta_axis(self, case, axis, step, r, k):
         inputs, eta = case
+        inputs = replace(inputs, r=r)
         raised = _raise_delta(inputs, axis, step)
         assume(eta < eta_max(raised))
-        lo = theorem_bound(inputs, r, eta, k).w2_bound
+        lo = theorem_bound(inputs, eta, k).w2_bound
         assume(not math.isnan(lo))  # C2 undefined: the envelope is NaN whatever delta is
-        assert theorem_bound(raised, r, eta, k).w2_bound >= lo
+        assert theorem_bound(raised, eta, k).w2_bound >= lo
 
     def test_exp_term_decreasing_in_k(self):
         inputs = make_inputs(grad_u_mnorm=1.0, u0=0.5)
-        terms = [theorem_bound(inputs, 0.5, 0.1, k).exp_term for k in (100, 1000, 10000)]
+        terms = [theorem_bound(inputs, 0.1, k).exp_term for k in (100, 1000, 10000)]
         assert terms[0] > terms[1] > terms[2]
 
     @given(_admissible(), st.floats(0.01, 1.0), st.integers(1, 10**6), st.integers(1, 10**6))
     def test_exp_term_decreasing_in_k_everywhere(self, case, r, k, dk):
         inputs, eta = case
-        a = theorem_bound(inputs, r, eta, k)
-        b = theorem_bound(inputs, r, eta, k + dk)
+        inputs = replace(inputs, r=r)
+        a = theorem_bound(inputs, eta, k)
+        b = theorem_bound(inputs, eta, k + dk)
         assume(not math.isnan(a.exp_term))
         assert b.exp_term <= a.exp_term
         # strictly, wherever the longer run's extra decay is resolvable in floats
@@ -338,9 +342,9 @@ class TestTheoremBound:
             (lambda: make_inputs(d=0), "d must be a positive integer"),
             (lambda: make_inputs(d=1.5), "d must be a positive integer"),
             (lambda: make_inputs(d=2.5), "d must be a positive integer"),
-            (lambda: theorem_bound(make_inputs(), 0.5, 0.1, 2.0), "k must be a positive integer"),
-            (lambda: theorem_bound(make_inputs(), 0.5, 0.1, 2.5), "k must be a positive integer"),
-            (lambda: kl_discretization(make_inputs(), 0.5, 0.1, 0.5),
+            (lambda: theorem_bound(make_inputs(), 0.1, 2.0), "k must be a positive integer"),
+            (lambda: theorem_bound(make_inputs(), 0.1, 2.5), "k must be a positive integer"),
+            (lambda: kl_discretization(make_inputs(), 0.1, 0.5),
              "k must be a nonnegative integer"),
         ],
         ids=["d-0", "d-1.5", "d-2.5", "theorem_bound-k-2.0", "theorem_bound-k-2.5",
@@ -366,7 +370,7 @@ class TestTheoremBound:
         if axis == 3:  # delta_v2 enters the step-size cap, which is then 0
             assert eta_max(inputs) == 0.0
             return
-        tb = theorem_bound(inputs, r=0.5, eta=0.1, k=10)
+        tb = theorem_bound(inputs, eta=0.1, k=10)
         assert tb.vacuous and not math.isfinite(tb.w2_bound)
         assert any(note.startswith("delta = ") for note in tb.notes)
         # inf, not the NaN of 0 * inf where a zero delta coefficient meets kappa_inf = inf
@@ -379,20 +383,20 @@ class TestTheoremBound:
         assert eta_max(inputs) == pytest.approx(5e-301)
         # eta ||G||^2 = 1e-302 * 1e600 is a float though ||G||^2 is not
         assert kappa_inf(inputs, 1e-302) == pytest.approx(2e298, rel=1e-15)
-        assert theorem_bound(inputs, r=0.5, eta=1e-302, k=10).vacuous
+        assert theorem_bound(inputs, eta=1e-302, k=10).vacuous
 
     def test_eta_precondition_named(self):
         # every public function of eta checks it, called by position or by keyword
         inputs = make_inputs()
-        for call in (lambda: theorem_bound(inputs, r=0.5, eta=0.9, k=10),
+        for call in (lambda: theorem_bound(inputs, eta=0.9, k=10),
                      lambda: kappa_inf(inputs, eta=0.9), lambda: c_zero(inputs, eta=0.9),
-                     lambda: kl_discretization(inputs, 0.5, 0.9, 10)):
+                     lambda: kl_discretization(inputs, 0.9, 10)):
             with pytest.raises(ValueError, match="m_tilde"):
                 call()
 
     def test_negative_c2_flagged_not_guessed(self):
         inputs = make_inputs(p0_sup_log=-50.0)
-        tb = theorem_bound(inputs, r=0.5, eta=0.1, k=10)
+        tb = theorem_bound(inputs, eta=0.1, k=10)
         assert tb.vacuous
         assert math.isnan(tb.c2)
         assert any("C2" in note for note in tb.notes)
@@ -400,7 +404,7 @@ class TestTheoremBound:
     def test_finite_for_quadratic_defaults(self):
         q = builtin("quadratic", 1)
         inputs = inputs_from(ExactGradient(q), beta=1.0, r=0.1)
-        tb = theorem_bound(inputs, r=0.1, eta=0.01, k=1000)
+        tb = theorem_bound(inputs, eta=0.01, k=1000)
         for v in (tb.c0, tb.c1, tb.c1_prime, tb.c2, tb.kappa_inf, tb.c_p_bound,
                   tb.c_ls_bound, tb.f_value, tb.w2_bound):
             assert math.isfinite(v) and v > 0
@@ -448,9 +452,9 @@ class TestHandCodedOracle:
         inputs = BoundInputs(
             d=d, beta=beta, m=m, b=b, m_tilde=m_t, b_tilde=b_t,
             kappa0=kappa0, p0_sup_log=p0_log, grad_u_mnorm=mn_u, g_tilde_mnorm=mn_g,
-            omega_grad_u=LIP1, omega_g_tilde_one=w_g1, u0=u0, delta=delta, a_abs=a_abs,
+            omega_grad_u=LIP1, omega_g_tilde_one=w_g1, u0=u0, r=r, delta=delta, a_abs=a_abs,
         )
-        tb = theorem_bound(inputs, r=r, eta=eta, k=k)
+        tb = theorem_bound(inputs, eta=eta, k=k)
         assert tb.w2_bound == pytest.approx(total, rel=1e-12)
         assert tb.kappa_inf == pytest.approx(ki, rel=1e-12)
         assert tb.c_ls_bound == pytest.approx(cls, rel=1e-12)
@@ -547,7 +551,7 @@ class TestInputsFrom:
             "finite_sum": FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), 0.5, 3),
         }[kind]
         inputs = inputs_from(orc, beta=1.0, r=0.5)
-        assert inputs.d == 2 and len(inputs.delta) == 4
+        assert inputs.d == 2 and len(inputs.delta) == 4 and inputs.r == 0.5
 
     def test_equal_split_delta(self):
         split = FiniteSumPotential.equal_split(builtin("quadratic", 1), 4)
@@ -573,6 +577,40 @@ class TestInputsFrom:
             inputs_from(orc, beta=1.0, r=0.5)
 
 
+class TestOneRadius:
+    """delta and the envelope share the radius the inputs keep; no call sets another."""
+
+    def test_inputs_need_a_radius(self):
+        inputs = make_inputs()
+        kw = {f.name: getattr(inputs, f.name) for f in dataclasses.fields(BoundInputs)}
+        del kw["r"]
+        with pytest.raises(TypeError, match="'r'"):
+            BoundInputs(**kw)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, 1.5, math.inf, math.nan, True])
+    def test_radius_lies_in_the_unit_interval(self, r):
+        with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+            make_inputs(r=r)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda x: theorem_bound(x, 1.0, 0.01, 1000), lambda x: log_sobolev_bound(x, 0.5),
+         lambda x: kl_discretization(x, 0.5, 0.1, 10)],
+        ids=["theorem_bound", "log_sobolev_bound", "kl_discretization"],
+    )
+    def test_no_envelope_function_takes_a_radius(self, call):
+        with pytest.raises(TypeError):
+            call(make_inputs())
+
+    def test_smoothed_inputs_are_evaluated_at_their_own_radius(self):
+        # at r = 1.0 these inputs read 382.8, non-vacuous, against 561.82 at their radius
+        orc = SphericalSmoothed(builtin("hoelder_mix", 1), r=0.1, n_batch=4)
+        inputs = inputs_from(orc, beta=1.0, r=0.1)
+        assert theorem_bound(inputs, 0.01, 1000).w2_bound == pytest.approx(561.82, abs=5e-3)
+        with pytest.raises(TypeError):
+            theorem_bound(inputs, 1.0, 0.01, 1000)
+
+
 def _golden_run(name):
     """``(oracle, beta, r, eta, k)`` of a golden ``bound`` config as ``bound`` reads
     it, or of demo 04's envelope."""
@@ -590,7 +628,7 @@ def _envelope_and_moments(oracle, beta, r, eta, k):
     inputs = inputs_from(oracle, beta, r)
     alpha = min(inputs.beta * inputs.m / 4, 0.25)
     moments = [exp_moment_bound(inputs, t, alpha) for t in (eta, math.inf)]
-    return theorem_bound(inputs, r, eta, k), moments
+    return theorem_bound(inputs, eta, k), moments
 
 
 class TestOneArithmetic:
@@ -625,7 +663,7 @@ class TestOneArithmetic:
             inputs = inputs_from(make(r), beta, r)
             for eta in (0.01, eta_max(inputs) / 2):
                 try:
-                    tb = theorem_bound(inputs, r, eta, 1000)
+                    tb = theorem_bound(inputs, eta, 1000)
                 except ValueError as err:
                     assert str(err).startswith(f"step size {eta} outside the admissible range")
                     continue

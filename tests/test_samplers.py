@@ -511,6 +511,32 @@ class TestPeakMemory:
         assert peak <= block + trace + 2 * 2**20
 
 
+class TestRecordedSteps:
+    @pytest.mark.parametrize("k,stride", [(5, 7), (7, 7), (12, 3), (13, 3), (1, 1), (10, 1)],
+                             ids=["stride-past-k", "stride-k", "divides", "does-not-divide",
+                                  "one-step", "every-step"])
+    def test_matches_the_range_form(self, k, stride):
+        want = list(range(0, k + 1, stride))
+        want += [k] if want[-1] != k else []
+        got = samplers._recorded_steps(k, stride)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_builds_no_list(self, stride):
+        # a Python list of 10**6 ints held beside the array took several times its bytes
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            steps = samplers._recorded_steps(10**6, stride)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert steps[-1] == 10**6 and peak <= 1.5 * steps.nbytes
+
+
 def _per_value_csv(trace, path, provenance=None):
     """Reference: the writer that formatted each value with ``format(v, ".17g")``."""
     d = trace.dim
