@@ -17,8 +17,8 @@ beyond float range reads ``inf``; nothing is clamped.  The gradient modulus
 them, are formed in floats.  Only the Poincare bound also gives its log,
 ``c_p_log``, which says how far it overflowed.
 
-Inputs live in :class:`BoundInputs`, the smoothing radius ``r`` among them; the
-bias/variance quadruple ``delta`` follows the quadratic-growth convention
+Inputs live in :class:`BoundInputs`, with ``r`` a smoothed oracle's own radius or
+an exact gradient's analysis radius; ``delta`` follows the quadratic-growth convention
 
     |E G - grad U_r|^2   <= 2 delta_b2 |x|^2 + 2 delta_b0,
     E |G - E G|^2        <= 2 delta_v2 |x|^2 + 2 delta_v0.
@@ -316,12 +316,11 @@ def _exp_moment_bound(x, t, alpha_exp, init_exp_moment=None):
     ``(1 - 2 alpha)^{-d/2}`` (only defined for ``alpha < 1/2``).
     """
     m_bar = x.m / 2
-    if not 0 < alpha_exp < x.beta * m_bar:
+    if not _args.positive("alpha", alpha_exp) < x.beta * m_bar:
         raise ValueError(
             f"alpha must lie in (0, beta*m/2) = (0, {float(x.beta * m_bar)}), got {alpha_exp}"
         )
-    if not t >= 0:  # written so that NaN fails it
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _args.upper("time", t)
     if init_exp_moment is not None:
         _args.positive("init_exp_moment", init_exp_moment)
     rate = 2 * mp.mpf(alpha_exp) * (x.b + x.m + x.d / x.beta)
@@ -370,19 +369,19 @@ def gaussian_log_p0_sup(d: int) -> float:
     return -0.5 * d * math.log(2.0 * math.pi)
 
 
-def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInputs:
-    """Assemble :class:`BoundInputs` for an oracle and its potential at radius r.
+def inputs_from(oracle, beta: float, r: float | None = None, a_abs: float = 1.0) -> BoundInputs:
+    """Assemble :class:`BoundInputs` for an oracle and its potential.
 
     This states what the analysis assumes of each oracle, with ``omega`` the
-    potential's gradient modulus, at the radius ``r`` the inputs keep.  The
-    exact gradient (``n_batch == 0``, ``r`` the analysis radius) is its own
-    mean: the potential's ``(m, b)``, norm ``|grad U(0)| + omega(1)`` and
-    ``omega(1)``.  It is off the radius-``r`` smoothed gradient by at most
+    potential's gradient modulus, at the one radius ``r`` the inputs keep.  The
+    exact gradient (``n_batch == 0``) takes ``r``, the analysis radius, and is
+    its own mean: the potential's ``(m, b)``, norm ``|grad U(0)| + omega(1)``
+    and ``omega(1)``.  It is off the radius-``r`` smoothed gradient by at most
     ``omega(r)``, a squared bias ``delta_b0 = omega(r)^2 / 2``.  A smoothed
-    oracle is unbiased at its own radius only, so ``r`` must be ``oracle.r``.
-    Smoothing makes the mean's constants ``(m / 2, b + m)`` and adds
-    ``omega(r)`` to its norm, and each of the ``n_batch`` points deviates by
-    at most ``omega(r)``, a variance ``delta_v0 = omega(r)^2 / (2 n_batch)``.
+    oracle is unbiased at its own radius only, so it takes no ``r``: ``r`` is
+    ``oracle.r``.  Smoothing makes the mean's constants ``(m / 2, b + m)`` and
+    adds ``omega(r)`` to its norm, and each of the ``n_batch`` points deviates
+    by at most ``omega(r)``, a variance ``delta_v0 = omega(r)^2 / (2 n_batch)``.
     A finite sum reads the potential an ``equal_split`` sum was split from:
     its components are identical, so picking them adds no variance to that
     of the smoothing draws.  A sum of distinct components has no potential
@@ -392,22 +391,18 @@ def inputs_from(oracle, beta: float, r: float, a_abs: float = 1.0) -> BoundInput
     other initial laws need hand-built inputs because a point mass has no
     density and a custom law has no declared moments.
     """
-    _args.unit("r", r)
+    if oracle.n_batch and r is not None:
+        raise ValueError(f"a smoothed oracle is analysed at its own radius {oracle.r}, got {r!r}")
+    r = _args.unit("r", oracle.r if oracle.n_batch else r)
     p = oracle.potential
     if p is None:
         raise ValueError("component-sampling variance is only bounded for equal_split sums")
     w1 = p.modulus.eval(1.0)
+    w = p.modulus.eval(r)
     if oracle.n_batch == 0:
-        w = p.modulus.eval(r)
         m_tilde, b_tilde, mnorm = p.m, p.b, p.grad_at_zero + w1
         delta = (0.5 * w * w, 0.0, 0.0, 0.0)
     else:
-        if not math.isclose(r, oracle.r, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(
-                "bias/variance coefficients are only available at the oracle's "
-                f"own smoothing radius {oracle.r}, got {r}"
-            )
-        w = p.modulus.eval(oracle.r)
         m_tilde, b_tilde, mnorm = 0.5 * p.m, p.b + p.m, p.grad_at_zero + w + w1
         delta = (0.0, 0.0, 0.5 * w * w / oracle.n_batch, 0.0)
     return BoundInputs(

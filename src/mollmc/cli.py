@@ -436,10 +436,8 @@ def cmd_bound(args) -> int:
     cfg = load_config(args.config)
     oracle = build_oracle(cfg)
     if args.r is not None:
-        r = _args.unit("--r", args.r)
-    elif "r" in cfg.get("smoothing", {}):
-        r = float(cfg["smoothing"]["r"])
-    else:
+        _args.unit("--r", args.r)
+    elif oracle.n_batch == 0:
         print("error: exact-gradient configs need --r (analysis radius)", file=sys.stderr)
         return EXIT_ERROR
     chain = build_chain_config(cfg)
@@ -447,7 +445,7 @@ def cmd_bound(args) -> int:
         print("error: bound evaluation needs the gaussian initial law "
               "(a point mass has no density)", file=sys.stderr)
         return EXIT_ERROR
-    inputs = inputs_from(oracle, beta=chain.beta, r=r, a_abs=args.a_abs)
+    inputs = inputs_from(oracle, beta=chain.beta, r=args.r, a_abs=args.a_abs)
     tb = theorem_bound(inputs, eta=chain.eta, k=chain.k)
     payload = tb.to_dict()
     payload["config_sha256"] = config_hash(cfg)
@@ -494,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="evaluate the error envelope for a config")
     p_bound.add_argument("--config", required=True)
-    p_bound.add_argument("--r", type=float, default=None, help="analysis radius")
+    p_bound.add_argument("--r", type=float, default=None, help="analysis radius of an lmc config")
     p_bound.add_argument("--a-abs", type=float, default=1.0, dest="a_abs",
                          help="absolute constant of the Poincare bound")
     p_bound.set_defaults(func=cmd_bound)

@@ -41,6 +41,7 @@ def _log_norm(d: int) -> float:
 def _points(x, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``x`` as finite points of shape (n, d), their ``|x|^2`` and the mask of
     those inside the open unit ball."""
+    _args.count("d", d)
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"kernel points must have shape (n, d) with d={d}, got {pts.shape}")

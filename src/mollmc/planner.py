@@ -42,7 +42,6 @@ printing an int takes time quadratic in its digits.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import mpmath as mp
@@ -91,8 +90,7 @@ class PlanRequest(_Request):
         self = super().__new__(cls, *args, **kwargs)
         _args.unit("epsilon", self.epsilon)
         _args.count("d", self.d)
-        # written so that NaN fails it
-        if not (1.0 <= self.c_const < math.inf):
+        if _args.finite("c_const", self.c_const) < 1:
             raise ValueError(f"c_const must be a finite envelope constant of at least 1, "
                              f"got {self.c_const}")
         _args.positive("m", self.m)

@@ -36,6 +36,7 @@ def splitmix64(value: int) -> int:
 
 def derive_seed(root: int, index: int) -> int:
     """The ``index``-th derived 64-bit seed of the splitmix64 stream at ``root``."""
+    _args.seed("root", root)
     _args.count("index", index, least=0)
     return splitmix64((int(root) + (int(index) + 1) * _GOLDEN) & _MASK64)
 

@@ -327,6 +327,7 @@ def ss_gradient_batch(oracle, x, n: int, rng: np.random.Generator) -> np.ndarray
     Smoothing points and component picks both come from ``rng``; inside
     :func:`run` the two kinds of draws come from separate sub-streams instead.
     """
+    _args.count("n", n)
     x = np.asarray(x, dtype=float)[None, :]
     block = oracle.prep_block(n, [rng], [rng])
     return np.concatenate([oracle.grad_at(x, block, j) for j in range(n)])

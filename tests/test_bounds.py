@@ -506,6 +506,19 @@ class TestExpMoment:
         with pytest.raises(ValueError, match=named):
             exp_moment_bound(inputs, t, 1.0, init_exp_moment=init)
 
+    @pytest.mark.parametrize("t,alpha,message", [
+        (True, 1.0, "time must be a nonnegative real or inf, got True"),
+        (-1.0, 1.0, "time must be a nonnegative real or inf, got -1.0"),
+        (1.0, True, "alpha must be finite and positive, got True"),
+        (1.0, -1.0, "alpha must be finite and positive, got -1.0"),
+    ], ids=["t-bool", "t-negative", "alpha-bool", "alpha-negative"])
+    def test_time_and_alpha_follow_the_argument_rules(self, t, alpha, message):
+        # t = True was read as 1, and alpha = True passed the range test at beta m / 2 = 4
+        inputs = make_inputs(m=2.0, m_tilde=2.0, beta=4.0)
+        with pytest.raises(ValueError) as err:
+            exp_moment_bound(inputs, t, alpha, init_exp_moment=1.0)
+        assert str(err.value) == message
+
 
 class TestInputsFrom:
     def test_exact_oracle_wiring(self):
@@ -516,25 +529,40 @@ class TestInputsFrom:
         assert inputs.delta == (0.5 * 0.2**2, 0.0, 0.0, 0.0)
         assert inputs.kappa0 == pytest.approx(gaussian_kappa0(2))
 
-    @pytest.mark.parametrize("r", [0.0, 2.0, math.nan])
+    @pytest.mark.parametrize("r", [0.0, 2.0, math.nan, None])
     def test_exact_oracle_radius_lies_in_the_unit_interval(self, r):
-        # the analysis takes r in (0, 1]; r = 2 would give delta_b0 = omega(2)^2 / 2 = 2
+        # the analysis takes r in (0, 1]; r = 2 would give delta_b0 = omega(2)^2 / 2 = 2,
+        # and the exact gradient has no radius of its own to fall back on
         with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
             inputs_from(ExactGradient(builtin("quadratic", 1)), 1.0, r)
 
     def test_smoothed_oracle_wiring(self):
         q = builtin("quadratic", 2)
         orc = SphericalSmoothed(q, r=0.2, n_batch=4)
-        inputs = inputs_from(orc, beta=1.0, r=0.2)
+        inputs = inputs_from(orc, beta=1.0)
         assert inputs.m_tilde == 0.5
         assert inputs.b_tilde == 1.0
         assert inputs.delta == (0.0, 0.0, 0.5 * 0.2**2 / 4, 0.0)
 
     def test_delta_requires_matching_radius(self):
         orc = SphericalSmoothed(builtin("quadratic", 1), r=0.5, n_batch=2)
-        assert inputs_from(orc, beta=1.0, r=0.5).delta == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
-        with pytest.raises(ValueError, match="own smoothing radius"):
+        assert inputs_from(orc, beta=1.0).delta == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
+        with pytest.raises(ValueError, match="own radius 0.5"):
             inputs_from(orc, beta=1.0, r=0.3)
+
+    @pytest.mark.parametrize("r", [0.3, 0.1, math.nextafter(0.1, 1)],
+                             ids=["other", "own", "own-next-float"])
+    @pytest.mark.parametrize("kind", ["smoothed", "finite_sum"])
+    def test_smoothed_oracle_takes_no_radius(self, kind, r):
+        # a radius within 1e-12 of the oracle's was taken and kept: the envelope
+        # was evaluated a hair away from the radius delta was formed at
+        p = builtin("hoelder_mix", 2, alpha=0.5)
+        orc = {
+            "smoothed": SphericalSmoothed(p, r=0.1, n_batch=3),
+            "finite_sum": FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), 0.1, 3),
+        }[kind]
+        with pytest.raises(ValueError, match=r"analysed at its own radius 0\.1, got "):
+            inputs_from(orc, beta=1.0, r=r)
 
     def test_exact_oracle_delta(self):
         orc = ExactGradient(builtin("quadratic", 1))
@@ -550,13 +578,13 @@ class TestInputsFrom:
             "smoothed": SphericalSmoothed(p, r=0.5, n_batch=3),
             "finite_sum": FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), 0.5, 3),
         }[kind]
-        inputs = inputs_from(orc, beta=1.0, r=0.5)
+        inputs = inputs_from(orc, beta=1.0, r=0.5 if kind == "exact" else None)
         assert inputs.d == 2 and len(inputs.delta) == 4 and inputs.r == 0.5
 
     def test_equal_split_delta(self):
         split = FiniteSumPotential.equal_split(builtin("quadratic", 1), 4)
         orc = FiniteSumSpherical(split, r=0.5, n_batch=2)
-        assert inputs_from(orc, beta=1.0, r=0.5).delta == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
+        assert inputs_from(orc, beta=1.0).delta == (0.0, 0.0, 0.5 * 0.25 / 2, 0.0)
 
     @pytest.mark.parametrize("n", [*range(1, 11), 100, 1000])
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
@@ -566,15 +594,15 @@ class TestInputsFrom:
         p = builtin(name, d)
         split = FiniteSumSpherical(FiniteSumPotential.equal_split(p, n), r=0.1, n_batch=5)
         assert split.potential is p
-        got = inputs_from(split, beta=1.5, r=0.1, a_abs=2.0)
-        want = inputs_from(SphericalSmoothed(p, r=0.1, n_batch=5), beta=1.5, r=0.1, a_abs=2.0)
+        got = inputs_from(split, beta=1.5, a_abs=2.0)
+        want = inputs_from(SphericalSmoothed(p, r=0.1, n_batch=5), beta=1.5, a_abs=2.0)
         for f in dataclasses.fields(BoundInputs):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
 
     def test_distinct_components_have_no_inputs(self):
         orc = FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0]), r=0.5, n_batch=2)
         with pytest.raises(ValueError, match="equal_split"):
-            inputs_from(orc, beta=1.0, r=0.5)
+            inputs_from(orc, beta=1.0)
 
 
 class TestOneRadius:
@@ -605,7 +633,7 @@ class TestOneRadius:
     def test_smoothed_inputs_are_evaluated_at_their_own_radius(self):
         # at r = 1.0 these inputs read 382.8, non-vacuous, against 561.82 at their radius
         orc = SphericalSmoothed(builtin("hoelder_mix", 1), r=0.1, n_batch=4)
-        inputs = inputs_from(orc, beta=1.0, r=0.1)
+        inputs = inputs_from(orc, beta=1.0)
         assert theorem_bound(inputs, 0.01, 1000).w2_bound == pytest.approx(561.82, abs=5e-3)
         with pytest.raises(TypeError):
             theorem_bound(inputs, 1.0, 0.01, 1000)
@@ -619,7 +647,7 @@ def _golden_run(name):
     cfg = {**test_golden.SAMPLES, **test_golden.BOUNDS}[name]
     cfg = validate_config(json.loads(json.dumps(cfg)))
     chain = build_chain_config(cfg)
-    r = cfg.get("smoothing", {}).get("r", float(test_golden.BOUND_R))
+    r = None if "smoothing" in cfg else float(test_golden.BOUND_R)
     return build_oracle(cfg), chain.beta, r, chain.eta, chain.k
 
 
@@ -660,7 +688,8 @@ class TestOneArithmetic:
                    lambda r: FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), r, 2))
         for make, beta, r in itertools.product(
                 oracles, (5e-324, 1e-300, 1.0, 1e160, 1.7e308), (1e-3, 0.1, 1.0)):
-            inputs = inputs_from(make(r), beta, r)
+            oracle = make(r)
+            inputs = inputs_from(oracle, beta, r if oracle.n_batch == 0 else None)
             for eta in (0.01, eta_max(inputs) / 2):
                 try:
                     tb = theorem_bound(inputs, eta, 1000)

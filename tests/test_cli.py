@@ -435,7 +435,8 @@ def test_summary_writes_undefined_moments_as_null(tmp_path, chain, undefined):
 
 
 def test_bound_rejects_a_bad_radius_in_an_lmc_config(tmp_path, capsys):
-    # bound analyses an exact-gradient config at its smoothing.r, if it has one
+    # smoothing.r is checked wherever it appears, though bound reads an lmc config's
+    # analysis radius from --r only
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_with(_LMC_D1, ("smoothing", "r"), True)))
     assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
@@ -451,6 +452,31 @@ def test_bound_asks_for_r_when_an_lmc_config_has_smoothing_without_r(tmp_path, c
     assert "exact-gradient configs need --r" in captured.err
     assert captured.out == ""
     assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
+
+
+def test_bound_reads_an_lmc_radius_from_r_only(tmp_path, capsys):
+    # bound analysed an lmc config at its smoothing.r when --r was absent
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("smoothing", "r"), 0.1)))
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: exact-gradient configs need --r (analysis radius)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("r", ["0.1", "0.10000000000001"])
+@pytest.mark.parametrize("name", ["ss_lmc", "ss_sg_lmc"])
+def test_bound_refuses_r_on_a_smoothed_config(tmp_path, capsys, name, r):
+    # a smoothed run is analysed at its smoothing.r; --r 0.10000000000001 was taken
+    # and printed, with the envelope evaluated off the radius delta was formed at
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_SAMPLE_CONFIGS[name], ("smoothing", "r"), 0.1)))
+    assert main(["bound", "--config", str(cfg_path), "--r", r]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    own = "error: a smoothed oracle is analysed at its own radius 0.1"
+    assert captured.err == f"{own}, got {float(r)!r}\n"
+    assert captured.out == ""
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("d,beta", [(100, 1.0), (2, 1e-300), (2, 1e160), (2, 1e300)],

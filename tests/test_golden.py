@@ -182,6 +182,16 @@ def test_plan_stdout(name):
     assert_golden(plan_hashes(name), f"plan/{name}")
 
 
+def test_ci_pins_the_golden_versions():
+    # CI on other numpy or Python versions would fail the hashes above
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))["versions"]
+    minor = ".".join(pinned["python"].split(".")[:2])
+    assert f'python-version: "{minor}"' in workflow
+    assert f"numpy=={pinned['numpy']} mpmath=={pinned['mpmath']}" in workflow
+    assert "python -m pytest -q" in workflow
+
+
 def compute_all(tmp: Path) -> dict:
     hashes = {}
     for name in SAMPLES:

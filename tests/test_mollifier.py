@@ -183,3 +183,11 @@ class TestValidation:
     def test_dimension_mismatch(self, fun, x, d):
         with pytest.raises(ValueError, match=r"shape \(n, d\)"):
             fun(x, d)
+
+    @pytest.mark.parametrize("fun", [density, grad_density])
+    @pytest.mark.parametrize("d", [True, 1.0, 0])
+    def test_dimension_is_a_positive_integer(self, fun, d):
+        # d = True evaluated the kernel at d = 1
+        with pytest.raises(ValueError) as err:
+            fun(np.zeros((3, 1)), d)
+        assert str(err.value) == f"d must be a positive integer, got {d!r}"

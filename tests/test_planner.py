@@ -281,3 +281,14 @@ class TestRequestValidation:
     def test_c_at_least_one(self):
         with pytest.raises(ValueError):
             PlanRequest(epsilon=0.5, d=1, c_const=0.5)
+
+    @pytest.mark.parametrize("c,message", [
+        (True, "c_const must be a finite real number, got True"),
+        (math.nan, "c_const must be a finite real number, got nan"),
+        (0.5, "c_const must be a finite envelope constant of at least 1, got 0.5"),
+    ], ids=["bool", "nan", "below-one"])
+    def test_c_follows_the_argument_rules(self, c, message):
+        # c_const = True was taken as 1
+        with pytest.raises(ValueError) as err:
+            PlanRequest(epsilon=0.5, d=1, c_const=c, alpha=1.0)
+        assert str(err.value) == message

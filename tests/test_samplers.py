@@ -257,6 +257,17 @@ class TestSmoothedGradient:
         g = ss_gradient_batch(orc, np.array([1.0, 2.0]), 1, np.random.default_rng(0))
         assert g.shape == (1, 2)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    @pytest.mark.parametrize("kind", ["exact", "smoothed"])
+    def test_draw_count_is_a_positive_integer(self, kind, n):
+        # n = True ran one draw, n = 2.0 failed inside numpy, and n = 0 on the exact
+        # gradient failed in np.concatenate
+        p = builtin("quadratic", 1)
+        orc = ExactGradient(p) if kind == "exact" else SphericalSmoothed(p, r=0.5, n_batch=3)
+        with pytest.raises(ValueError) as err:
+            ss_gradient_batch(orc, np.array([1.0]), n, np.random.default_rng(0))
+        assert str(err.value) == f"n must be a positive integer, got {n!r}"
+
 
 _PROTOCOL_ORACLES = {
     "exact": ExactGradient,
@@ -466,6 +477,13 @@ class TestStreamsAndReplicas:
         seeds = {derive_seed(root, i) for i in indices}
         assert len(seeds) == len(indices)
         assert all(0 <= s < 2**64 for s in seeds)
+
+    @pytest.mark.parametrize("root", [True, 2.5, -5, 2**64])
+    def test_derive_seed_rejects_a_root_outside_the_seed_range(self, root):
+        # True ran as 1, 2.5 as 2, -5 as 2**64 - 5 and 2**64 as 0
+        with pytest.raises(ValueError) as err:
+            derive_seed(root, 0)
+        assert str(err.value) == f"root must be in [0, 2**64), got {root!r}"
 
     @given(st.integers(0, 2**64 - 1), st.integers(max_value=-1) | st.sampled_from([1.5, 2.0]))
     def test_derive_seed_rejects_negative_index(self, root, index):
