@@ -1,9 +1,9 @@
 """Argument rules, each stated once for the whole package, the CLI included.  A
 rule returns ``value`` unchanged or raises a ``ValueError`` that names the
 argument and shows the value by ``repr``.  Every rule refuses a ``bool``, which
-``float()`` and ``int()`` take, and every numeric one NaN, inf and an int beyond
-float range; only ``upper`` takes inf.  Only the standard library is imported:
-``plan`` loads no numpy."""
+``float()`` and ``int()`` take, and every numeric one NaN, inf and a value beyond
+float range, but ``magnitude`` takes the last, such as an mpmath number, and
+``upper`` takes inf.  Only the standard library is imported: ``plan`` loads no numpy."""
 
 import math
 import numbers
@@ -41,6 +41,8 @@ def count(name: str, value, least: int = 1):
 finite = rule("must be a finite real number", _real)
 positive = rule("must be finite and positive", lambda v: _real(v) and v > 0)
 nonnegative = rule("must be finite and nonnegative", lambda v: _real(v) and v >= 0)
+magnitude = rule("must be a nonnegative real number", lambda v: isinstance(v, numbers.Real)
+                 and not isinstance(v, bool) and 0 <= v < math.inf)
 # an upper bound that overflowed float range is inf, and what is built on it vacuous
 upper = rule("must be a nonnegative real or inf", lambda v: _real(v) and v >= 0 or v == math.inf)
 unit = rule("must lie in (0, 1]", lambda v: _real(v) and 0 < v <= 1)

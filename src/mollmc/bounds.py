@@ -12,10 +12,10 @@ realistic inputs the functional-inequality constants contain factors like
 ``exp(beta * U0)`` and the envelope can be astronomically larger than any
 target accuracy.  Each constant is evaluated in mpmath at 40 digits, whatever
 precision the caller has set, and rounded once to the nearest float, so one
-beyond float range reads ``inf``; nothing is clamped.  The gradient modulus
-``omega`` is evaluated at those digits too; only the inputs, ``delta`` among
-them, are formed in floats.  Only the Poincare bound also gives its log,
-``c_p_log``, which says how far it overflowed.
+beyond float range reads ``inf``; nothing is clamped.  :func:`inputs_from`
+forms the inputs it derives, ``delta`` among them, at those digits too, from
+the gradient modulus ``omega`` evaluated there.  Only the Poincare bound also
+gives its log, ``c_p_log``, which says how far it overflowed.
 
 Inputs live in :class:`BoundInputs`, with ``r`` a smoothed oracle's own radius or
 an exact gradient's analysis radius; ``delta`` follows the quadratic-growth convention
@@ -63,8 +63,8 @@ class BoundInputs:
     density sup; ``a_abs`` is the absolute constant of the Poincare bound,
     configurable because the analysis only asserts it exists.  ``r`` is the
     smoothing radius at which ``delta`` is formed and the envelope evaluated.
-    A ``delta`` entry may be inf, a bias or variance bound beyond float range
-    such as ``omega(r)^2 / 2`` at a huge modulus; the envelope is then vacuous.
+    :func:`inputs_from` gives ``m_tilde``, ``b_tilde``, both norms, ``omega_g_tilde_one``
+    and ``delta`` as exact mpmath numbers, of any size; inf is refused.
     """
 
     d: int
@@ -88,16 +88,16 @@ class BoundInputs:
         _args.count("d", self.d)
         for name in ("beta", "m", "m_tilde", "a_abs"):
             _args.positive(name, getattr(self, name))
-        for name in ("b", "b_tilde", "kappa0", "grad_u_mnorm", "g_tilde_mnorm",
-                     "omega_g_tilde_one", "u0"):
+        for name in ("b", "kappa0", "u0"):
             _args.nonnegative(name, getattr(self, name))
+        for name in ("b_tilde", "grad_u_mnorm", "g_tilde_mnorm", "omega_g_tilde_one"):
+            _args.magnitude(name, getattr(self, name))
         _args.finite("p0_sup_log", self.p0_sup_log)
         _args.unit("r", self.r)
         if len(self.delta) != 4:
             raise ValueError(f"delta must have four entries, got {self.delta}")
         for v in self.delta:
-            _args.upper("delta", v)
-        object.__setattr__(self, "delta", tuple(float(v) for v in self.delta))
+            _args.magnitude("delta", v)
 
 
 _DPS = 40  # digits of every evaluation here, whatever precision the caller has set
@@ -127,12 +127,6 @@ def _rounded(evaluate):
     return public
 
 
-def _times(coefficient, value):
-    """``coefficient * value``, where a zero coefficient drops the term even
-    at an inf value, whose product with 0 is NaN."""
-    return coefficient * value if coefficient else coefficient
-
-
 def _eta_max(x):
     """Largest admissible step size, ``min(1, m_tilde / (2 (omega_G(1)^2 + delta_v2)))``."""
     return 1 / max(1, 2 * (x.omega_g_tilde_one**2 + x.delta[3]) / x.m_tilde)
@@ -157,7 +151,7 @@ def _kappa_inf(x, eta):
 def _c_zero(x, eta):
     """Coefficient of the step-size term in the discretisation divergence."""
     ki = _kappa_inf(x, eta)
-    core = x.delta[2] + x.g_tilde_mnorm**2 + _times(x.omega_g_tilde_one**2 + x.delta[3], ki)
+    core = x.delta[2] + x.g_tilde_mnorm**2 + (x.omega_g_tilde_one**2 + x.delta[3]) * ki
     return (x.d + 4) * (x.beta / 3 * core + x.d / 2)
 
 
@@ -196,8 +190,8 @@ def _kl_discretization(x, eta, k):
     ki = _kappa_inf(x, eta)
     c0 = _c_zero(x, eta)
     db0, db2, dv0, dv2 = x.delta
-    rate = c0 * x.omega_grad_u.eval(x.r) / x.r * eta + x.beta * (_times(db2 + dv2, ki) + db0 + dv0)
-    return _times(k, rate * eta)
+    rate = c0 * x.omega_grad_u.eval(x.r) / x.r * eta + x.beta * ((db2 + dv2) * ki + db0 + dv0)
+    return k * (rate * eta)
 
 
 def _kl_initial(x):
@@ -279,16 +273,13 @@ def theorem_bound(inputs: BoundInputs, eta: float, k: int) -> TheoremBound:
 
         c_p_log = float(mp.log(cp))
         notes = []
-        if math.inf in inputs.delta:
-            notes.append(f"delta = {inputs.delta} has an entry beyond float range (vacuous bound)")
         if inner < 0:
             notes.append("initial-divergence expression negative; C2 undefined (vacuous bound)")
         if float(cp) == math.inf:
             notes.append(f"Poincare bound overflows float range; log value {c_p_log:.6g}")
         elif float(cls) == math.inf:
-            notes.append(
-                "log-Sobolev bound overflows float range; exponential term taken undecayed"
-            )
+            notes.append("log-Sobolev bound overflows float range; "
+                         "exponential term taken undecayed")
         return TheoremBound(
             c0=float(c0),
             c1=float(c1),
@@ -385,7 +376,9 @@ def inputs_from(oracle, beta: float, r: float | None = None, a_abs: float = 1.0)
     A finite sum reads the potential an ``equal_split`` sum was split from:
     its components are identical, so picking them adds no variance to that
     of the smoothing draws.  A sum of distinct components has no potential
-    and no bound on that variance, and is refused.
+    and no bound on that variance, and is refused.  ``m_tilde``, ``b_tilde``, both
+    norms, ``omega(1)`` and ``delta`` are formed at ``_DPS`` digits and given as
+    exact mpmath numbers, which no size makes inf.
 
     Assumes the standard Gaussian initial law (the default of the samplers);
     other initial laws need hand-built inputs because a point mass has no
@@ -397,29 +390,30 @@ def inputs_from(oracle, beta: float, r: float | None = None, a_abs: float = 1.0)
     p = oracle.potential
     if p is None:
         raise ValueError("component-sampling variance is only bounded for equal_split sums")
-    w1 = p.modulus.eval(1.0)
-    w = p.modulus.eval(r)
-    if oracle.n_batch == 0:
-        m_tilde, b_tilde, mnorm = p.m, p.b, p.grad_at_zero + w1
-        delta = (0.5 * w * w, 0.0, 0.0, 0.0)
-    else:
-        m_tilde, b_tilde, mnorm = 0.5 * p.m, p.b + p.m, p.grad_at_zero + w + w1
-        delta = (0.0, 0.0, 0.5 * w * w / oracle.n_batch, 0.0)
-    return BoundInputs(
-        d=p.dim,
-        beta=float(beta),
-        m=p.m,
-        b=p.b,
-        m_tilde=m_tilde,
-        b_tilde=b_tilde,
-        kappa0=gaussian_kappa0(p.dim),
-        p0_sup_log=gaussian_log_p0_sup(p.dim),
-        grad_u_mnorm=p.grad_at_zero + w1,
-        g_tilde_mnorm=mnorm,
-        omega_grad_u=p.modulus,
-        omega_g_tilde_one=w1,
-        u0=p.u0,
-        r=float(r),
-        delta=delta,
-        a_abs=a_abs,
-    )
+    with mp.workdps(_DPS):
+        m, w1, w = mp.mpf(p.m), p.modulus.eval(mp.mpf(1)), p.modulus.eval(mp.mpf(r))
+        u_mnorm, zero = p.grad_at_zero + w1, mp.mpf(0)
+        if oracle.n_batch == 0:
+            m_tilde, b_tilde, mnorm = m, mp.mpf(p.b), u_mnorm
+            delta = (w * w / 2, zero, zero, zero)
+        else:
+            m_tilde, b_tilde, mnorm = m / 2, p.b + m, u_mnorm + w
+            delta = (zero, zero, w * w / (2 * oracle.n_batch), zero)
+        return BoundInputs(
+            d=p.dim,
+            beta=float(beta),
+            m=p.m,
+            b=p.b,
+            m_tilde=m_tilde,
+            b_tilde=b_tilde,
+            kappa0=gaussian_kappa0(p.dim),
+            p0_sup_log=gaussian_log_p0_sup(p.dim),
+            grad_u_mnorm=u_mnorm,
+            g_tilde_mnorm=mnorm,
+            omega_grad_u=p.modulus,
+            omega_g_tilde_one=w1,
+            u0=p.u0,
+            r=float(r),
+            delta=delta,
+            a_abs=a_abs,
+        )

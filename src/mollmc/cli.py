@@ -507,7 +507,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             _args.seed("--seed", args.seed)
         return args.func(args)
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError, KeyError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -228,13 +228,16 @@ def _elastic_net_logistic(d, lam1=0.1, lam2=1.0):
         x = np.asarray(x, dtype=float)
         return -_sig_prod(x) + lam1 * np.sign(x) + lam2 * x
 
-    # b = d * sup_u (u sig_prod(u) - lam1 |u|), found on a dense grid;
-    # the sup is attained below |u| = 8 since sig_prod decays like e^{-u}
+    # b = d * sup_u (u sig_prod(u) - lam1 |u|) on a dense grid, attained below |u| = 8 as
+    # sig_prod decays like e^{-u}; sig_prod <= 1/4, so from lam1 = 1/4 on it is 0, at u = 0
     u = np.linspace(0.0, 8.0, 20001)
-    b1 = max(float(np.max(u * _sig_prod(u) - lam1 * u)), 0.0)
+    b1 = 0.0 if lam1 >= 0.25 else max(float(np.max(u * _sig_prod(u) - lam1 * u)), 0.0)
 
     # sign jumps contribute 2 lam1 sqrt(d) at any scale, and the smooth
     # part is (lam2 + max|d sig_prod|)-Lipschitz
+    jump = 2.0 * lam1 * math.sqrt(d)
+    if jump == math.inf:
+        raise ValueError(f"lam1 = {lam1!r} puts the sign jump 2 lam1 sqrt(d) beyond float range")
     return PotentialSpec(
         name="elastic_net_logistic",
         dim=d,
@@ -242,7 +245,7 @@ def _elastic_net_logistic(d, lam1=0.1, lam2=1.0):
         weak_grad=weak_grad,
         m=lam2,
         b=d * b1,
-        modulus=ModulusSpec.lipschitz(lam2 + _SIG_CURVATURE, jump=2.0 * lam1 * math.sqrt(d)),
+        modulus=ModulusSpec.lipschitz(lam2 + _SIG_CURVATURE, jump=jump),
         grad_at_zero=0.25 * math.sqrt(d),
         u0=d * float(_sigmoid(1.0 / math.sqrt(d))) + lam1 * math.sqrt(d) + 0.5 * lam2,
         separable=True,

@@ -354,27 +354,63 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match=message):
             call()
 
-    @pytest.mark.parametrize("entry", [True, -math.inf, math.nan, -1.0],
-                             ids=["bool", "minus-inf", "nan", "negative"])
+    @pytest.mark.parametrize("entry", [True, -math.inf, math.nan, -1.0, math.inf],
+                             ids=["bool", "minus-inf", "nan", "negative", "inf"])
     def test_delta_entries_must_be_nonnegative_reals_or_inf(self, entry):
-        # True was taken as 1.0
-        with pytest.raises(ValueError, match="delta must be a nonnegative real or inf"):
+        # True was taken as 1.0; inf was taken as an overflowed bound, which inputs_from
+        # now gives as an mpmath number
+        with pytest.raises(ValueError, match="delta must be a nonnegative real number"):
             make_inputs(delta=(0.0, entry, 0.0, 0.0))
 
     @pytest.mark.parametrize("axis", range(4))
     def test_an_overflowed_delta_makes_the_envelope_vacuous(self, axis):
-        # omega(r)^2 / 2 overflows for a modulus near float range; the inf was refused
+        # omega(r)^2 / 2 beyond float range for a modulus near it, as inputs_from gives
+        # it; at 1e700 the square roots of the envelope are beyond float range too
         delta = [0.0] * 4
-        delta[axis] = math.inf
+        delta[axis] = mp.mpf("1e700")
         inputs = make_inputs(delta=tuple(delta))
         if axis == 3:  # delta_v2 enters the step-size cap, which is then 0
             assert eta_max(inputs) == 0.0
+            with pytest.raises(ValueError, match="outside the admissible range"):
+                theorem_bound(inputs, eta=5e-324, k=10)
             return
         tb = theorem_bound(inputs, eta=0.1, k=10)
         assert tb.vacuous and not math.isfinite(tb.w2_bound)
-        assert any(note.startswith("delta = ") for note in tb.notes)
         # inf, not the NaN of 0 * inf where a zero delta coefficient meets kappa_inf = inf
         assert tb.f_value == tb.first_term == tb.w2_bound == math.inf
+        assert not any(math.isnan(value) for value in dataclasses.astuple(tb)[:-1])
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_a_delta_beyond_float_range_enters_the_envelope_exactly(self, axis):
+        # at 1e400, f is beyond float range but sqrt(f) is not: an inf delta gave an
+        # inf envelope where the exact one is finite
+        delta = [0.0] * 4
+        delta[axis] = mp.mpf("1e400")
+        tb = theorem_bound(make_inputs(delta=tuple(delta)), eta=0.1, k=10)
+        assert tb.f_value == math.inf and 1e199 < tb.w2_bound < 1e203 and not tb.vacuous
+        assert not any(math.isnan(value) for value in dataclasses.astuple(tb)[:-1])
+
+    # delta's refusals are test_delta_entries_must_be_nonnegative_reals_or_inf
+    MAGNITUDES = ["b_tilde", "grad_u_mnorm", "g_tilde_mnorm", "omega_g_tilde_one"]
+
+    @staticmethod
+    def _inputs_with(field, value):
+        return make_inputs(**{field: (0.0, 0.0, value, 0.0) if field == "delta" else value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1, True, mp.inf],
+                             ids=["inf", "minus-inf", "nan", "negative", "bool", "mp-inf"])
+    @pytest.mark.parametrize("field", MAGNITUDES)
+    def test_derived_inputs_are_nonnegative_reals_of_any_size(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a nonnegative real number, got"):
+            self._inputs_with(field, value)
+
+    @pytest.mark.parametrize("value", [0, 0.5, mp.mpf("1e400"), 10**400],
+                             ids=["zero", "float", "mpf-1e400", "int-10**400"])
+    @pytest.mark.parametrize("field", [*MAGNITUDES, "delta"])
+    def test_derived_inputs_may_lie_beyond_float_range(self, field, value):
+        inputs = self._inputs_with(field, value)
+        got = inputs.delta[2] if field == "delta" else getattr(inputs, field)
+        assert got is value
 
     def test_a_modulus_whose_square_overflows_keeps_its_step_size_cap(self):
         # m_tilde / (2 omega_G(1)^2) is 5e-301 here though omega_G(1)^2 overflows
@@ -526,7 +562,8 @@ class TestInputsFrom:
         inputs = inputs_from(ExactGradient(q), beta=2.0, r=0.2)
         assert (inputs.m_tilde, inputs.b_tilde) == (1.0, 0.0)
         assert inputs.g_tilde_mnorm == 1.0
-        assert inputs.delta == (0.5 * 0.2**2, 0.0, 0.0, 0.0)
+        with mp.workdps(bounds._DPS):  # omega(0.2)^2 / 2 of the float 0.2, exactly
+            assert inputs.delta == (mp.mpf(0.2) ** 2 / 2, 0, 0, 0)
         assert inputs.kappa0 == pytest.approx(gaussian_kappa0(2))
 
     @pytest.mark.parametrize("r", [0.0, 2.0, math.nan, None])
@@ -542,7 +579,8 @@ class TestInputsFrom:
         inputs = inputs_from(orc, beta=1.0)
         assert inputs.m_tilde == 0.5
         assert inputs.b_tilde == 1.0
-        assert inputs.delta == (0.0, 0.0, 0.5 * 0.2**2 / 4, 0.0)
+        with mp.workdps(bounds._DPS):
+            assert inputs.delta == (0, 0, mp.mpf(0.2) ** 2 / 8, 0)
 
     def test_delta_requires_matching_radius(self):
         orc = SphericalSmoothed(builtin("quadratic", 1), r=0.5, n_batch=2)
@@ -598,6 +636,30 @@ class TestInputsFrom:
         want = inputs_from(SphericalSmoothed(p, r=0.1, n_batch=5), beta=1.5, a_abs=2.0)
         for f in dataclasses.fields(BoundInputs):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    DERIVED = ("m_tilde", "b_tilde", "grad_u_mnorm", "g_tilde_mnorm", "omega_g_tilde_one")
+
+    @pytest.mark.parametrize("kind", ["exact", "smoothed", "finite_sum"])
+    def test_derived_inputs_are_exact_beyond_float_range(self, kind):
+        # omega(1) + omega(r) + |grad U(0)| at lam2 = 1.7e308 is beyond float range: it
+        # was the inf g_tilde_mnorm that BoundInputs refused
+        p = builtin("elastic_net_logistic", 2, lam2=1.7e308)
+        orc = {
+            "exact": ExactGradient(p),
+            "smoothed": SphericalSmoothed(p, r=0.1, n_batch=4),
+            "finite_sum": FiniteSumSpherical(FiniteSumPotential.equal_split(p, 4), 0.1, 4),
+        }[kind]
+
+        def derived():
+            inputs = inputs_from(orc, beta=1.0, r=0.1 if kind == "exact" else None)
+            return [getattr(inputs, name) for name in self.DERIVED] + list(inputs.delta)
+
+        fields = derived()
+        assert all(isinstance(v, mp.mpf) and mp.isfinite(v) for v in fields)
+        assert max(fields) > 1.7e308
+        for dps in (5, 100):
+            with mp.workdps(dps):
+                assert derived() == fields
 
     def test_distinct_components_have_no_inputs(self):
         orc = FiniteSumSpherical(scaled_quadratic_sum([1.0, 2.0]), r=0.5, n_batch=2)

@@ -896,8 +896,8 @@ def test_entry_ends_by_sys_exit_when_a_flush_raises_or_a_tool_watches(monkeypatc
 
 
 def test_bound_makes_an_overflowed_delta_vacuous(tmp_path, capsys):
-    # omega(r)^2 / 2 overflows at lam2 = 1e300: the inf was refused, and bound
-    # exited 1 with "error: delta must be finite and nonnegative, got inf"
+    # omega(r)^2 / 2 is beyond float range at lam2 = 1e300: the inf was refused, and
+    # bound exited 1 with "error: delta must be finite and nonnegative, got inf"
     cfg = dict(_SAMPLE_CONFIGS["ss_lmc"],
                potential={"name": "elastic_net_logistic", "d": 2, "params": {"lam2": 1e300}})
     cfg_path = tmp_path / "cfg.json"
@@ -906,9 +906,55 @@ def test_bound_makes_an_overflowed_delta_vacuous(tmp_path, capsys):
     assert main(["bound", "--config", str(cfg_path)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out, parse_constant=_not_json)
     assert out["vacuous"] is True and out["w2_bound"] is None
-    assert out["notes"][0] == "delta = (0.0, 0.0, inf, 0.0) has an entry beyond float range " \
-                              "(vacuous bound)"
+    # delta is an exact number now, so no note names it; what overflows says so
+    assert out["kappa_inf"] is None and out["f_value"] is None
+    assert out["notes"] == ["Poincare bound overflows float range; log value 1.45625e+301"]
     cfg_path.write_text(json.dumps(cfg))
     assert main(["bound", "--config", str(cfg_path)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith(
         "error: step size 0.02 outside the admissible range (0, 2.5e-301)")
+
+
+def test_bound_takes_a_gradient_norm_beyond_float_range(tmp_path, capsys):
+    # |grad U(0)| + omega(r) + omega(1) is beyond float range at lam2 = 1.7e308: bound
+    # exited 1 with "error: g_tilde_mnorm must be finite and nonnegative, got inf"
+    cfg = dict(_SAMPLE_CONFIGS["ss_lmc"],
+               potential={"name": "elastic_net_logistic", "d": 2, "params": {"lam2": 1.7e308}},
+               chain={"beta": 1.0, "eta": 1e-320, "k": 10, "seed": 3},
+               smoothing={"r": 0.1, "n_batch": 4})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["bound", "--config", str(cfg_path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    out = json.loads(captured.out, parse_constant=_not_json)
+    assert out["vacuous"] is True and out["w2_bound"] is None and captured.err == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_trace_too_large_to_allocate_is_an_error_line(tmp_path, monkeypatch, capsys, workers):
+    # 1e17 steps of d = 10 is hundreds of PiB, beyond any address space, so the
+    # allocation fails at once; it was a numpy traceback
+    cfg = {"potential": {"name": "quadratic", "d": 10}, "algorithm": "lmc",
+           "chain": {"beta": 1.0, "eta": 0.05, "k": 10**17, "seed": 3}, "replicas": 2}
+    code, out = _sample(tmp_path, cfg, "huge", workers, monkeypatch)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+def test_a_huge_l1_weight_is_quiet_or_one_line(tmp_path, capsys):
+    # the b grid overflowed at lam1 = 5e307, a two-line numpy warning (an error
+    # here), and at 1e308 the inf jump was refused as "jump", a field no config has
+    cfg = _with(_LMC_D1, ("potential",),
+                {"name": "elastic_net_logistic", "d": 2, "params": {"lam1": 5e307}})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(cfg, ("chain", "eta"), 1e-320)))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    cfg_path.write_text(json.dumps(_with(cfg, ("potential", "params", "lam1"), 1e308)))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out2")]) \
+        == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: potential.params: lam1 = 1e+308 puts the sign jump 2 lam1 sqrt(d) "
+        "beyond float range\n")

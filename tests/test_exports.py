@@ -56,7 +56,8 @@ def test_every_import_is_used(path):
 RULE_TEXTS = ("np.integer", "must be a positive integer", "must lie in (0, 1]",
               "must be finite and positive", "must be finite and nonnegative",
               "must be a finite real number", "must be finite, got", "a positive number",
-              "a number in (0, 1]", "a real number", "in [0, 2**64)", "fit in 64 bits")
+              "a number in (0, 1]", "a real number", "in [0, 2**64)", "fit in 64 bits",
+              "must be a nonnegative real number", "must be a nonnegative real or inf")
 
 
 def test_argument_rules_are_stated_only_in_args():

@@ -124,6 +124,12 @@ class TestElasticNet:
         m = builtin("elastic_net_logistic", d).modulus
         assert [m.eval(r) for r in (1e-3, 0.1, 0.5, 1.0, 100.0)] == want
 
+    @pytest.mark.parametrize("lam1", [0.25, 1.0, 5e307])
+    def test_b_is_zero_from_a_quarter_on(self, lam1):
+        # u sig_prod(u) <= u / 4, so the sup is 0, at u = 0; the grid overflowed
+        # at 5e307 with a numpy warning, an error here
+        assert builtin("elastic_net_logistic", 2, lam1=lam1).b == 0.0
+
     def test_value_nonnegative_and_u0(self):
         p = builtin("elastic_net_logistic", 2)
         rng = np.random.default_rng(0)
