@@ -168,7 +168,9 @@ def _poincare_bound(x):
 
 
 def _poincare_log_bound(x):
-    """log of the Poincare bound, finite even when the bound itself overflows."""
+    """log of the Poincare bound, exact at 40 digits.  Its float form stays finite where
+    the bound overflows, unless the bound's exponent ``arg`` is itself beyond float range;
+    :func:`theorem_bound`'s overflow note then gives the log as 6-digit text."""
     return mp.log(_poincare_bound(x))
 
 
@@ -271,12 +273,14 @@ def theorem_bound(inputs: BoundInputs, eta: float, k: int) -> TheoremBound:
         first = 2 * c1 * (mp.sqrt(f) + mp.root(f, 4))
         expo = c1p * mp.sqrt(c2 + mp.sqrt(c2)) * mp.exp(-k * (eta / (2 * x.beta * cls)))
 
-        c_p_log = float(mp.log(cp))
+        log_cp = mp.log(cp)
+        c_p_log = float(log_cp)
         notes = []
         if inner < 0:
             notes.append("initial-divergence expression negative; C2 undefined (vacuous bound)")
         if float(cp) == math.inf:
-            notes.append(f"Poincare bound overflows float range; log value {c_p_log:.6g}")
+            log_text = f"{c_p_log:.6g}" if math.isfinite(c_p_log) else mp.nstr(log_cp, 6)
+            notes.append(f"Poincare bound overflows float range; log value {log_text}")
         elif float(cls) == math.inf:
             notes.append("log-Sobolev bound overflows float range; "
                          "exponential term taken undecayed")

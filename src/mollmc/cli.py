@@ -22,11 +22,14 @@ under the seed derived from the root seed by the splitmix64 scheme in
 reproduces the trace files byte for byte regardless of worker scheduling.
 
 ``sample`` splits the replicas into one contiguous shard per worker
-(``MOLLMC_WORKERS``, default one per CPU the process may run on).  At two or
-more workers each shard runs in a forked child, which steps it in lockstep
-through :func:`mollmc.samplers.run`, writes its CSVs and sends back only its
-summary entries; a replica's ``elapsed_s`` is the wall time of the lockstep
-group it ran in, the whole shard unless the shard is large.  The trace files
+(``MOLLMC_WORKERS``, default one per CPU the process may run on).  It forms
+the config hash, the oracle, the chain config and the replicas' seeds once,
+for every shard.  A lone shard runs in the ``sample`` process; at two or more
+workers each shard runs in a child forked before any shard starts.  A shard
+steps its replicas in lockstep through :func:`mollmc.samplers.run` and writes
+their CSVs, and a child sends back only its summary entries.  A replica's
+``elapsed_s`` is the wall time of the lockstep group it ran in, the whole
+shard unless the shard is large.  The trace files
 and the rest of the summary do not depend on the worker count.
 
 This module imports only the standard library and :mod:`mollmc._args` at the
@@ -236,44 +239,37 @@ def _n_workers(replicas: int) -> int:
     return min(workers, replicas) if hasattr(os, "fork") else 1
 
 
-def _run_shard(cfg: dict, root_seed: int, lo: int, hi: int, out_dir: Path) -> list[dict]:
+def _run_shard(digest: str, oracle, chain, seeds: list, lo: int, hi: int, out_dir: Path):
     """Run replicas ``lo .. hi - 1`` in lockstep; write their CSVs, return their entries."""
     from .metrics import moment_report
-    from .rng import derive_seed
     from .samplers import run, write_trace_csv
 
-    digest = config_hash(cfg)
-    oracle = build_oracle(cfg)
-    m = oracle.potential.m
-    seeds = [derive_seed(root_seed, i) for i in range(lo, hi)]
-    traces = run(oracle, build_chain_config(cfg), seeds)
+    traces = run(oracle, chain, seeds[lo:hi])
     entries = []
-    for index, seed, trace in zip(range(lo, hi), seeds, traces):
+    for index, seed, trace in zip(range(lo, hi), seeds[lo:hi], traces):
         fname = f"chain_{index:04d}.csv"
         write_trace_csv(
             trace, out_dir / fname, provenance={"config": digest, "seed": seed, "replica": index}
         )
-        entry = {
-            "replica": index,
-            "seed": seed,
-            "file": fname,
-            "elapsed_s": trace.elapsed,
-            "n_recorded": int(trace.n_recorded),
-            "diverged_at": trace.diverged_at,
-        }
+        entry = {"replica": index, "seed": seed, "file": fname, "elapsed_s": trace.elapsed,
+                 "n_recorded": int(trace.n_recorded), "diverged_at": trace.diverged_at}
         if trace.diverged_at is None and trace.n_recorded > 1:
-            entry["moments"] = moment_report(trace, m=m)
+            entry["moments"] = moment_report(trace, m=oracle.potential.m)
         entries.append(entry)
     return entries
 
 
-def _run_forked(cfg: dict, root_seed: int, shards: list, out_dir: Path) -> list[dict]:
-    """Run each shard ``(lo, hi)`` in a forked child, which pickles its entries or exception
-    into a pipe and leaves by ``os._exit``, never flushing stdio it shares with the parent.
-    Every child is reaped before anything is raised; one that sends nothing is an OSError."""
+def _run_shards(shards: list, run_shard) -> list[dict]:
+    """``run_shard(lo, hi)`` for each shard ``(lo, hi)``, their entries in shard order.
+    A lone shard runs here; of several, each runs in a child forked before any starts
+    (one run here would add the library pages this process touched to the run's peak
+    RSS).  A child pickles its entries or exception into a pipe and leaves by
+    ``os._exit``, never flushing stdio it shares with this process.  Every child is
+    reaped before anything is raised, and errors are raised in shard order; a child
+    that sends nothing is an OSError."""
+    if len(shards) == 1:
+        return run_shard(*shards[0])
     import pickle
-
-    from . import metrics, samplers  # noqa: F401 - loaded once, before the forks
 
     children, results = [], []
     try:
@@ -284,7 +280,7 @@ def _run_forked(cfg: dict, root_seed: int, shards: list, out_dir: Path) -> list[
                 try:
                     os.close(read_fd)
                     try:
-                        result = _run_shard(cfg, root_seed, lo, hi, out_dir)
+                        result = run_shard(lo, hi)
                     except BaseException as err:  # the parent raises it
                         result = err
                     with open(write_fd, "wb") as pipe:
@@ -309,20 +305,23 @@ def _run_forked(cfg: dict, root_seed: int, shards: list, out_dir: Path) -> list[
 
 
 def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
-    """Run all replicas of a validated config and write traces + summary, one
-    contiguous shard per worker; each worker writes its own shard's traces."""
+    """Run all replicas of a validated config and write traces + summary, one contiguous
+    shard per worker; the digest, oracle, chain config and seeds are formed once for all."""
+    from . import metrics  # noqa: F401 - loaded once, before the forks
+    from .rng import derive_seed
+
     replicas = int(cfg.get("replicas", 1))
     workers = _n_workers(replicas)
     out_dir.mkdir(parents=True, exist_ok=True)
+    digest, oracle, chain = config_hash(cfg), build_oracle(cfg), build_chain_config(cfg)
+    seeds = [derive_seed(root_seed, i) for i in range(replicas)]
     cuts = [replicas * w // workers for w in range(workers + 1)]
-    shards = list(zip(cuts[:-1], cuts[1:]))
-
-    entries = (_run_forked(cfg, root_seed, shards, out_dir) if workers > 1
-               else _run_shard(cfg, root_seed, 0, replicas, out_dir))
+    entries = _run_shards(list(zip(cuts[:-1], cuts[1:])), lambda lo, hi: _run_shard(
+        digest, oracle, chain, seeds, lo, hi, out_dir))
 
     summary = {
         "config": cfg,
-        "config_sha256": config_hash(cfg),
+        "config_sha256": digest,
         "root_seed": int(root_seed),
         "replicas": entries,
         "diverged": any(e["diverged_at"] is not None for e in entries),

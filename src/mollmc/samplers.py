@@ -171,6 +171,14 @@ class SphericalSmoothed:
         # this.  It is what mean() computes, without mean()'s call overhead.
         return np.add.reduce(g.reshape(len(x), self.n_batch, self.dim), axis=1) / self.n_batch
 
+    def _rows_at(self, x, block, j, rows):
+        """:meth:`grad_at` at the chains ``rows`` with each term divided by ``n_batch``
+        before the sum, which overflows only where the mean does; :func:`run` calls it
+        for the rows whose sum overflowed."""
+        pts = (x[rows, None, :] + block[rows, j]).reshape(-1, self.dim)
+        g = np.asarray(self.potential.weak_grad(pts), dtype=float) / self.n_batch
+        return np.add.reduce(g.reshape(-1, self.n_batch, self.dim), axis=1)
+
 
 class FiniteSumSpherical(SphericalSmoothed):
     """Mini-batch smoothed oracle for a finite-sum potential.
@@ -202,6 +210,12 @@ class FiniteSumSpherical(SphericalSmoothed):
         g = g.reshape(len(x), self.n_batch, self.dim).cumsum(axis=1)[:, -1]
         return g * (self.fsum.n_components / self.n_batch)
 
+    def _rows_at(self, x, block, j, rows):
+        zeta, lam = block
+        pts = (x[rows, None, :] + zeta[rows, j]).reshape(-1, self.dim)
+        g = self.fsum.component_grad(lam[rows, j].reshape(-1), pts) / self.n_batch
+        return g.reshape(-1, self.n_batch, self.dim).cumsum(axis=1)[:, -1] * self.fsum.n_components
+
 
 def _smoothing_block(d: int, r: float, n_steps: int, n_batch: int, rngs) -> np.ndarray:
     """``r`` times kernel draws, chain-major: shape ``(C, n_steps, n_batch, d)``.
@@ -230,8 +244,10 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
     chain at that seed.  A chain whose iterate becomes non-finite or exceeds
     norm ``1e8`` has diverged, which at a dissipative potential means a step
     size too large for its growth: it stops recording, its trace is the
-    partial one with ``diverged_at`` set, and the other chains step on.  The
-    chains step in groups of as many as keep a noise block within
+    partial one with ``diverged_at`` set, and the other chains step on.  A
+    smoothed oracle's batch sum that overflows is first formed again with its
+    terms divided by ``n_batch``, so only a mean beyond float range diverges.
+    The chains step in groups of as many as keep a noise block within
     :data:`LOCKSTEP_BLOCK_BYTES`; every trace's ``elapsed`` is the wall time
     of its group.
     """
@@ -248,8 +264,11 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
     per_chain = 8 * min(NOISE_BLOCK, cfg.k) * ((1 + oracle.n_batch) * oracle.dim + picks)
     size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
     traces = []
-    for lo in range(0, len(chain_seeds), size):
-        traces += _lockstep(oracle, cfg, chain_seeds[lo:lo + size])
+    # an overflow in a step leaves a non-finite iterate, which the divergence
+    # screen reports, so numpy's overflow warning would only repeat it
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(chain_seeds), size):
+            traces += _lockstep(oracle, cfg, chain_seeds[lo:lo + size])
     return traces
 
 
@@ -289,10 +308,16 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
         o_block = oracle.prep_block(n_steps, zrng, lrng)
         for j in range(n_steps):
             g = oracle.grad_at(x, o_block, j)
-            x = x - eta * g
+            x, before = x - eta * g, x
             x += z_block[:, j]
             i += 1
             if not float(np.vdot(x, x)) <= screen:
+                rows = ~np.isfinite(g).all(axis=1)
+                if isinstance(oracle, SphericalSmoothed) and rows.any():
+                    # a sum of gradient terms that overflowed, stepped again from the
+                    # pre-step state with its terms divided first
+                    x[rows] = before[rows] - eta * oracle._rows_at(before, o_block, j, rows)
+                    x[rows] += z_block[rows, j]
                 for c in range(n_chains):
                     s = float(np.vdot(x[c], x[c]))  # no overflow warning, unlike @
                     if not math.isfinite(s) or s > limit2:

@@ -190,25 +190,52 @@ def test_sample_csvs_independent_of_worker_count(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _last_shard_fails(monkeypatch, fail):
-    """Make ``fail()`` run in place of the shard that holds the last replica: a
-    forked child's at two workers, the only shard at one."""
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
+def test_sample_forms_the_run_once_and_forks_only_for_several_shards(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the run's digest and oracle are formed once, in the sample process, before any fork;
+    # a lone shard runs there too
+    test_process, calls = os.getpid(), []
+
+    def counted(name, f):
+        def call(*args):
+            if os.getpid() != test_process:  # raised again by the sample process
+                raise AssertionError(f"{name} ran in a shard's child")
+            calls.append(name)
+            return f(*args)
+        return call
+
+    for module, name in [(os, "fork"), (cli, "config_hash"), (cli, "build_oracle")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cfg = dict(_SAMPLE_CONFIGS["ss_lmc"], replicas=5)
+    for workers in (1, 2, 3):
+        calls.clear()
+        assert _sample(tmp_path, cfg, "forks", str(workers), monkeypatch)[0] == EXIT_OK
+        forks = ["fork"] * workers if workers > 1 else []
+        assert sorted(calls) == ["build_oracle", "config_hash", *forks]
+    capsys.readouterr()
+
+
+def _shard_fails(monkeypatch, fail, replica):
+    """Make ``fail()`` run in place of the shard that holds ``replica``: a forked
+    child's at two workers, the only shard at one."""
     run_shard = cli._run_shard
 
-    def shard(cfg, root_seed, lo, hi, out_dir):
-        if hi == cfg["replicas"]:
+    def shard(digest, oracle, chain, seeds, lo, hi, out_dir):
+        if lo <= replica < hi:
             fail()
-        return run_shard(cfg, root_seed, lo, hi, out_dir)
+        return run_shard(digest, oracle, chain, seeds, lo, hi, out_dir)
 
     monkeypatch.setattr(cli, "_run_shard", shard)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
-def test_a_shard_error_reads_the_same_at_any_worker_count(tmp_path, monkeypatch, capsys):
+def test_a_shard_error_reads_the_same_at_any_worker_count(tmp_path, monkeypatch, capsys,
+                                                          replica=3):
     def fail():
         raise ValueError("potential.params: c must be finite and positive, got nan")
 
-    _last_shard_fails(monkeypatch, fail)
+    _shard_fails(monkeypatch, fail, replica)
     cfg = dict(_SAMPLE_CONFIGS["lmc"], replicas=4)
     errors = []
     for workers in ("1", "2"):
@@ -222,6 +249,12 @@ def test_a_shard_error_reads_the_same_at_any_worker_count(tmp_path, monkeypatch,
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
+def test_a_first_shard_error_reads_the_same_at_any_worker_count(tmp_path, monkeypatch, capsys):
+    # the second shard's child is reaped before the first shard's error is raised
+    test_a_shard_error_reads_the_same_at_any_worker_count(tmp_path, monkeypatch, capsys, 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
 def test_a_killed_shard_is_an_error_line_and_leaves_no_child(tmp_path, monkeypatch, capsys):
     test_process = os.getpid()
 
@@ -229,7 +262,7 @@ def test_a_killed_shard_is_an_error_line_and_leaves_no_child(tmp_path, monkeypat
         if os.getpid() != test_process:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    _last_shard_fails(monkeypatch, fail)
+    _shard_fails(monkeypatch, fail, replica=3)
     cfg = dict(_SAMPLE_CONFIGS["lmc"], replicas=4)
     code, out = _sample(tmp_path, cfg, "killed", "2", monkeypatch)
     assert code == EXIT_ERROR
@@ -928,6 +961,9 @@ def test_bound_takes_a_gradient_norm_beyond_float_range(tmp_path, capsys):
     captured = capsys.readouterr()
     out = json.loads(captured.out, parse_constant=_not_json)
     assert out["vacuous"] is True and out["w2_bound"] is None and captured.err == ""
+    # the log itself is beyond float range: the note read "log value inf"
+    assert out["c_p_log"] is None
+    assert out["notes"] == ["Poincare bound overflows float range; log value 2.47562e+309"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -958,3 +994,21 @@ def test_a_huge_l1_weight_is_quiet_or_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: potential.params: lam1 = 1e+308 puts the sign jump 2 lam1 sqrt(d) "
         "beyond float range\n")
+
+
+@pytest.mark.parametrize("algo", ["ss_lmc", "ss_sg_lmc"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_smoothed_mean_in_float_range_does_not_overflow(tmp_path, monkeypatch, capsys, algo,
+                                                          workers):
+    # the n_batch = 4 gradient terms near lam1 = 5e307 were summed before the sum was
+    # divided: numpy's overflow warning and "replica 0 diverged at step 1", exit 3
+    cfg = dict(_SAMPLE_CONFIGS[algo],
+               potential={"name": "elastic_net_logistic", "d": 2, "params": {"lam1": 5e307}},
+               chain={"beta": 1.0, "eta": 1e-320, "k": 10, "seed": 3},
+               smoothing={"r": 0.1, "n_batch": 4}, replicas=2)
+    if algo == "ss_sg_lmc":
+        cfg["finite_sum"] = {"n_components": 1}
+    code, out = _sample(tmp_path, cfg, algo, workers, monkeypatch)
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    summary = json.loads((out / "summary.json").read_text())
+    assert [e["n_recorded"] for e in summary["replicas"]] == [11, 11]

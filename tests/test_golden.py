@@ -189,7 +189,7 @@ def test_ci_pins_the_golden_versions():
     minor = ".".join(pinned["python"].split(".")[:2])
     assert f'python-version: "{minor}"' in workflow
     assert f"numpy=={pinned['numpy']} mpmath=={pinned['mpmath']}" in workflow
-    assert "python -m pytest -q" in workflow
+    assert "python -X dev -m pytest -q" in workflow
     assert "python3 perfbench/run.py --workload all --seed 7 --seconds 1" in workflow
 
 

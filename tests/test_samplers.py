@@ -451,6 +451,22 @@ class TestStreamsAndReplicas:
         for c in range(4):
             assert np.array_equal(got[c], p.weak_grad(x[c] + block[c, 0]).mean(axis=0))
 
+    @pytest.mark.parametrize("kind", ["smoothed", "finite_sum"])
+    def test_an_overflowed_batch_sum_is_stepped_again_from_its_mean(self, kind):
+        # at lam1 = 5e307 each of the 4 terms and their mean are floats, their sum is not
+        p = builtin("elastic_net_logistic", 2, lam1=5e307)
+        oracle = (SphericalSmoothed(p, r=0.1, n_batch=4) if kind == "smoothed" else
+                  FiniteSumSpherical(FiniteSumPotential.equal_split(p, 1), r=0.1, n_batch=4))
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((3, 2))
+        block = oracle.prep_block(1, [rng] * 3, [rng] * 3)
+        with np.errstate(over="ignore"):
+            assert np.isinf(oracle.grad_at(x, block, 0)).all()
+        mean = oracle._rows_at(x, block, 0, np.array([True, False, True]))
+        assert mean.shape == (2, 2) and np.isfinite(mean).all()
+        traces = _assert_rows_match_solo_runs(oracle, ChainConfig(beta=1.0, eta=1e-320, k=10), 2, 3)
+        assert [t.diverged_at for t in traces] == [None] * 3
+
     def test_run_replicas_distinct_and_deterministic(self):
         p = builtin("quadratic", 1)
         cfg = ChainConfig(beta=1.0, eta=0.1, k=50)
