@@ -10,8 +10,7 @@ import numpy as np
 
 from mollmc.metrics import moment_report
 from mollmc.potentials import builtin
-from mollmc.rng import derive_seed
-from mollmc.samplers import ChainConfig, ExactGradient, run
+from mollmc.samplers import ChainConfig, ExactGradient, derive_seed, run
 
 beta, eta = 1.0, 0.05
 p = builtin("quadratic", 1)

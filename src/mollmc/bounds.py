@@ -42,7 +42,6 @@ __all__ = [
     "kappa_inf",
     "c_zero",
     "poincare_bound",
-    "poincare_log_bound",
     "log_sobolev_bound",
     "kl_discretization",
     "kl_initial",
@@ -159,19 +158,12 @@ def _poincare_bound(x):
     """Upper bound for the Poincare constant of the smoothed Gibbs measure.
 
     Independent of the smoothing radius; ``inf`` when the bound lies beyond
-    float range (see :func:`poincare_log_bound`).
+    float range (:func:`theorem_bound` then gives its log, ``c_p_log``).
     """
     s = x.d + (x.b + x.m) * x.beta
     mb = x.m * x.beta
     arg = x.beta * (25 * x.grad_u_mnorm * (1 + 8 * s / mb) / 16 + x.u0)
     return 4 / (mb * s) + 8 * x.a_abs * s / mb * mp.exp(arg)
-
-
-def _poincare_log_bound(x):
-    """log of the Poincare bound, exact at 40 digits.  Its float form stays finite where
-    the bound overflows, unless the bound's exponent ``arg`` is itself beyond float range;
-    :func:`theorem_bound`'s overflow note then gives the log as 6-digit text."""
-    return mp.log(_poincare_bound(x))
 
 
 def _log_sobolev_bound(x):
@@ -219,7 +211,6 @@ eta_max = _rounded(_eta_max)
 kappa_inf = _rounded(_kappa_inf)
 c_zero = _rounded(_c_zero)
 poincare_bound = _rounded(_poincare_bound)
-poincare_log_bound = _rounded(_poincare_log_bound)
 log_sobolev_bound = _rounded(_log_sobolev_bound)
 kl_discretization = _rounded(_kl_discretization)
 kl_initial = _rounded(_kl_initial)
@@ -248,7 +239,10 @@ class TheoremBound:
         return bool(self.notes) or not math.isfinite(self.w2_bound)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        """The fields as JSON: inf and nan, which JSON lacks, read None, and
+        ``c_p_log`` and the notes say what overflowed."""
+        out = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in asdict(self).items()}
         notes = out.pop("notes")
         return {**out, "vacuous": self.vacuous, "notes": list(notes)}
 

@@ -17,9 +17,9 @@ stated here.  Every key is checked wherever it appears, whatever the
 algorithm.  Unknown keys are errors, not warnings, because a silently ignored
 misspelling is the main failure mode of numerical experiments.  Every output
 embeds the config hash and the seed it was produced from.  Replica ``i`` runs
-under the seed derived from the root seed by the splitmix64 scheme in
-:mod:`mollmc.rng`, so re-running any experiment with the same config and seed
-reproduces the trace files byte for byte regardless of worker scheduling.
+under the seed :func:`mollmc.samplers.derive_seed` derives from the root seed,
+so re-running any experiment with the same config and seed reproduces the
+trace files byte for byte regardless of worker scheduling.
 
 ``sample`` splits the replicas into one contiguous shard per worker
 (``MOLLMC_WORKERS``, default one per CPU the process may run on).  It forms
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -275,7 +274,12 @@ def _run_shards(shards: list, run_shard) -> list[dict]:
     try:
         for lo, hi in shards:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 try:
                     os.close(read_fd)
@@ -308,7 +312,7 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
     """Run all replicas of a validated config and write traces + summary, one contiguous
     shard per worker; the digest, oracle, chain config and seeds are formed once for all."""
     from . import metrics  # noqa: F401 - loaded once, before the forks
-    from .rng import derive_seed
+    from .samplers import derive_seed
 
     replicas = int(cfg.get("replicas", 1))
     workers = _n_workers(replicas)
@@ -446,14 +450,8 @@ def cmd_bound(args) -> int:
         return EXIT_ERROR
     inputs = inputs_from(oracle, beta=chain.beta, r=args.r, a_abs=args.a_abs)
     tb = theorem_bound(inputs, eta=chain.eta, k=chain.k)
-    payload = tb.to_dict()
-    payload["config_sha256"] = config_hash(cfg)
-    payload["r"] = inputs.r
-    payload["eta"] = chain.eta
-    payload["k"] = chain.k
-    # inf and nan are not JSON; c_p_log and the notes say what overflowed
-    payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
-               for key, value in payload.items()}
+    payload = {**tb.to_dict(), "config_sha256": config_hash(cfg), "r": inputs.r,
+               "eta": chain.eta, "k": chain.k}
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 

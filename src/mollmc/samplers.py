@@ -22,19 +22,26 @@ starts at ``cfg.x0``, or, when it is None, at a standard Gaussian drawn from
 its own initial-value stream.  A diverged chain is reported by its partial
 trace and ``diverged_at``, not by an exception.
 
-Randomness is organised for reproducibility: a chain seed derives four
-sub-streams (Brownian increments, smoothing draws, component picks, initial
-value), so identical ``(oracle, config, seed)`` always reproduce the trace
-bit for bit, whichever other chains step beside it, and parallel replicas
-never share a stream.  Noise is pre-drawn in fixed blocks of
-:data:`NOISE_BLOCK` steps, each chain's block from its own streams; the block
-size is part of the reproducibility contract.  A block holds
-``C * NOISE_BLOCK * d`` Gaussians, ``C * NOISE_BLOCK * n_batch * d``
-smoothing draws and, for a finite sum, ``C * NOISE_BLOCK * n_batch`` int64
-component picks, so large ensembles step in groups whose blocks stay within
-:data:`LOCKSTEP_BLOCK_BYTES`.  Each generator draws straight into its
-chain's slice of a chain-major block, so at its peak a group holds its block
-and its trace array: a spent block is dropped before the next one is drawn.
+Randomness is organised for reproducibility.  :func:`derive_seed` is the
+splitmix64 scheme, pure integer arithmetic: replica ``i`` of a root seed runs
+under ``derive_seed(root, i)``.  A chain seed derives four PCG64 sub-streams
+(:func:`chain_streams`), indexed 0 Brownian increments, 1 smoothing draws,
+2 component picks and 3 initial value, so identical ``(oracle, config, seed)``
+always reproduce the trace bit for bit, whichever other chains step beside it,
+and parallel replicas never share a stream.  Noise is pre-drawn in fixed
+blocks of :data:`NOISE_BLOCK` steps, each chain's block from its own streams;
+the block size is part of the reproducibility contract.  Per step a chain's
+block holds ``d`` Gaussians, ``n_batch * d`` smoothing draws and, for a finite
+sum, ``picks = n_batch`` int64 component picks (else ``picks = 0``), so it is
+``8 * min(NOISE_BLOCK, k) * ((1 + n_batch) * d + picks)`` bytes.  Large
+ensembles step in groups of as many chains as keep a group's block within
+:data:`LOCKSTEP_BLOCK_BYTES`.  That budget binds groups, not a lone chain: a
+group holds at least one chain and a chain's block is never split, so a chain
+whose block is larger steps alone (``ss_lmc`` at ``d = 10``, ``n_batch = 128``
+and ``k >= 4096`` draws 42,270,720-byte blocks against 33,554,432).  Each
+generator draws straight into its chain's slice of a chain-major block, so at
+its peak a group holds its block and its trace array: a spent block is dropped
+before the next one is drawn.
 
 The oracles share one protocol, and only sample.  ``dim`` is ``d``;
 ``n_batch`` counts kernel points per chain and step (0 for the exact
@@ -58,13 +65,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _args
-from . import rng as _rng
 from .mollifier import sample as _kernel_sample
 from .potentials import FiniteSumPotential, PotentialSpec
 
 __all__ = [
     "NOISE_BLOCK",
     "LOCKSTEP_BLOCK_BYTES",
+    "derive_seed",
+    "chain_streams",
     "ChainConfig",
     "Trace",
     "ExactGradient",
@@ -80,6 +88,25 @@ DIVERGENCE_NORM = 1e8
 # bytes of pre-drawn noise that one lockstep group may hold; larger ensembles
 # step group after group
 LOCKSTEP_BLOCK_BYTES = 32 * 2**20
+_MASK64 = (1 << 64) - 1
+
+
+def derive_seed(root: int, index: int) -> int:
+    """The ``index``-th output of a splitmix64 generator seeded at ``root``: the
+    splitmix64 finalizer of ``root + (index + 1) * 0x9E3779B97F4A7C15`` mod ``2**64``."""
+    _args.seed("root", root)
+    _args.count("index", index, least=0)
+    z = (int(root) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def chain_streams(chain_seed: int) -> tuple[np.random.Generator, ...]:
+    """The four generators of one chain, PCG64 at ``derive_seed(chain_seed, j)``:
+    ``j`` = 0 Brownian increments, 1 smoothing draws, 2 component picks, 3 initial value."""
+    return tuple(np.random.Generator(np.random.PCG64(derive_seed(chain_seed, j)))
+                 for j in range(4))
 
 
 @dataclass(frozen=True)
@@ -247,8 +274,9 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
     partial one with ``diverged_at`` set, and the other chains step on.  A
     smoothed oracle's batch sum that overflows is first formed again with its
     terms divided by ``n_batch``, so only a mean beyond float range diverges.
-    The chains step in groups of as many as keep a noise block within
-    :data:`LOCKSTEP_BLOCK_BYTES`; every trace's ``elapsed`` is the wall time
+    The chains step in groups of as many as keep a group's noise block within
+    :data:`LOCKSTEP_BLOCK_BYTES`, but at least one, so a chain whose own block
+    is larger steps alone with it; every trace's ``elapsed`` is the wall time
     of its group.
     """
     chain_seeds = list(seeds)
@@ -258,8 +286,6 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
         _args.seed("seed", s)
     if cfg.x0 is not None and len(cfg.x0) != oracle.dim:
         raise ValueError(f"x0 has {len(cfg.x0)} coordinates, the chain has dim {oracle.dim}")
-    # one chain's block per step: d Gaussians, n_batch * d smoothing draws and,
-    # for a finite sum, n_batch int64 component picks
     picks = oracle.n_batch if isinstance(oracle, FiniteSumSpherical) else 0
     per_chain = 8 * min(NOISE_BLOCK, cfg.k) * ((1 + oracle.n_batch) * oracle.dim + picks)
     size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
@@ -276,7 +302,7 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
     """One trace per seed, the chains stepped together over a ``(C, d)`` array."""
     t0 = time.perf_counter()
     d = oracle.dim
-    bm, zrng, lrng, irng = zip(*(_rng.chain_streams(s) for s in chain_seeds))
+    bm, zrng, lrng, irng = zip(*(chain_streams(s) for s in chain_seeds))
     n_chains = len(chain_seeds)
     if cfg.x0 is None:
         x = np.stack([gen.standard_normal(d) for gen in irng])

@@ -136,11 +136,12 @@ class TestPoincare:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_overflow_reported_as_inf_with_log(self):
-        from mollmc.bounds import poincare_log_bound
-
         big = make_inputs(u0=2000.0)
         assert poincare_bound(big) == math.inf
-        assert math.isfinite(poincare_log_bound(big))
+        tb = theorem_bound(big, eta=0.1, k=10)
+        # log(16) + 2000 at 40 digits, rounded once
+        assert tb.c_p_bound == math.inf and tb.c_p_log == 2002.7725887222398
+        assert "Poincare bound overflows float range; log value 2002.77" in tb.notes
 
     def test_finite_up_to_the_float_range(self):
         # the log bound is log(16) + 700 = 702.77, below log(max float) = 709.78
@@ -758,7 +759,23 @@ class TestOneArithmetic:
                 except ValueError as err:
                     assert str(err).startswith(f"step size {eta} outside the admissible range")
                     continue
-                nan = {key for key, value in tb.to_dict().items()
+                # asdict, not to_dict, which writes nan as None
+                nan = {key for key, value in dataclasses.asdict(tb).items()
                        if isinstance(value, float) and math.isnan(value)}
                 undefined = any("C2 undefined" in note for note in tb.notes)
                 assert nan <= ({"c2", "exp_term", "w2_bound"} if undefined else set())
+
+    @pytest.mark.parametrize("name", ["quadratic_d100", "lam2_1.7e308"])
+    def test_to_dict_is_json_with_null_exactly_where_a_field_is_not_finite(self, name):
+        # bound prints to_dict as it is, and summary.json is dumped with allow_nan=False
+        if name == "quadratic_d100":
+            oracle, beta, r, eta, k = _golden_run(name)
+            tb = theorem_bound(inputs_from(oracle, beta, r), eta, k)
+        else:
+            p = builtin("elastic_net_logistic", 2, lam2=1.7e308)
+            tb = theorem_bound(inputs_from(SphericalSmoothed(p, 0.1, 4), 1.0), 1e-320, 10)
+        fields = dataclasses.asdict(tb)
+        out = json.loads(json.dumps(tb.to_dict(), allow_nan=False))
+        bad = {key for key, v in fields.items() if isinstance(v, float) and not math.isfinite(v)}
+        assert bad and {key for key, v in out.items() if v is None} == bad
+        assert all(out[key] == v for key, v in fields.items() if key not in bad | {"notes"})

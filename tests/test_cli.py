@@ -275,6 +275,30 @@ def test_a_killed_shard_is_an_error_line_and_leaves_no_child(tmp_path, monkeypat
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts fds in /proc/self/fd")
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_first_child(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the pipe made for a fork that raised was left open, two fds more after the run
+    fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    before = len(os.listdir("/proc/self/fd"))
+    code, out = _sample(tmp_path, dict(_SAMPLE_CONFIGS["lmc"], replicas=3), "nofork", "3",
+                        monkeypatch)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert code == EXIT_ERROR and len(forks) == 2
+    assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert not (out / "summary.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # on the double well at eta = 0.3, replicas 0 and 3 of root seed 1 blow up
 # within 200 steps and the other three stay bounded
 _DIVERGING = {

@@ -189,6 +189,10 @@ def test_ci_pins_the_golden_versions():
     minor = ".".join(pinned["python"].split(".")[:2])
     assert f'python-version: "{minor}"' in workflow
     assert f"numpy=={pinned['numpy']} mpmath=={pinned['mpmath']}" in workflow
+    # an unpinned test tool can fail tier-1 by a new DeprecationWarning alone
+    (install,) = [line for line in workflow.splitlines() if "pip install" in line]
+    packages = install.split("pip install", 1)[1].split()
+    assert packages and all("==" in package for package in packages), packages
     assert "python -X dev -m pytest -q" in workflow
     assert "python3 perfbench/run.py --workload all --seed 7 --seconds 1" in workflow
 

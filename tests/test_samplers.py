@@ -10,13 +10,14 @@ from mollmc.continuity import ModulusSpec
 from mollmc.mollifier import density
 from mollmc.potentials import FiniteSumPotential, PotentialSpec, builtin
 from mollmc import samplers
-from mollmc.rng import chain_streams, derive_seed
 from mollmc.samplers import (
     ChainConfig,
     ExactGradient,
     FiniteSumSpherical,
     SphericalSmoothed,
     Trace,
+    chain_streams,
+    derive_seed,
     run,
     ss_gradient_batch,
     write_trace_csv,
