@@ -24,13 +24,14 @@ trace files byte for byte regardless of worker scheduling.
 ``sample`` splits the replicas into one contiguous shard per worker
 (``MOLLMC_WORKERS``, default one per CPU the process may run on).  It forms
 the config hash, the oracle, the chain config and the replicas' seeds once,
-for every shard.  A lone shard runs in the ``sample`` process; at two or more
-workers each shard runs in a child forked before any shard starts.  A shard
-steps its replicas in lockstep through :func:`mollmc.samplers.run` and writes
-their CSVs, and a child sends back only its summary entries.  A replica's
-``elapsed_s`` is the wall time of the lockstep group it ran in, the whole
-shard unless the shard is large.  The trace files
-and the rest of the summary do not depend on the worker count.
+for every shard, and like every command builds the potential once, in
+:func:`build_oracle`.  A lone shard runs in the ``sample`` process; at two or
+more workers each shard runs in a child forked before any shard starts.  A
+shard steps its replicas in lockstep through :func:`mollmc.samplers.run` and
+writes their CSVs, and a child sends back only its summary entries.  A
+replica's ``elapsed_s`` is the wall time of the lockstep group it ran in, the
+whole shard unless the shard is large.  The trace files and the rest of the
+summary do not depend on the worker count.
 
 This module imports only the standard library and :mod:`mollmc._args` at the
 top.  Each subcommand imports what it runs inside the functions that run it.
@@ -150,9 +151,8 @@ def _walk(node: dict, path: tuple) -> None:
 
 def validate_config(cfg: dict) -> dict:
     """Check the config against ``_KEYS`` and ``_REQUIRED``; returns it unchanged.
-    The potential is built once here, so that its own range checks fail before
-    any output exists."""
-    from .potentials import BUILTIN_NAMES, builtin
+    The potential's own range checks run where :func:`build_oracle` builds it."""
+    from .potentials import BUILTIN_NAMES
 
     _OBJECT("config", cfg)
     _walk(cfg, ())
@@ -172,10 +172,6 @@ def validate_config(cfg: dict) -> dict:
     if "x0" in init and len(init["x0"]) != pot["d"]:
         raise ValueError(f"chain.init.x0 must be of length potential.d = {pot['d']}, "
                          f"got {init['x0']!r}")
-    try:
-        builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
-    except ValueError as err:
-        raise ValueError(f"potential.params: {err}") from None
     return cfg
 
 
@@ -198,9 +194,11 @@ def build_oracle(cfg: dict):
     from .potentials import FiniteSumPotential, builtin
     from .samplers import ExactGradient, FiniteSumSpherical, SphericalSmoothed
 
-    algo = cfg["algorithm"]
-    pot = cfg["potential"]
-    p = builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
+    algo, pot = cfg["algorithm"], cfg["potential"]
+    try:
+        p = builtin(pot["name"], int(pot["d"]), **pot.get("params", {}))
+    except ValueError as err:
+        raise ValueError(f"potential.params: {err}") from None
     if algo == "lmc":
         return ExactGradient(p)
     sm = cfg["smoothing"]
@@ -314,10 +312,10 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
     from . import metrics  # noqa: F401 - loaded once, before the forks
     from .samplers import derive_seed
 
+    digest, oracle, chain = config_hash(cfg), build_oracle(cfg), build_chain_config(cfg)
     replicas = int(cfg.get("replicas", 1))
     workers = _n_workers(replicas)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest, oracle, chain = config_hash(cfg), build_oracle(cfg), build_chain_config(cfg)
     seeds = [derive_seed(root_seed, i) for i in range(replicas)]
     cuts = [replicas * w // workers for w in range(workers + 1)]
     entries = _run_shards(list(zip(cuts[:-1], cuts[1:])), lambda lo, hi: _run_shard(

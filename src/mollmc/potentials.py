@@ -228,10 +228,12 @@ def _elastic_net_logistic(d, lam1=0.1, lam2=1.0):
         x = np.asarray(x, dtype=float)
         return -_sig_prod(x) + lam1 * np.sign(x) + lam2 * x
 
-    # b = d * sup_u (u sig_prod(u) - lam1 |u|) on a dense grid, attained below |u| = 8 as
-    # sig_prod decays like e^{-u}; sig_prod <= 1/4, so from lam1 = 1/4 on it is 0, at u = 0
-    u = np.linspace(0.0, 8.0, 20001)
-    b1 = 0.0 if lam1 >= 0.25 else max(float(np.max(u * _sig_prod(u) - lam1 * u)), 0.0)
+    # b = d * sup_u g(u), g(u) = u sig_prod(u) - lam1 |u|, attained below |u| = 8 as sig_prod
+    # decays like e^{-u}: a grid max plus h^2/8 sup|g''|, |g''| <= 2 _SIG_CURVATURE + 8/8 as
+    # sig_prod'' lies in [-1/8, 1/24]; sig_prod <= 1/4, so from lam1 = 1/4 on it is 0, at u = 0
+    u, h = np.linspace(0.0, 8.0, 20001, retstep=True)
+    b1 = 0.0 if lam1 >= 0.25 else (float(np.max(u * _sig_prod(u) - lam1 * u))
+                                   + h * h / 8.0 * (2.0 * _SIG_CURVATURE + 1.0))
 
     # sign jumps contribute 2 lam1 sqrt(d) at any scale, and the smooth
     # part is (lam2 + max|d sig_prod|)-Lipschitz

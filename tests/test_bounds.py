@@ -363,6 +363,10 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match="delta must be a nonnegative real number"):
             make_inputs(delta=(0.0, entry, 0.0, 0.0))
 
+    def test_delta_must_have_four_entries(self):
+        with pytest.raises(ValueError, match="delta must have four entries"):
+            make_inputs(delta=(0.0, 0.0, 0.0))
+
     @pytest.mark.parametrize("axis", range(4))
     def test_an_overflowed_delta_makes_the_envelope_vacuous(self, axis):
         # omega(r)^2 / 2 beyond float range for a modulus near it, as inputs_from gives
@@ -512,6 +516,12 @@ class TestExpMoment:
         inputs = make_inputs()  # beta m_bar = 0.5
         with pytest.raises(ValueError):
             exp_moment_bound(inputs, 1.0, 0.5)
+
+    def test_a_finite_time_past_a_half_needs_the_initial_moment(self):
+        # alpha = 0.6 is admissible at beta m / 2 = 1, but the Gaussian moment is undefined
+        inputs = make_inputs(beta=2.0)
+        with pytest.raises(ValueError, match="alpha >= 1/2"):
+            exp_moment_bound(inputs, 1.0, 0.6)
 
     def test_asymptote_finite_up_to_the_float_range(self):
         # the asymptote's log is 2 alpha (b + m + d / beta) / (m / 2 - alpha / beta)

@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 
 import mollmc
-from mollmc import cli
+from mollmc import cli, potentials
 from mollmc.cli import ALGORITHMS, EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, EXIT_REFUSED, main
 from mollmc.planner import PlanRequest, plan_lmc
 
@@ -193,26 +193,27 @@ def test_sample_csvs_independent_of_worker_count(tmp_path, monkeypatch, capsys):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="shards run in forked processes")
 def test_sample_forms_the_run_once_and_forks_only_for_several_shards(tmp_path, monkeypatch,
                                                                      capsys):
-    # the run's digest and oracle are formed once, in the sample process, before any fork;
-    # a lone shard runs there too
+    # the run's digest and oracle, and so its potential, are formed once, in the sample
+    # process, before any fork; a lone shard runs there too
     test_process, calls = os.getpid(), []
 
     def counted(name, f):
-        def call(*args):
+        def call(*args, **kwargs):
             if os.getpid() != test_process:  # raised again by the sample process
                 raise AssertionError(f"{name} ran in a shard's child")
             calls.append(name)
-            return f(*args)
+            return f(*args, **kwargs)
         return call
 
-    for module, name in [(os, "fork"), (cli, "config_hash"), (cli, "build_oracle")]:
+    for module, name in [(os, "fork"), (cli, "config_hash"), (cli, "build_oracle"),
+                         (potentials, "builtin")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cfg = dict(_SAMPLE_CONFIGS["ss_lmc"], replicas=5)
     for workers in (1, 2, 3):
         calls.clear()
         assert _sample(tmp_path, cfg, "forks", str(workers), monkeypatch)[0] == EXIT_OK
         forks = ["fork"] * workers if workers > 1 else []
-        assert sorted(calls) == ["build_oracle", "config_hash", *forks]
+        assert sorted(calls) == ["build_oracle", "builtin", "config_hash", *forks]
     capsys.readouterr()
 
 
@@ -489,6 +490,42 @@ def test_summary_writes_undefined_moments_as_null(tmp_path, chain, undefined):
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_not_json)
     moments = summary["replicas"][0]["moments"]
     assert {key for key, value in moments.items() if value is None} == undefined
+
+
+@pytest.mark.parametrize("command", ["bound", "plan-execute", "load-and-build"])
+def test_each_command_builds_the_potential_once(tmp_path, monkeypatch, capsys, command):
+    # validate_config only checks a config; build_oracle alone builds its potential, where
+    # validate_config built one too (and plan --execute validated twice)
+    calls, builtin = [], potentials.builtin
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return builtin(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "builtin", counted)
+    monkeypatch.setenv("MOLLMC_WORKERS", "1")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_LMC_D1))
+    if command == "load-and-build":  # the benchmark's set-up probe
+        cli.build_oracle(cli.load_config(cfg_path))
+    elif command == "bound":
+        assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_OK
+    else:
+        argv = [*_LMC_PLAN, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+    assert calls == [("quadratic", 1)]
+    capsys.readouterr()
+
+
+def test_bound_refuses_a_point_initial_law(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("chain", "init"),
+                                         {"kind": "point", "x0": [0.5]})))
+    assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bound evaluation needs the gaussian initial law "
+                            "(a point mass has no density)\n")
 
 
 def test_bound_rejects_a_bad_radius_in_an_lmc_config(tmp_path, capsys):
@@ -823,6 +860,29 @@ def test_plan_execute_refuses_mismatched_config(tmp_path, capsys, monkeypatch, a
     assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
     assert "error: the plan is for algorithm" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_plan_execute_runs_an_ss_sg_lmc_config_at_the_printed_plan(tmp_path, capsys,
+                                                                   monkeypatch):
+    # k is about 1.9e7, so run_experiment is stubbed: it only keeps the config it is given
+    ran = []
+
+    def keep(cfg, root_seed, out_dir):
+        ran.append(cfg)
+        return {"diverged": False, "replicas": []}
+
+    monkeypatch.setattr(cli, "run_experiment", keep)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(_SAMPLE_CONFIGS["ss_sg_lmc"], ("potential", "d"), 1)))
+    argv = ["plan", "--algorithm", "ss_sg_lmc", "--epsilon", "1", "--d", "1", "--execute",
+            "--cap", "20000000", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    (cfg,) = ran
+    assert cfg["chain"]["k"] == plan["k"] == 18_845_378
+    assert cfg["chain"]["eta"] == float(plan["eta"])
+    assert cfg["smoothing"]["r"] == float(plan["r"]) == pytest.approx(1 / 48)
+    assert cfg["smoothing"]["n_batch"] == plan["n_batch"] == 4342
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 import mollmc
+from mollmc.cli import entry
 
 MODULES = ["mollmc"] + [f"mollmc.{m.name}" for m in pkgutil.iter_modules(mollmc.__path__)]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = sorted(Path(mollmc.__file__).resolve().parent.glob("*.py"))
 
 
@@ -18,6 +20,14 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_the_mollmc_script_resolves_to_cli_entry():
+    # the installed command runs what pyproject.toml names: a renamed entry would break it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = script["project"]["scripts"]["mollmc"].partition(":")
+    assert getattr(importlib.import_module(module), name, None) is entry
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])

@@ -158,6 +158,11 @@ class TestVerifyPlan:
         assert not report.passed
         assert any(item.name == "exp_term_le_half_eps" for item in report.failures())
 
+    def test_an_unknown_algorithm_is_refused(self):
+        req = PlanRequest(epsilon=1.0, d=1, c_const=1.0, alpha=1.0)
+        with pytest.raises(ValueError, match="unknown plan algorithm 'foo'"):
+            verify_plan(plan_lmc(req)._replace(algorithm="foo"), req)
+
     def test_report_serializes(self):
         req = PlanRequest(epsilon=1.0, d=1, c_const=1.0, alpha=1.0)
         d = verify_plan(plan_lmc(req), req).to_dict()

@@ -99,6 +99,10 @@ class TestHoelderMix:
             builtin("hoelder_mix", 1, alpha=0.0)
 
 
+# the maximiser of u sig_prod(u) - lam1 u at the default lam1 = 0.1
+_U_STAR = 1.0265467483
+
+
 class TestElasticNet:
     def test_sign_zero_convention(self):
         p = builtin("elastic_net_logistic", 2, lam1=0.3, lam2=1.0)
@@ -108,9 +112,28 @@ class TestElasticNet:
 
     def test_dissipativity_on_grid(self):
         p = builtin("elastic_net_logistic", 1, lam1=0.1, lam2=1.0)
-        xs = np.linspace(-50, 50, 40_001)[:, None]
+        xs = np.append(np.linspace(-50, 50, 40_001), _U_STAR)[:, None]
         inner = np.einsum("ij,ij->i", xs, p.weak_grad(xs))
         assert np.all(inner >= p.m * xs[:, 0] ** 2 - p.b - 1e-12)
+
+    def test_dissipativity_at_the_maximiser_in_ten_dimensions(self):
+        # a grid max of u sig_prod(u) - lam1 u left b 2.33e-8 short here, beyond rounding
+        p = builtin("elastic_net_logistic", 10)
+        x = np.full(10, _U_STAR)
+        assert x @ p.weak_grad(x) >= p.m * (x @ x) - p.b
+
+    @pytest.mark.parametrize("lam1", [0.0, 0.05, 0.1, 0.2])
+    def test_b_bounds_the_sup_closely(self, lam1):
+        from scipy.optimize import minimize_scalar
+        from scipy.special import expit
+
+        def neg_g(u):
+            return -(u * expit(u) * expit(-u) - lam1 * u)
+
+        res = minimize_scalar(neg_g, bounds=(0.0, 8.0), method="bounded",
+                              options={"xatol": 1e-14})
+        b = builtin("elastic_net_logistic", 1, lam1=lam1).b
+        assert -res.fun <= b <= -res.fun + 1e-7
 
     @pytest.mark.parametrize("d,want", [
         (1, [0.20109622504486496, 0.30962250448649375, 0.7481125224324687,
