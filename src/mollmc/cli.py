@@ -14,12 +14,13 @@ and raises a ``ValueError`` unless the value is what the key must be, and
 ``_REQUIRED`` lists the keys each algorithm needs.  The numeric rules, for
 keys and flags alike, are :mod:`mollmc._args`'; only the JSON shapes are
 stated here.  Every key is checked wherever it appears, whatever the
-algorithm.  Unknown keys are errors, not warnings, because a silently ignored
-misspelling is the main failure mode of numerical experiments.  Every output
-embeds the config hash and the seed it was produced from.  Replica ``i`` runs
-under the seed :func:`mollmc.samplers.derive_seed` derives from the root seed,
-so re-running any experiment with the same config and seed reproduces the
-trace files byte for byte regardless of worker scheduling.
+algorithm.  Unknown and repeated keys are errors, not warnings, because a
+silently ignored misspelling or value is the main failure mode of numerical
+experiments.  Every output embeds the config hash and the seed it was produced
+from.  Replica ``i`` runs under the seed :func:`mollmc.samplers.derive_seed`
+derives from the root seed, so re-running any experiment with the same config
+and seed reproduces the trace files byte for byte regardless of worker
+scheduling.
 
 ``sample`` splits the replicas into one contiguous shard per worker
 (``MOLLMC_WORKERS``, default one per CPU the process may run on).  It forms
@@ -115,10 +116,7 @@ _KEYS = {
     ("chain", "k"): _COUNT,
     ("chain", "seed"): _integral(_args.seed),
     ("chain", "record_stride"): _COUNT,
-    ("chain", "init"): _OBJECT,
-    ("chain", "init", "kind"):
-        _args.rule("must be 'gaussian' or 'point'", lambda v: v in ("gaussian", "point")),
-    ("chain", "init", "x0"): _reals,
+    ("chain", "x0"): _reals,
     ("smoothing",): _OBJECT,
     ("smoothing", "r"): _args.unit,
     ("smoothing", "n_batch"): _COUNT,
@@ -128,10 +126,9 @@ _KEYS = {
     ("outputs",): _TEXT,
 }
 
-# The keys each algorithm needs; a listed key must be present wherever its
-# parent is, so chain.init needs a kind only when the chain has an init.
+# The keys each algorithm needs.
 _LMC_KEYS = (("potential",), ("potential", "name"), ("potential", "d"), ("algorithm",), ("chain",),
-             *(("chain", key) for key in ("beta", "eta", "k", "seed")), ("chain", "init", "kind"))
+             *(("chain", key) for key in ("beta", "eta", "k", "seed")))
 _SMOOTHED_KEYS = (*_LMC_KEYS, ("smoothing",), ("smoothing", "r"), ("smoothing", "n_batch"))
 _REQUIRED = {"lmc": _LMC_KEYS, "ss_lmc": _SMOOTHED_KEYS,
              "ss_sg_lmc": (*_SMOOTHED_KEYS, ("finite_sum",), ("finite_sum", "n_components"))}
@@ -160,24 +157,32 @@ def validate_config(cfg: dict) -> dict:
     for *head, key in _REQUIRED.get(cfg.get("algorithm"), _LMC_KEYS):
         parent = cfg
         for step in head:
-            parent = None if parent is None else parent.get(step)
-        if parent is not None and key not in parent:
+            parent = parent[step]
+        if key not in parent:
             raise ValueError(f"{'.'.join(head) or 'config'} is missing required key {key!r}")
 
-    pot, init = cfg["potential"], cfg["chain"].get("init", {"kind": "gaussian"})
+    pot, x0 = cfg["potential"], cfg["chain"].get("x0")
     if pot["name"] not in BUILTIN_NAMES:
         raise ValueError(f"potential.name must be one of {BUILTIN_NAMES}, got {pot['name']!r}")
-    if (init["kind"] == "point") != ("x0" in init):
-        raise ValueError("chain.init.x0 must be given exactly when chain.init.kind is 'point'")
-    if "x0" in init and len(init["x0"]) != pot["d"]:
-        raise ValueError(f"chain.init.x0 must be of length potential.d = {pot['d']}, "
-                         f"got {init['x0']!r}")
+    if x0 is not None and len(x0) != pot["d"]:
+        raise ValueError(f"chain.x0 must be of length potential.d = {pot['d']}, got {x0!r}")
     return cfg
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key, whose first value ``json``
+    would silently drop, is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in the config")
+        obj[key] = value
+    return obj
 
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(json.load(fh))
+        return validate_config(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def canonical_json(cfg: dict) -> str:
@@ -212,12 +217,11 @@ def build_chain_config(cfg: dict):
     from .samplers import ChainConfig
 
     chain = cfg["chain"]
-    init = chain.get("init", {"kind": "gaussian"})
     return ChainConfig(
         beta=float(chain["beta"]),
         eta=float(chain["eta"]),
         k=int(chain["k"]),
-        x0=tuple(float(v) for v in init["x0"]) if init["kind"] == "point" else None,
+        x0=tuple(float(v) for v in chain["x0"]) if "x0" in chain else None,
         record_stride=int(chain.get("record_stride", 1)),
     )
 
@@ -364,6 +368,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    for flag, value in (("--seed", args.seed), ("--out", args.out)):
+        if value is not None and not args.execute:
+            raise ValueError(f"{flag} needs --execute")
     import mpmath as mp
 
     from .planner import PRECISION_DPS, PlanRequest, plan_lmc, plan_ss_sg_lmc, verify_plan

@@ -31,9 +31,8 @@ always reproduce the trace bit for bit, whichever other chains step beside it,
 and parallel replicas never share a stream.  Noise is pre-drawn in fixed
 blocks of :data:`NOISE_BLOCK` steps, each chain's block from its own streams;
 the block size is part of the reproducibility contract.  Per step a chain's
-block holds ``d`` Gaussians, ``n_batch * d`` smoothing draws and, for a finite
-sum, ``picks = n_batch`` int64 component picks (else ``picks = 0``), so it is
-``8 * min(NOISE_BLOCK, k) * ((1 + n_batch) * d + picks)`` bytes.  Large
+block holds ``d`` Gaussians, ``n_batch * d`` smoothing draws and ``picks``
+int64 component picks, so it is ``8 * min(NOISE_BLOCK, k) * ((1 + n_batch) * d + picks)`` bytes.  Large
 ensembles step in groups of as many chains as keep a group's block within
 :data:`LOCKSTEP_BLOCK_BYTES`.  That budget binds groups, not a lone chain: a
 group holds at least one chain and a chain's block is never split, so a chain
@@ -43,16 +42,19 @@ generator draws straight into its chain's slice of a chain-major block, so at
 its peak a group holds its block and its trace array: a spent block is dropped
 before the next one is drawn.
 
-The oracles share one protocol, and only sample.  ``dim`` is ``d``;
-``n_batch`` counts kernel points per chain and step (0 for the exact
-gradient); ``potential`` is what the bounds read (for a finite sum, the
-potential an ``equal_split`` sum was split from, else None); a smoothed
-oracle's ``r`` is its radius.  :func:`mollmc.bounds.inputs_from` states what
-the analysis assumes of each oracle from these.
-``prep_block(n_steps, zeta_rngs, lam_rngs)`` draws one block from the
-per-chain generators, chain-major (chain ``c``'s draws at ``[c]``), and
-``grad_at(x, block, j)`` returns the gradients ``(C, d)`` at the points ``x``
-``(C, d)`` for step ``j``, read at ``[:, j]``.
+The oracles share one protocol, all that :func:`run` reads of them, and only
+sample.  ``dim`` is ``d``; ``n_batch`` and ``picks`` count kernel points and
+component picks per chain and step (``n_batch`` is 0 for the exact gradient,
+``picks`` is ``n_batch`` for a finite sum, else 0); ``potential`` is what the
+bounds read (for a finite sum, the potential an ``equal_split`` sum was split
+from, else None); a smoothed oracle's ``r`` is its radius.
+:func:`mollmc.bounds.inputs_from` states what the analysis assumes of each
+oracle from these.  ``prep_block(n_steps, zeta_rngs, lam_rngs)`` draws one
+block from the per-chain generators, chain-major (chain ``c``'s draws at
+``[c]``); ``grad_at(x, block, j)`` returns the gradients ``(C, d)`` at the
+points ``x`` ``(C, d)`` for step ``j``, read at ``[:, j]``; and an oracle with
+``n_batch > 0`` has ``_rows_at(x, block, j, rows)``, ``grad_at`` at the chains
+``rows`` with its terms divided by ``n_batch`` before the sum.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class Trace:
 class ExactGradient:
     """Deterministic oracle ``G = grad U`` (plain LMC)."""
 
-    n_batch = 0  # it draws no kernel points
+    n_batch = picks = 0  # it draws no kernel points and picks no components
 
     def __init__(self, potential: PotentialSpec):
         self.potential = potential
@@ -181,6 +183,8 @@ class SphericalSmoothed:
     shrinks like ``1 / n_batch``.
     """
 
+    picks = 0  # it picks no components
+
     def __init__(self, potential: PotentialSpec, r: float, n_batch: int = 1):
         self.potential = potential
         self.r = float(_args.unit("r", r))
@@ -200,8 +204,7 @@ class SphericalSmoothed:
 
     def _rows_at(self, x, block, j, rows):
         """:meth:`grad_at` at the chains ``rows`` with each term divided by ``n_batch``
-        before the sum, which overflows only where the mean does; :func:`run` calls it
-        for the rows whose sum overflowed."""
+        before the sum, which overflows only where the mean does."""
         pts = (x[rows, None, :] + block[rows, j]).reshape(-1, self.dim)
         g = np.asarray(self.potential.weak_grad(pts), dtype=float) / self.n_batch
         return np.add.reduce(g.reshape(-1, self.n_batch, self.dim), axis=1)
@@ -218,6 +221,7 @@ class FiniteSumSpherical(SphericalSmoothed):
     def __init__(self, fsum: FiniteSumPotential, r: float, n_batch: int = 1):
         super().__init__(fsum, r, n_batch)  # which reads only fsum.dim
         self.fsum, self.potential = fsum, fsum.base
+        self.picks = self.n_batch  # one component per term
 
     def prep_block(self, n_steps, zeta_rngs, lam_rngs):
         # _smoothing_block, not super().prep_block: a wrapper around the
@@ -286,8 +290,7 @@ def run(oracle, cfg: ChainConfig, seeds) -> list[Trace]:
         _args.seed("seed", s)
     if cfg.x0 is not None and len(cfg.x0) != oracle.dim:
         raise ValueError(f"x0 has {len(cfg.x0)} coordinates, the chain has dim {oracle.dim}")
-    picks = oracle.n_batch if isinstance(oracle, FiniteSumSpherical) else 0
-    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * ((1 + oracle.n_batch) * oracle.dim + picks)
+    per_chain = 8 * min(NOISE_BLOCK, cfg.k) * ((1 + oracle.n_batch) * oracle.dim + oracle.picks)
     size = max(1, LOCKSTEP_BLOCK_BYTES // per_chain)
     traces = []
     # an overflow in a step leaves a non-finite iterate, which the divergence
@@ -339,7 +342,7 @@ def _lockstep(oracle, cfg: ChainConfig, chain_seeds: list) -> list[Trace]:
             i += 1
             if not float(np.vdot(x, x)) <= screen:
                 rows = ~np.isfinite(g).all(axis=1)
-                if isinstance(oracle, SphericalSmoothed) and rows.any():
+                if oracle.n_batch and rows.any():
                     # a sum of gradient terms that overflowed, stepped again from the
                     # pre-step state with its terms divided first
                     x[rows] = before[rows] - eta * oracle._rows_at(before, o_block, j, rows)

@@ -364,7 +364,7 @@ def _with(cfg, path, value):
     [
         (("bogus",), 1, "'bogus'"),
         (("chain", "bogus"), 1, "'bogus'"),
-        (("chain", "init"), {"kind": "gaussian", "bogus": 1}, "'bogus'"),
+        (("chain", "init"), {"kind": "point", "x0": [1.0]}, "unknown key 'init' in chain"),
         (("chain", "eta"), None, "'eta'"),
     ],
     ids=["top-level", "chain", "chain.init", "missing-chain.eta"],
@@ -422,13 +422,10 @@ def test_sample_rejects_non_numeric_and_non_positive_reals(tmp_path, capsys, pat
     assert not out.exists()
 
 
-_POINT = {"kind": "point", "x0": [1.0, 2.0]}
 _BAD_VALUES = [
-    (("chain", "init"), dict(_POINT, x0=["1", "2"]), "chain.init.x0", "x0-strings"),
-    (("chain", "init"), dict(_POINT, x0=[1.0, math.nan]), "chain.init.x0", "x0-nan"),
-    (("chain", "init"), dict(_POINT, x0=[1, 2, 3]), "chain.init.x0", "x0-length"),
-    (("chain", "init"), {"kind": "point"}, "chain.init.x0", "point-without-x0"),
-    (("chain", "init"), dict(_POINT, kind="gaussian"), "chain.init.x0", "gaussian-with-x0"),
+    (("chain", "x0"), ["1", "2"], "chain.x0[0] must be", "x0-strings"),
+    (("chain", "x0"), [1.0, math.nan], "chain.x0[1] must be", "x0-nan"),
+    (("chain", "x0"), [1, 2, 3], "chain.x0 must be of length potential.d = 2", "x0-length"),
     (("potential", "params"), {"alpha": True}, "potential.params.alpha", "param-bool"),
     (("potential",), {"name": "elastic_net_logistic", "d": 2, "params": {"lam1": "0.1"}},
      "potential.params.lam1", "param-string"),
@@ -440,7 +437,6 @@ _BAD_VALUES = [
     (("smoothing", "n_batch"), "3", "smoothing.n_batch", "n_batch-string-on-lmc"),
     (("finite_sum", "n_components"), True, "finite_sum.n_components", "n_components-bool-on-lmc"),
     (("potential", "name"), "nope", "potential.name", "unknown-potential"),
-    (("chain", "init"), {"kind": "uniform"}, "chain.init.kind", "unknown-init-kind"),
     (("chain",), [1], "chain", "chain-list"),
 ]
 
@@ -473,7 +469,7 @@ def _not_json(name):
     "chain,undefined",
     [
         ({"k": 1}, {"second_moment_se", "exp_moment_se"}),
-        ({"k": 4, "init": {"kind": "point", "x0": [1000.0]}}, {"exp_moment", "exp_moment_se"}),
+        ({"k": 4, "x0": [1000.0]}, {"exp_moment", "exp_moment_se"}),
     ],
     ids=["one-point", "exp-moment-overflows"],
 )
@@ -517,10 +513,22 @@ def test_each_command_builds_the_potential_once(tmp_path, monkeypatch, capsys, c
     capsys.readouterr()
 
 
+def test_sample_starts_every_replica_at_chain_x0(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(dict(_LMC_D1, replicas=3), ("chain", "x0"), [3.0])))
+    files = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MOLLMC_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        files.append([(out / f"chain_{i:04d}.csv").read_text() for i in range(3)])
+    assert files[0] == files[1]
+    assert [text.splitlines()[4] for text in files[0]] == ["0,3"] * 3
+
+
 def test_bound_refuses_a_point_initial_law(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("chain", "init"),
-                                         {"kind": "point", "x0": [0.5]})))
+    cfg_path.write_text(json.dumps(_with(_LMC_D1, ("chain", "x0"), [0.5])))
     assert main(["bound", "--config", str(cfg_path), "--r", "0.1"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -768,6 +776,37 @@ def test_plan_execute_needs_config(capsys):
     assert "--execute needs --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--out"])
+def test_plan_refuses_seed_and_out_without_execute(tmp_path, capsys, monkeypatch, flag):
+    # plan without --execute runs nothing, so it used to accept both and ignore them
+    monkeypatch.chdir(tmp_path)
+    assert main([*_LMC_PLAN[:-1], flag, "5"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {flag} needs --execute\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--out", "out"], ["bound", "--r", "0.1"], [*_LMC_PLAN, "--out", "out"]],
+    ids=["sample", "bound", "plan-execute"],
+)
+def test_a_repeated_key_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # json.load kept the last of the two values and ran at eta = 0.2
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(
+        '{"potential": {"name": "quadratic", "d": 1}, "algorithm": "lmc",\n'
+        ' "chain": {"beta": 1.0, "eta": 0.1, "k": 20, "seed": 4, "eta": 0.2}}\n')
+    assert main([*argv, "--config", "cfg.json"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: repeated key 'eta' in the config\n"
+    if argv[0] == "plan":  # the plan is printed before its config is read
+        assert set(json.loads(captured.out)) == {"plan", "verification"}
+    else:
+        assert captured.out == ""
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_plan_execute_runs_the_plan(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_LMC_D1))
@@ -826,8 +865,8 @@ def test_plan_failing_verification_exits_one_and_never_runs(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "run_experiment", _must_not_run)
     monkeypatch.chdir(tmp_path)
     Path("cfg.json").write_text(json.dumps(_LMC_D1))
-    argv = _LMC_PLAN if execute else _LMC_PLAN[:-1]
-    assert main([*argv, "--config", "cfg.json", "--out", "out"]) == EXIT_ERROR
+    argv = [*_LMC_PLAN, "--out", "out"] if execute else _LMC_PLAN[:-1]
+    assert main([*argv, "--config", "cfg.json"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert json.loads(captured.out)["verification"]["passed"] is False
     if execute:

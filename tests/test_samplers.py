@@ -283,6 +283,7 @@ def test_oracle_declares_the_protocol(kind):
     orc = _PROTOCOL_ORACLES[kind](p)
     assert orc.dim == 2 and orc.potential is p
     assert orc.n_batch == (0 if kind == "exact" else 3)
+    assert orc.picks == (3 if kind == "finite_sum" else 0)
     assert kind == "exact" or orc.r == 0.5
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     block = orc.prep_block(5, rngs, rngs)
@@ -369,6 +370,24 @@ def _lockstep_oracle(kind, d, n_batch):
     return FiniteSumSpherical(fs, r=0.1, n_batch=n_batch)
 
 
+class _Delegating:
+    """An oracle of no built-in class: it forwards the protocol to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim, self.n_batch, self.picks = inner.dim, inner.n_batch, inner.picks
+        self.potential = inner.potential
+
+    def prep_block(self, n_steps, zeta_rngs, lam_rngs):
+        return self.inner.prep_block(n_steps, zeta_rngs, lam_rngs)
+
+    def grad_at(self, x, block, j):
+        return self.inner.grad_at(x, block, j)
+
+    def _rows_at(self, x, block, j, rows):
+        return self.inner._rows_at(x, block, j, rows)
+
+
 class TestStreamsAndReplicas:
     def test_ensemble_rows_match_single_runs(self):
         p = builtin("quadratic", 2)
@@ -415,6 +434,10 @@ class TestStreamsAndReplicas:
         cfg = ChainConfig(beta=1.0, eta=0.01, k=300, record_stride=7)
         _assert_rows_match_solo_runs(_lockstep_oracle("finite_sum", 1, 3), cfg, 21, 5)
         assert groups[:3] == [2, 2, 1]
+        # run sizes the groups from the oracle's picks, whatever its class
+        groups.clear()
+        _assert_rows_match_solo_runs(_Delegating(_lockstep_oracle("finite_sum", 1, 3)), cfg, 21, 5)
+        assert groups[:3] == [2, 2, 1]
 
     def test_divergent_chain_stops_and_others_step_on(self):
         # on the double well at eta = 0.3 replicas 0 and 3 of root 1 blow up
@@ -452,12 +475,14 @@ class TestStreamsAndReplicas:
         for c in range(4):
             assert np.array_equal(got[c], p.weak_grad(x[c] + block[c, 0]).mean(axis=0))
 
-    @pytest.mark.parametrize("kind", ["smoothed", "finite_sum"])
+    @pytest.mark.parametrize("kind", ["smoothed", "finite_sum", "delegating"])
     def test_an_overflowed_batch_sum_is_stepped_again_from_its_mean(self, kind):
         # at lam1 = 5e307 each of the 4 terms and their mean are floats, their sum is not
         p = builtin("elastic_net_logistic", 2, lam1=5e307)
-        oracle = (SphericalSmoothed(p, r=0.1, n_batch=4) if kind == "smoothed" else
-                  FiniteSumSpherical(FiniteSumPotential.equal_split(p, 1), r=0.1, n_batch=4))
+        oracle = (FiniteSumSpherical(FiniteSumPotential.equal_split(p, 1), r=0.1, n_batch=4)
+                  if kind == "finite_sum" else SphericalSmoothed(p, r=0.1, n_batch=4))
+        if kind == "delegating":  # run steps it again by the protocol, whatever its class
+            oracle = _Delegating(oracle)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2))
         block = oracle.prep_block(1, [rng] * 3, [rng] * 3)
