@@ -52,7 +52,9 @@ reaped before :func:`main` returns.  A profiler, tracer or monitoring tool
 (cProfile, coverage) writes its results at exit, so with one installed, or when
 a flush raises, the process ends by ``sys.exit`` as before.  :func:`main` itself
 returns its code, and an exception or argparse's ``SystemExit`` leaves the
-normal way.
+normal way.  A stdout whose reader has gone is no error line: ``sample``, whose
+outputs are its files, keeps its run's exit code, and ``plan`` and ``bound``,
+whose output is stdout, exit 1.
 """
 
 from __future__ import annotations
@@ -338,6 +340,19 @@ def run_experiment(cfg: dict, root_seed: int, out_dir: Path) -> dict:
     return summary
 
 
+def _print_out(text: str) -> bool:
+    """Print ``text`` to stdout and flush it; False when stdout's reader has gone.
+    Stdout then writes to ``os.devnull``, so no later flush raises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return False
+    return True
+
+
 def _execute(cfg: dict, args, announce: bool) -> int:
     """Run a validated config into ``--out`` or its ``outputs``, from ``--seed`` or
     its chain seed; name each diverged replica on stderr."""
@@ -348,8 +363,8 @@ def _execute(cfg: dict, args, announce: bool) -> int:
         return EXIT_ERROR
     root_seed = int(args.seed) if args.seed is not None else int(cfg["chain"]["seed"])
     summary = run_experiment(cfg, root_seed, Path(out))
-    if announce:
-        print(json.dumps({
+    if announce:  # the run's outputs are its files, so a closed stdout does not fail it
+        _print_out(json.dumps({
             "config_sha256": summary["config_sha256"],
             "root_seed": summary["root_seed"],
             "diverged": summary["diverged"],
@@ -396,9 +411,12 @@ def cmd_plan(args) -> int:
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_limit(0)
     try:
-        print(json.dumps({"plan": plan_info, "verification": report.to_dict()}, indent=2))
+        printed = _print_out(json.dumps({"plan": plan_info, "verification": report.to_dict()},
+                                        indent=2))
     finally:
         set_limit(limit)
+    if not printed:
+        return EXIT_ERROR
 
     if not report.passed:
         if args.execute:
@@ -457,8 +475,8 @@ def cmd_bound(args) -> int:
     tb = theorem_bound(inputs, eta=chain.eta, k=chain.k)
     payload = {**tb.to_dict(), "config_sha256": config_hash(cfg), "r": inputs.r,
                "eta": chain.eta, "k": chain.k}
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    return EXIT_OK
+    printed = _print_out(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    return EXIT_OK if printed else EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -450,11 +450,9 @@ def _byte_mask(x: np.ndarray) -> np.ndarray:
 
 
 def _digit_rows(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """48-byte rows holding digit ``i`` of ``q < 10**17`` at byte ``15 + i``, after
-    15 ASCII zeros; trailing zeros of ``q`` and the 16 bytes after it are NUL.
-
-    Written into the first ``q.size`` rows of ``rows`` ``(n, 6)`` uint64, whose
-    last two words must already be zero."""
+    """``rows``, one ``(6,)`` uint64 row per ``q < 10**17``, with digit ``i`` of ``q`` at
+    byte ``15 + i`` after 15 ASCII zeros and trailing zeros of ``q`` NUL; it writes
+    words 0 to 3 only."""
     top = q // 10**8
     lead = top // 10**8
     mid8, low8 = _digits8(top - lead * 10**8), _digits8(q - top * 10**8)
@@ -463,7 +461,6 @@ def _digit_rows(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         x |= x >> 8
         x |= x >> 16
         x |= x >> 32
-    rows = rows[:q.size]
     rows[:, 0] = _ZEROS
     rows[:, 1] = (lead + 0x30) << 56 | _ZEROS >> 8
     rows[:, 2] = mid8 & _byte_mask(x_mid | (x_low != 0).astype(np.uint64) * _LSB)
@@ -481,22 +478,8 @@ def _step_digits(s: np.ndarray) -> np.ndarray:
     return np.asarray(digits & _byte_mask(x), np.dtype("<u8")).view(np.uint8).reshape(-1, 8)
 
 
-class _CsvScratch:
-    """The buffers that every block of one :func:`write_trace_csv` call reuses,
-    for blocks of up to ``n_values`` values in rows of ``d``: the values' digit
-    rows, their fields and the block's text.  They share one allocation."""
-
-    def __init__(self, n_values: int, d: int):
-        n_digits, n_field = 48 * n_values, n_values * (_MAX_POS + 3)
-        n_text = n_field + n_values // d * 9
-        buf = np.empty(n_digits + n_field + n_text, np.uint8)
-        self.digits = buf[:n_digits].view(np.dtype("<u8")).reshape(n_values, 6)
-        self.digits[:, 4:] = 0  # _digit_rows leaves words 4 and 5 zero
-        self.field = buf[n_digits:n_digits + n_field]
-        self.text = buf[n_digits + n_field:]
-
-
-def _csv_rows(steps: np.ndarray, values: np.ndarray, scratch: _CsvScratch) -> list[bytes]:
+def _csv_rows(steps: np.ndarray, values: np.ndarray, digits: np.ndarray, field: np.ndarray,
+              text: np.ndarray) -> list[bytes]:
     """The rows ``"%d" + ",%.17g" * d`` of a block of steps and float64 values.
 
     Each field is cut from its value's digit row at the same columns for the
@@ -519,9 +502,9 @@ def _csv_rows(steps: np.ndarray, values: np.ndarray, scratch: _CsvScratch) -> li
     # and the digits at 10**-1 .. 10**p_min
     p_max, p_min = max(int(k.max()), 0), int(k.min()) - 16
     n_int, n_pos = p_max + 1, p_max + 1 - p_min
-    windows = sliding_window_view(_digit_rows(q, scratch.digits).view(np.uint8), n_pos, axis=1)
+    windows = sliding_window_view(_digit_rows(q, digits[:v.size]).view(np.uint8), n_pos, axis=1)
     cut = windows[np.arange(v.size), 15 + k - p_max]
-    field = scratch.field[:v.size * (n_pos + 3)].reshape(v.size, n_pos + 3)
+    field = field[:v.size * (n_pos + 3)].reshape(v.size, n_pos + 3)
     field[:, 0] = ord(",")
     field[:, 1] = np.signbit(v) * ord("-")
     np.bitwise_or(cut[:, :n_int], 0x30, out=field[:, 2:n_int + 2])
@@ -534,7 +517,7 @@ def _csv_rows(steps: np.ndarray, values: np.ndarray, scratch: _CsvScratch) -> li
     s = np.where(ok, steps, 0).astype(np.uint64)
     w_step = len(str(int(s.max())))
     width = w_step + d * (n_pos + 3) + 1
-    text = scratch.text[:n_rows * width].reshape(n_rows, width)
+    text = text[:n_rows * width].reshape(n_rows, width)
     np.concatenate(
         [_step_digits(s)[:, 8 - w_step:], field.reshape(n_rows, -1),
          np.broadcast_to(np.uint8(ord("\n")), (n_rows, 1))],
@@ -578,8 +561,15 @@ def write_trace_csv(trace: Trace, path, provenance: dict | None = None) -> None:
         steps = np.asarray(trace.steps, dtype=np.int64)
         iterates = np.asarray(trace.iterates, dtype=np.float64)
         block = max(1, _CSV_BLOCK // d)
-        scratch = _CsvScratch(min(block, len(steps)) * d, d)
+        n = min(block, len(steps)) * d  # values in the largest block
+        # every block reuses one buffer (three were unmapped and faulted in on every call):
+        # each value's 48-byte digit row and field, then the text, 9 more bytes a row
+        buf = np.empty(48 * n + 2 * n * (_MAX_POS + 3) + n // d * 9, np.uint8)
+        digits = buf[:48 * n].view(np.dtype("<u8")).reshape(n, 6)
+        digits[:, 4:] = 0  # _digit_rows writes words 0 to 3 only
+        field, text = np.split(buf[48 * n:], [n * (_MAX_POS + 3)])
         for lo in range(0, len(steps), block):
-            fh.writelines(_csv_rows(steps[lo:lo + block], iterates[lo:lo + block], scratch))
+            fh.writelines(_csv_rows(steps[lo:lo + block], iterates[lo:lo + block],
+                                    digits, field, text))
         if trace.diverged_at is not None:
             fh.write(f"# diverged_at_step={trace.diverged_at}\n".encode("utf-8"))

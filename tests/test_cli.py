@@ -944,6 +944,39 @@ def test_benchmark_tracer_sees_every_oracle(tmp_path, algo):
     assert names.count("samplers.grad_at") == _SAMPLE_CONFIGS[algo]["chain"]["k"]
 
 
+def test_benchmark_tracer_wraps_every_command(tmp_path):
+    # the benchmark's traced runs rebuild each PotentialSpec with a one-argument
+    # weak_grad and wrap functions by name; tier-1 runs untraced, so a change the
+    # tracer cannot wrap would otherwise show only in the benchmark
+    import numpy as np
+
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_SAMPLE_CONFIGS["ss_lmc"], replicas=2)))
+    commands = {
+        "sample": ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "traced")],
+        "plan": ["plan", "--epsilon", "0.5", "--d", "2", "--alpha", "0.7"],
+        "bound": ["bound", "--config", str(cfg_path)],
+    }
+    env = _env(MOLLMC_WORKERS="1")  # PYTHONPATH: the checkout's src first
+    names = set()
+    for command, argv in commands.items():
+        spans = tmp_path / f"{command}.npz"
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "traced_cli.py"),
+                               str(spans), "--", *argv], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), command
+        with np.load(spans) as data:
+            names |= set(data["names"][data["name"]].tolist())
+    assert names >= {"potentials.weak_grad", "samplers.prep_block", "samplers.grad_at",
+                     "samplers.run", "samplers.write_trace_csv", "planner.plan_lmc",
+                     "bounds.theorem_bound"}
+    untraced = subprocess.run([sys.executable, "-m", "mollmc.cli", *commands["sample"][:-1],
+                               str(tmp_path / "untraced")], env=env, capture_output=True)
+    assert untraced.returncode == EXIT_OK
+    csvs = [{f.name: f.read_bytes() for f in sorted((tmp_path / side).glob("chain_*.csv"))}
+            for side in ("traced", "untraced")]
+    assert len(csvs[0]) == 2 and csvs[0] == csvs[1]
+
 
 @pytest.mark.parametrize("case", ["plan", "bound", "error", "refused", "diverged", "usage"])
 def test_a_command_prints_and_exits_as_main_returns(tmp_path, capsys, monkeypatch, case):
@@ -974,6 +1007,64 @@ def test_a_command_prints_and_exits_as_main_returns(tmp_path, capsys, monkeypatc
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
     if case == "error":
         assert proc.stderr == "error: epsilon must lie in (0, 1], got 2.0\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", ["sample", "diverged", "plan", "bound"])
+def test_a_closed_stdout_is_no_error(tmp_path, capsys, monkeypatch, case, buffered):
+    # stdout's reader has gone: sample, whose outputs are its files, exits with its run's
+    # code; plan and bound, whose output is stdout, exit 1.  Each printed
+    # "error: [Errno 32] Broken pipe" and exited 1, or, block-buffered, a traceback and 120
+    bound_cfg, sample_cfg = tmp_path / "bound.json", tmp_path / "sample.json"
+    bound_cfg.write_text(json.dumps(_SAMPLE_CONFIGS["ss_lmc"]))
+    sample_cfg.write_text(json.dumps(_DIVERGING if case == "diverged"
+                                     else dict(_SAMPLE_CONFIGS["lmc"], replicas=3)))
+    out = tmp_path / "out"
+    argv = {
+        "sample": ["sample", "--config", str(sample_cfg), "--out", str(out)],
+        "diverged": ["sample", "--config", str(sample_cfg), "--out", str(out)],
+        "plan": ["plan", "--epsilon", "0.5", "--d", "2", "--alpha", "0.7"],
+        "bound": ["bound", "--config", str(bound_cfg)],
+    }[case]
+    monkeypatch.setenv("MOLLMC_WORKERS", "2")
+    main(argv)
+    expected_err = capsys.readouterr().err
+    env = _env(MOLLMC_WORKERS="2")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mollmc.cli", *argv], stdout=write_fd,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_fd)
+    code = {"sample": EXIT_OK, "diverged": EXIT_DIVERGED}.get(case, EXIT_ERROR)
+    assert (proc.returncode, proc.stderr) == (code, expected_err)
+    if case in ("sample", "diverged"):
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(list(out.glob("chain_*.csv"))) == len(summary["replicas"])
+
+
+@pytest.mark.parametrize("error", ["directory", "broken-pipe"])
+def test_an_error_writing_a_trace_is_still_an_error_line(tmp_path, capsys, monkeypatch, error):
+    # only stdout's broken pipe is forgiven, not one from a trace file
+    from mollmc import samplers
+
+    cfg = dict(_SAMPLE_CONFIGS["lmc"], replicas=2)
+    if error == "directory":
+        trace = tmp_path / "out-w1" / "chain_0001.csv"
+        trace.mkdir(parents=True)
+        expected = f"error: [Errno 21] Is a directory: '{trace}'\n"
+    else:
+        def broken(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(samplers, "write_trace_csv", broken)
+        expected = "error: [Errno 32] Broken pipe\n"
+    code, out = _sample(tmp_path, cfg, "out", "1", monkeypatch)
+    assert (code, capsys.readouterr().err) == (EXIT_ERROR, expected)
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("watch", ["", "sys.setprofile(lambda *args: None)",

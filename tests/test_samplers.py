@@ -543,6 +543,20 @@ class TestStreamsAndReplicas:
         assert not np.array_equal(a, c)
 
 
+def _peak_bytes(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call above the memory traced before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 class TestPeakMemory:
     @pytest.mark.parametrize("kind,n_chains", [("finite_sum", 1), ("smoothed", 3)],
                              ids=["logistic-1-chain", "hoelder_mix-3-chains"])
@@ -558,17 +572,21 @@ class TestPeakMemory:
         block = 8 * steps * n_chains * ((1 + n_batch) * d + picks)
         trace = 8 * n_chains * len(samplers._recorded_steps(cfg.k, cfg.record_stride)) * d
         run(oracle, ChainConfig(beta=1.0, eta=0.01, k=3), [0])  # first-call set-up
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            run(oracle, cfg, range(n_chains))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        _, peak = _peak_bytes(lambda: run(oracle, cfg, range(n_chains)))
         assert peak <= block + trace + 2 * 2**20
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_the_csv_writer_holds_one_block_of_a_long_trace(self, tmp_path, d):
+        # formatting a whole trace at once would hold its 2.5-20 MiB of text at 12
+        # blocks, against about 2 MiB of buffers for one block at any length
+        peaks = []
+        for n_blocks in (1, 12):
+            rows = n_blocks * (samplers._CSV_BLOCK // d)
+            trace = Trace(steps=np.arange(rows),
+                          iterates=np.random.default_rng(d).standard_normal((rows, d)),
+                          config=ChainConfig(1.0, 0.1, 1), elapsed=0.0)
+            peaks.append(_peak_bytes(lambda: write_trace_csv(trace, tmp_path / "trace.csv"))[1])
+        assert peaks[1] <= peaks[0] + 2**20
 
 
 class TestRecordedSteps:
@@ -584,16 +602,7 @@ class TestRecordedSteps:
     @pytest.mark.parametrize("stride", [1, 3])
     def test_builds_no_list(self, stride):
         # a Python list of 10**6 ints held beside the array took several times its bytes
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            steps = samplers._recorded_steps(10**6, stride)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        steps, peak = _peak_bytes(lambda: samplers._recorded_steps(10**6, stride))
         assert steps[-1] == 10**6 and peak <= 1.5 * steps.nbytes
 
 
